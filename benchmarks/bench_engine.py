@@ -1,14 +1,11 @@
-"""Packed DP kernels + batched multi-instance + parallel engine bench.
+"""Batched multi-instance + parallel engine bench.
 
-Five claims, all checked here:
+Four claims, all checked here:
 
-* **Identical results** — the packed engine (``kernel="packed"``, the
-  default) reproduces the python reference (``kernel="python"``)
-  bit-for-bit on every suite graph, across `tree_frontier`,
-  `dfg_frontier` (including ``batch=True``), and `DFG_Assign_Repeat`;
-  and `pmap` fan-outs return the same results at every worker count.
-* **Kernel speed** — the packed engine is ≥ 2× faster than the python
-  incremental engine on the largest suite frontier sweeps (serial).
+* **Identical results** — `DFG_Assign_Repeat`'s packed engine (the
+  default ``kernel``) reproduces the python reference bit-for-bit on
+  every suite graph, and the batched `dfg_frontier` sweep and `pmap`
+  fan-outs return the same results at every worker count.
 * **Batched speed** — the batched multi-instance engine solves the
   largest frontier sweep ≥ 3× faster than one per-instance
   `DFG_Assign_Repeat` call per deadline (serial, interleaved
@@ -45,14 +42,12 @@ from conftest import write_bench_json  # noqa: E402
 
 from repro.assign import (
     BatchJob,
-    DPStats,
     dfg_assign_repeat,
     dfg_assign_repeat_batch,
     dfg_frontier,
     min_completion_time,
 )
 from repro.assign.dfg_assign import choose_expansion
-from repro.assign.frontier import tree_frontier
 from repro.engine import pmap, resolve_workers, shm_available
 from repro.fu.random_tables import random_table
 from repro.graph.classify import is_in_forest, is_out_forest
@@ -62,10 +57,6 @@ from repro.report.robustness import robustness_study
 from repro.suite.registry import benchmark_names, get_benchmark
 
 RESULTS_DIR = _HERE / "results"
-
-#: Serial speedup the packed kernels promise over the python incremental
-#: engine on the largest suite frontier sweeps.
-MIN_KERNEL_SPEEDUP = 2.0
 
 #: Parallel speedup promised by the workers=4 artifact fan-out — gated
 #: only on machines that actually have >= 4 cores.
@@ -119,27 +110,11 @@ def check_equivalence(quick: bool, workers: int) -> List[str]:
     for name in benchmark_names():
         dfg, table, floor = _setup(name)
         max_deadline = floor + min(_sweep_cap(len(dfg), quick), floor)
-        if is_out_forest(dfg) or is_in_forest(dfg):
-            packed = tree_frontier(dfg, table, max_deadline=max_deadline)
-            python = tree_frontier(
-                dfg, table, max_deadline=max_deadline, kernel="python"
-            )
-            assert packed == python, f"{name}: tree_frontier kernels diverged"
-            batched = tree_frontier(
-                dfg, table, max_deadline=max_deadline, batch=True
-            )
-            assert packed == batched, f"{name}: tree_frontier batch diverged"
-        packed = dfg_frontier(dfg, table, max_deadline=max_deadline)
-        python = dfg_frontier(
-            dfg, table, max_deadline=max_deadline, kernel="python"
-        )
+        swept = dfg_frontier(dfg, table, max_deadline=max_deadline)
         fanned = dfg_frontier(
             dfg, table, max_deadline=max_deadline, workers=workers
         )
-        batched = dfg_frontier(dfg, table, max_deadline=max_deadline, batch=True)
-        assert packed == python, f"{name}: dfg_frontier kernels diverged"
-        assert packed == fanned, f"{name}: dfg_frontier workers diverged"
-        assert packed == batched, f"{name}: dfg_frontier batch diverged"
+        assert swept == fanned, f"{name}: dfg_frontier workers diverged"
         rp = dfg_assign_repeat(dfg, table, max_deadline)
         rq = dfg_assign_repeat(dfg, table, max_deadline, kernel="python")
         rw = dfg_assign_repeat(dfg, table, max_deadline, workers=workers)
@@ -149,59 +124,10 @@ def check_equivalence(quick: bool, workers: int) -> List[str]:
             )
             assert rp.cost == other.cost, f"{name}: {what} cost diverged"
         lines.append(
-            f"{name:>14}: packed == python == batched == workers={workers} "
-            f"over deadlines {floor}..{max_deadline} ({len(packed)} knees)"
+            f"{name:>14}: packed == python == workers={workers} "
+            f"over deadlines {floor}..{max_deadline} ({len(swept)} knees)"
         )
     return lines
-
-
-# ----------------------------------------------------------------------
-# kernel speed: largest graphs, packed sweep vs python incremental sweep
-# ----------------------------------------------------------------------
-def measure_kernel_speedups(quick: bool) -> Tuple[List[str], Dict[str, float]]:
-    """Packed vs python incremental, serial, on the biggest sweeps.
-
-    The >= 2x gate binds on the *largest* expansion (first name): on
-    smaller trees both engines are dominated by the shared `node_step`
-    cache-miss recomputes, so their ratio tends to 1 by construction —
-    those runs are reported for context, not gated.  The sweep span is
-    larger than the equivalence sweeps' on purpose: the packed engine's
-    advantage is per-refresh bookkeeping, so longer sweeps measure it
-    away from the shared one-time DP fill.  Both engines are timed
-    interleaved, best of 2, so shared-box noise hits both sides alike.
-    """
-    names = largest_dags(2 if quick else 3)
-    budget = 12_000 if quick else 24_000
-    lines, speedups = [], {}
-    for name in names:
-        dfg, table, floor = _setup(name)
-        expansion = choose_expansion(dfg)
-        span = max(12, budget // max(len(expansion), 1))
-        max_deadline = floor + min(span, 2 * floor)
-        py_s = pk_s = float("inf")
-        stats = DPStats()
-        for _ in range(2):
-            t0 = time.perf_counter()
-            python = dfg_frontier(
-                dfg, table, max_deadline=max_deadline, kernel="python"
-            )
-            py_s = min(py_s, time.perf_counter() - t0)
-            stats = DPStats()
-            t0 = time.perf_counter()
-            packed = dfg_frontier(
-                dfg, table, max_deadline=max_deadline, stats=stats
-            )
-            pk_s = min(pk_s, time.perf_counter() - t0)
-            assert packed == python, f"{name}: kernels diverged under timing"
-        speedups[name] = py_s / pk_s
-        lines.append(
-            f"{name:>14}: tree={len(expansion):<4} "
-            f"deadlines={max_deadline - floor + 1:<3} "
-            f"python={py_s:7.3f}s packed={pk_s:7.3f}s "
-            f"speedup={speedups[name]:5.1f}x "
-            f"hit-rate={stats.hit_rate:.1%}"
-        )
-    return lines, speedups
 
 
 # ----------------------------------------------------------------------
@@ -233,7 +159,7 @@ def measure_batched(quick: bool) -> Tuple[List[str], float]:
         base = {d: dfg_assign_repeat(dfg, table, d) for d in deadlines}
         base_s = min(base_s, time.perf_counter() - t0)
         t0 = time.perf_counter()
-        frontier = dfg_frontier(dfg, table, max_deadline=max_deadline, batch=True)
+        frontier = dfg_frontier(dfg, table, max_deadline=max_deadline)
         batched_s = min(batched_s, time.perf_counter() - t0)
     for point in frontier:
         assert point.cost == base[point.deadline].cost, (
@@ -354,11 +280,11 @@ def measure_batched_parallel(
     span = 12 if quick else 24
     max_deadline = floor + min(span, 2 * floor)
     t0 = time.perf_counter()
-    serial = dfg_frontier(dfg, table, max_deadline=max_deadline, batch=True)
+    serial = dfg_frontier(dfg, table, max_deadline=max_deadline)
     serial_s = time.perf_counter() - t0
     t0 = time.perf_counter()
     fanned = dfg_frontier(
-        dfg, table, max_deadline=max_deadline, batch=True, workers=workers
+        dfg, table, max_deadline=max_deadline, workers=workers
     )
     par_s = time.perf_counter() - t0
     assert serial == fanned, f"{name}: batched workers={workers} diverged"
@@ -385,15 +311,12 @@ def _run(quick: bool, workers: int) -> List[str]:
     resolved = resolve_workers(workers)  # 0 = everything serial
     t_all = time.perf_counter()
     eq_lines = check_equivalence(quick, workers=resolved)
-    sp_lines, speedups = measure_kernel_speedups(quick)
     bt_lines, batched_speedup = measure_batched(quick)
     ar_lines, arena_ratio = measure_arena(quick)
     bp_lines, batched_parallel = measure_batched_parallel(quick, workers=resolved)
     par_lines, par = measure_parallel(quick, workers=resolved)
     lines = (
         [f"mode: {'quick' if quick else 'full'}  workers: {resolved}"]
-        + ["", "== kernel speedup (packed vs python, serial) =="]
-        + sp_lines
         + ["", "== batched speedup (multi-instance vs per-instance, serial) =="]
         + bt_lines
         + ["", "== arena payload (pmap pickle bytes, by-value vs by-ref) =="]
@@ -408,23 +331,17 @@ def _run(quick: bool, workers: int) -> List[str]:
     write_bench_json(
         "engine",
         wall_s=time.perf_counter() - t_all,
-        speedup=next(iter(speedups.values())),  # the gated largest sweep
+        speedup=batched_speedup,
         config={
             "quick": quick,
             "workers": resolved,
             "cores": os.cpu_count(),
-            "kernel_speedups": {k: round(v, 2) for k, v in speedups.items()},
             "batched_speedup": round(batched_speedup, 2),
             "arena_payload_ratio": round(arena_ratio, 1),
             "batched_parallel_speedup": round(batched_parallel, 2),
             "parallel_speedup": round(par["parallel"], 2),
             "parallel_gated": _gate_parallel(resolved),
         },
-    )
-    gated_name = next(iter(speedups))  # largest expansion comes first
-    assert speedups[gated_name] >= MIN_KERNEL_SPEEDUP, (
-        f"{gated_name}: packed kernels only {speedups[gated_name]:.1f}x "
-        f"faster on the largest sweep (expected >= {MIN_KERNEL_SPEEDUP}x)"
     )
     assert batched_speedup >= MIN_BATCHED_SPEEDUP, (
         f"batched engine only {batched_speedup:.1f}x faster than "

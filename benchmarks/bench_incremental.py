@@ -1,13 +1,15 @@
-"""Incremental DP engine bench (tentpole): swept frontiers vs reference.
+"""Swept DP bench: frontiers and incremental pin rounds vs the reference.
 
 Two claims, both checked here:
 
 * **Identical results** — `dfg_assign_repeat(incremental=True)` and the
   swept `dfg_frontier` reproduce the non-incremental reference path's
-  assignments and costs exactly, on every suite graph.
+  assignments and costs exactly, on every suite graph (the frontier
+  reference is :func:`repro.checkkit.oracles.reference_frontier`).
 * **Speed** — the swept frontier is ≥ 5× faster than the per-deadline
-  reference on the largest suite graphs (the curve cache turns each
-  deadline into an O(n) traceback plus near-all-hit refreshes).
+  reference on the largest suite graphs (all deadlines run as lanes of
+  one batched engine, whose curve cache keeps pin-round refreshes
+  near-all-hit).
 
 Runs under pytest (``pytest benchmarks/bench_incremental.py``) or
 standalone (``python benchmarks/bench_incremental.py [--quick]``);
@@ -32,6 +34,7 @@ from repro.assign import (
     min_completion_time,
 )
 from repro.assign.dfg_assign import choose_expansion
+from repro.checkkit.oracles import reference_frontier
 from repro.fu.random_tables import random_table
 from repro.graph.classify import is_in_forest, is_out_forest
 from repro.report.experiments import DEFAULT_SEED
@@ -94,9 +97,7 @@ def check_equivalence(quick: bool) -> List[str]:
                 f"{name}@{deadline}: incremental assignment diverged"
             )
             assert inc.cost == ref.cost, f"{name}@{deadline}: cost diverged"
-        ref_frontier = dfg_frontier(
-            dfg, table, max_deadline=max_deadline, incremental=False
-        )
+        ref_frontier = reference_frontier(dfg, table, max_deadline=max_deadline)
         swept = dfg_frontier(dfg, table, max_deadline=max_deadline)
         assert swept == ref_frontier, f"{name}: swept frontier diverged"
         lines.append(
@@ -116,7 +117,7 @@ def measure_speedups(quick: bool) -> Tuple[List[str], Dict[str, float]]:
         dfg, table, expansion, floor = _setup(name)
         max_deadline = floor + min(_sweep_cap(len(expansion), quick), 2 * floor)
         t0 = time.perf_counter()
-        ref = dfg_frontier(dfg, table, max_deadline=max_deadline, incremental=False)
+        ref = reference_frontier(dfg, table, max_deadline=max_deadline)
         ref_s = time.perf_counter() - t0
         stats = DPStats()
         t0 = time.perf_counter()

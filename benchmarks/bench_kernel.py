@@ -10,8 +10,8 @@ slowdown of `Tree_Assign`.
 import numpy as np
 import pytest
 
-from repro.assign.dpkernel import combine_children, node_step, zero_curve
 from repro.assign.series_parallel import _ConvCurve, _ZeroCurve
+from repro.engine.kernels import combine_children, node_step, zero_curve
 
 
 @pytest.mark.parametrize("deadline", [100, 1000, 10000])

@@ -13,9 +13,10 @@ Three claims, all gated:
   future eviction policy).
 * **Batched cold path** — an all-miss batch of same-structure repeat
   requests (a deadline sweep per benchmark, the shape a synthesis
-  service actually sees) solves >= 1.5x faster with structure-grouped
-  batching (``batch=True``, the default) than through the historical
-  per-job path, with byte-identical responses.
+  service actually sees) solves >= 1.5x faster through the service's
+  structure-grouped batching than through a per-job
+  :func:`~repro.serve.solve_canonical_job` loop, with byte-identical
+  responses.
 
 The batch mixes benchmark instances, duplicate requests (in-batch
 dedupe), and relabeled isomorphic twins (canonical-key sharing), so
@@ -33,11 +34,12 @@ repo root.
 
 from __future__ import annotations
 
+import json
 import os
 import pathlib
 import sys
 import time
-from typing import List, Tuple
+from typing import Any, List, Tuple
 
 _HERE = pathlib.Path(__file__).resolve().parent
 sys.path.insert(0, str(_HERE.parent / "src"))
@@ -48,7 +50,14 @@ from conftest import write_bench_json  # noqa: E402
 from repro.checkkit.metamorphic import relabel_instance
 from repro.fu.random_tables import random_table
 from repro.report.experiments import DEFAULT_SEED
-from repro.serve import Request, SynthesisService
+from repro.serve import (
+    DEFAULT_BUDGET_EVALUATIONS,
+    Request,
+    SynthesisService,
+    prepare,
+    solve_canonical_job,
+)
+from repro.serve.jobs import relabel_payload
 from repro.suite.registry import get_benchmark
 
 RESULTS_DIR = _HERE / "results"
@@ -168,30 +177,43 @@ def build_sweep_batch(quick: bool) -> List[Request]:
     return batch
 
 
-def run_batched_cold(quick: bool) -> Tuple[List[str], float]:
-    """Cold all-miss sweep through ``batch=True`` vs ``batch=False``.
+def solve_per_job(requests: List[Request]) -> List[Tuple[Any, Any]]:
+    """The unbatched baseline: canonicalize, solve and relabel each
+    request on its own, one `solve_canonical_job` call per job."""
+    out = []
+    for request in requests:
+        job = prepare(request, default_evaluations=DEFAULT_BUDGET_EVALUATIONS)
+        payload = relabel_payload(
+            json.loads(solve_canonical_job(job.job_json)), job.order
+        )
+        out.append((payload.get("result"), payload.get("error")))
+    return out
 
-    Fresh services (empty caches) on identical request lists; timed
-    interleaved, best of 2, so box noise hits both paths alike.  The
-    responses must match field-for-field — batching is a solve-path
-    optimization, not a semantic knob.
+
+def run_batched_cold(quick: bool) -> Tuple[List[str], float]:
+    """Cold all-miss sweep: the service's batched path vs per-job solves.
+
+    A fresh service (empty cache) and the per-job loop get identical
+    request lists; timed interleaved, best of 2, so box noise hits both
+    paths alike.  The responses must match field-for-field — batching
+    is a solve-path optimization, not a semantic change.
     """
     per_job_s = batched_s = float("inf")
-    per_job = batched = []
+    per_job: List[Tuple[Any, Any]] = []
+    batched = []
     for _ in range(2):
-        with SynthesisService(batch=False) as service:
-            requests = build_sweep_batch(quick)
-            started = time.perf_counter()
-            per_job = service.solve_batch(requests)
-            per_job_s = min(per_job_s, time.perf_counter() - started)
-        with SynthesisService(batch=True) as service:
+        requests = build_sweep_batch(quick)
+        started = time.perf_counter()
+        per_job = solve_per_job(requests)
+        per_job_s = min(per_job_s, time.perf_counter() - started)
+        with SynthesisService() as service:
             requests = build_sweep_batch(quick)
             started = time.perf_counter()
             batched = service.solve_batch(requests)
             batched_s = min(batched_s, time.perf_counter() - started)
-    assert [(r.result, r.error) for r in batched] == [
-        (r.result, r.error) for r in per_job
-    ], "batched cold responses diverged from per-job responses"
+    assert [(r.result, r.error) for r in batched] == per_job, (
+        "batched cold responses diverged from per-job responses"
+    )
     speedup = per_job_s / batched_s if batched_s > 0 else float("inf")
     lines = [
         f"cold sweep  : {len(per_job)} repeat requests over "

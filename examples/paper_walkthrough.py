@@ -16,8 +16,8 @@ Run:  python examples/paper_walkthrough.py
 import numpy as np
 
 from repro import greedy_assign, tree_assign
-from repro.assign.dpkernel import node_step, zero_curve
 from repro.assign.path_assign import chain_order, path_assign
+from repro.engine.kernels import node_step, zero_curve
 from repro.sched import Configuration, list_schedule, min_resource_schedule
 from repro.suite.paper_example import (
     PAPER_EXAMPLE_DEADLINE,

@@ -13,10 +13,9 @@ Public surface:
   flagged ``optimal=False``);
 * :func:`portfolio_assign` — the metaheuristic portfolio (GA / SA /
   hybrid / HEFT-rank / anytime exact) raced under one budget;
-* :func:`dfg_assign_repeat_batch`, :func:`dfg_frontier_batch`,
-  :func:`tree_frontier_batch` — batched multi-instance drivers over
-  :class:`~repro.engine.batch.BatchedTreeDP`, bit-identical per lane
-  to the scalar paths;
+* :func:`dfg_assign_repeat_batch` — the batched multi-instance entry point
+  over :class:`~repro.engine.batch.BatchedTreeDP`, bit-identical per
+  lane to the scalar path;
 * :mod:`~repro.assign.knapsack` — the NP-completeness reduction.
 """
 
@@ -25,8 +24,6 @@ from .batch import (
     BatchJob,
     RepeatOutcome,
     dfg_assign_repeat_batch,
-    dfg_frontier_batch,
-    tree_frontier_batch,
 )
 from .dfg_assign import (
     choose_expansion,
@@ -62,7 +59,7 @@ from .series_parallel import (
     is_two_terminal_sp,
     sp_assign,
 )
-from .tree_assign import tree_assign, tree_cost_curve, tree_dp
+from .tree_assign import tree_assign, tree_cost_curve
 
 __all__ = [
     "BatchJob",
@@ -70,9 +67,6 @@ __all__ = [
     "IncrementalTreeDP",
     "RepeatOutcome",
     "dfg_assign_repeat_batch",
-    "dfg_frontier_batch",
-    "tree_frontier_batch",
-    "tree_dp",
     "marginal_cost_of_time",
     "MarginalCost",
     "node_sensitivity",

@@ -1,9 +1,8 @@
-"""Batched `DFG_Assign_Repeat` / frontier solving over stacked lanes.
+"""Batched `DFG_Assign_Repeat` over stacked lanes.
 
-The scalar sweeps solve one (graph, table, deadline) instance at a
-time: `dfg_frontier` runs `_repeat_rounds` per deadline,
-`robustness_study` per seed, the serve layer per cache miss.  Each of
-those instances is the *same* pin-round trajectory over the same (or a
+Deadline sweeps (`dfg_frontier`), the report tables' constraint
+ladders and the serve layer's cache misses each solve many
+(graph, table, deadline) instances.  Each of those instances is the *same* pin-round trajectory over the same (or a
 structurally identical) expansion tree — exactly the shape
 :class:`~repro.engine.batch.BatchedTreeDP` vectorizes.  This module
 compiles a batch of instances into array-pure *group bundles* (one per
@@ -29,41 +28,36 @@ bundles being plain arrays, the payload ships through a
 pickle) and no graph or table object ever crosses the process
 boundary.  Results are independent of ``workers`` and of ``arena``.
 
-Entry points: :func:`dfg_assign_repeat_batch` (independent jobs,
-per-job error capture), :func:`dfg_frontier_batch` (one graph, every
-deadline of the sweep as a lane — `dfg_frontier(batch=True)` routes
-here), and :func:`tree_frontier_batch` (exact forest frontiers).
+Entry point: :func:`dfg_assign_repeat_batch` (independent jobs,
+per-job error capture).  Every many-lane caller goes through it:
+`dfg_frontier` (one graph, every deadline of the sweep a lane), the
+report sweeps, and the serve layer's cache misses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..engine import PackedForest, pmap
 from ..engine.arena import TableArena, payload_refs, resolve_payload
-from ..engine.batch import BatchedForest, BatchedTreeDP, ForestShape
-from ..errors import GraphError, InfeasibleError, NotATreeError, ReproError
+from ..engine.batch import BatchedTreeDP, ForestShape
+from ..errors import GraphError, InfeasibleError, ReproError
 from ..fu.table import TimeCostTable
-from ..graph.classify import is_in_forest, is_out_forest
 from ..graph.dag import require_acyclic, reverse_topological_order
 from ..graph.dfg import DFG, Node
 from ..obs import add_metric, current_tracer
-from .assignment import Assignment, min_completion_time
-from .dfg_assign import _emit_dp_metrics, choose_expansion
-from .knees import FrontierPoint, _knee_points, frontier_knees
+from .assignment import Assignment
+from .dfg_assign import choose_expansion
 from .incremental import DPStats
 from .result import AssignResult
-from .tree_assign import _normalize
 
 __all__ = [
     "BatchJob",
     "RepeatOutcome",
     "dfg_assign_repeat_batch",
-    "dfg_frontier_batch",
-    "tree_frontier_batch",
 ]
 
 
@@ -549,10 +543,12 @@ def dfg_assign_repeat_batch(
             rows = compiled["rows"]
             group_rows[id(dfg)] = rows
             binds = {}
+            by_table: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
             for j, i in enumerate(valid):
-                t, c = _table_rows(jobs_n[i].table, rows)
-                binds[f"base_t_{j}"] = t
-                binds[f"base_c_{j}"] = c
+                table = jobs_n[i].table
+                if id(table) not in by_table:
+                    by_table[id(table)] = _table_rows(table, rows)
+                binds[f"base_t_{j}"], binds[f"base_c_{j}"] = by_table[id(table)]
             for lo, hi in _chunk_lanes(len(valid), workers):
                 arrays = dict(compiled["arrays"])
                 for j in range(lo, hi):
@@ -612,180 +608,3 @@ def dfg_assign_repeat_batch(
     final = [o for o in outcomes if o is not None]
     assert len(final) == len(jobs_n), "every job must produce an outcome"
     return final
-
-
-def dfg_frontier_batch(
-    dfg: DFG,
-    table: TimeCostTable,
-    *,
-    max_deadline: int,
-    workers: int = 0,
-    arena: bool = True,
-    stats: Optional[DPStats] = None,
-) -> List[FrontierPoint]:
-    """The `dfg_frontier` heuristic sweep with every deadline as a lane.
-
-    Knees, costs, witness assignments, and error strings are identical
-    to ``dfg_frontier(dfg, table, max_deadline=...)``; the sweep's pin
-    rounds run in lockstep across all deadlines through one
-    :class:`~repro.engine.batch.BatchedTreeDP` instead of one scalar
-    engine pass per deadline.  ``stats`` accumulates the summed
-    per-lane engine counters (also published as ``dp.*`` metrics).
-    """
-    floor = min_completion_time(dfg, table)
-    if max_deadline < floor:
-        raise InfeasibleError(
-            f"max_deadline {max_deadline} below minimum completion {floor}",
-            min_feasible=floor,
-        )
-    tracer = current_tracer()
-    with tracer.span(
-        "engine.batch",
-        graph=dfg.name,
-        nodes=len(dfg),
-        max_deadline=max_deadline,
-    ):
-        deadlines = list(range(floor, max_deadline + 1))
-        add_metric("engine.batch.lanes", float(len(deadlines)))
-        add_metric("engine.batch.groups", 1.0)
-        expansion = choose_expansion(dfg)
-        compiled = _compile_structure(dfg, expansion)
-        rows = compiled["rows"]
-        base_t, base_c = _table_rows(table, rows)
-        items: List[Dict[str, Any]] = []
-        for lo, hi in _chunk_lanes(len(deadlines), workers):
-            arrays = dict(compiled["arrays"])
-            for j in range(hi - lo):
-                arrays[f"base_t_{j}"] = base_t
-                arrays[f"base_c_{j}"] = base_c
-            items.append(
-                {
-                    "arrays": arrays,
-                    "meta": {
-                        "deadlines": deadlines[lo:hi],
-                        "names": [compiled["tree_name"]] * (hi - lo),
-                        "lanes": list(range(lo, hi)),
-                    },
-                }
-            )
-        results = _dispatch_groups(items, workers=workers, arena=arena)
-
-        run_stats = stats
-        if run_stats is None and tracer.enabled:
-            run_stats = DPStats()
-        before = run_stats.as_dict() if run_stats is not None else {}
-        per_lane: List[Optional[Tuple[np.ndarray, float, int]]] = [
-            None
-        ] * len(deadlines)
-        for res in results:
-            rounds = res.get("rounds", 0)
-            if rounds:
-                add_metric("engine.batch.rounds", float(rounds))
-            active: List[int] = res["active"]
-            pos = {lane: j for j, lane in enumerate(active)}
-            for slot, lane in enumerate(res["lanes"]):
-                if run_stats is not None:
-                    run_stats += _stats_from_dict(res["stats"][slot])
-                err = res["errors"][slot]
-                if err is not None:
-                    # Deadlines at/above the floor are feasible on the
-                    # expansion tree (same critical paths), so a lane
-                    # error here is a bug — surface it.
-                    raise _rebuild_error(err)
-                j = pos[slot]
-                per_lane[lane] = (
-                    res["best_k"][j],
-                    float(res["best_cost"][j]),
-                    int(res["best_completion"][j]),
-                )
-        if tracer.enabled and run_stats is not None:
-            _emit_dp_metrics(before, run_stats)
-
-        raw: List[FrontierPoint] = []
-        best = np.inf
-        best_assignment: Optional[Assignment] = None
-        for lane, deadline in enumerate(deadlines):
-            lane_result = per_lane[lane]
-            assert lane_result is not None
-            choice, cost, completion = lane_result
-            result = _result_from_rows(
-                rows, choice, cost, completion, deadline, "dfg_assign_repeat"
-            )
-            if result.cost < best:
-                best = result.cost
-                best_assignment = result.assignment
-            raw.append(FrontierPoint(deadline, float(best), best_assignment))
-        return _knee_points(raw)
-
-
-def tree_frontier_batch(
-    jobs: Sequence[Tuple[DFG, TimeCostTable, int]],
-    *,
-    workers: int = 0,
-) -> List[List[FrontierPoint]]:
-    """Exact `tree_frontier` for many (forest, table, max_deadline) jobs.
-
-    One batched DP refresh covers every job; knees and witness
-    assignments equal per-job ``tree_frontier`` calls.  Raises the
-    scalar errors (`NotATreeError` via normalization, coverage errors,
-    `InfeasibleError` when a job's horizon is infeasible) — jobs are
-    expected pre-validated, unlike :func:`dfg_assign_repeat_batch`.
-    ``workers`` is accepted for symmetry; the single refresh is already
-    one vectorized pass, so it currently runs in-process.
-    """
-    del workers  # single batched refresh; nothing to fan out
-    if not jobs:
-        return []
-    trees: List[DFG] = []
-    for dfg, table, _ in jobs:
-        if len(dfg) and not (is_out_forest(dfg) or is_in_forest(dfg)):
-            raise NotATreeError(
-                f"{dfg.name!r} is not a tree/forest; use dfg_frontier"
-            )
-        trees.append(_normalize(dfg))
-    packs: Dict[int, PackedForest] = {}
-    lane_packs: List[PackedForest] = []
-    for tree in trees:
-        pack = packs.get(id(tree))
-        if pack is None:
-            pack = packs[id(tree)] = PackedForest(tree)
-        lane_packs.append(pack)
-    with current_tracer().span("engine.batch", jobs=len(jobs)):
-        add_metric("engine.batch.lanes", float(len(jobs)))
-        engine = BatchedTreeDP(
-            lane_packs,
-            [max_deadline for _, _, max_deadline in jobs],
-            names=[tree.name for tree in trees],
-        )
-        for lane, ((_, table, _), pack) in enumerate(zip(jobs, lane_packs)):
-            for key in pack.rows:  # eager coverage check, like tree_dp
-                table.times(key)
-            engine.bind_table(lane, table, pack.rows)
-        engine.refresh()
-        frontiers: List[List[FrontierPoint]] = []
-        for lane, ((dfg, table, max_deadline), tree, pack) in enumerate(
-            zip(jobs, trees, lane_packs)
-        ):
-            curve = engine.total_curve(lane)
-            finite = np.isfinite(curve)
-            if not finite.any():
-                raise InfeasibleError(
-                    f"no assignment of {tree.name!r} completes within "
-                    f"{max_deadline}"
-                )
-            knees = frontier_knees(
-                [(int(j), float(curve[j])) for j in np.flatnonzero(finite)]
-            )
-            points: List[FrontierPoint] = []
-            for deadline, cost in knees:
-                ks = engine.traceback_at(lane, deadline)
-                mapping = dict(zip(pack.nodes, (int(k) for k in ks)))
-                points.append(
-                    FrontierPoint(
-                        deadline=deadline,
-                        cost=cost,
-                        assignment=Assignment.of(mapping),
-                    )
-                )
-            frontiers.append(points)
-        return frontiers

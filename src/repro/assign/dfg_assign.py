@@ -30,7 +30,6 @@ from typing import Dict, List, Optional, Tuple
 
 from ..engine import pmap
 from ..errors import GraphError
-from ..apiutil import deprecated_positionals
 from ..fu.table import TimeCostTable
 from ..graph.dag import require_acyclic
 from ..graph.dfg import DFG, Node
@@ -192,7 +191,6 @@ def _finish(
     )
 
 
-@deprecated_positionals("expansion", "node_limit", "kernel", keep=3)
 def dfg_assign_once(
     dfg: DFG,
     table: TimeCostTable,
@@ -200,14 +198,13 @@ def dfg_assign_once(
     *,
     expansion: Optional[ExpandedTree] = None,
     node_limit: int = 200_000,
-    kernel: str = "packed",
 ) -> AssignResult:
     """One-shot tree-based heuristic for general DAGs (paper Fig. 11).
 
     ``expansion`` lets callers (benchmark sweeps, ablations) reuse or
     override the critical-path tree; by default the smaller of the two
-    candidates is built fresh.  ``kernel`` selects the tree-DP engine
-    (packed default / python reference, bit-identical).
+    candidates is built fresh.  The single tree solve is one
+    `Tree_Assign` recurrence pass.
 
     Raises :class:`~repro.errors.InfeasibleError` when no assignment
     meets ``deadline`` (propagated from `Tree_Assign` — the tree has
@@ -225,7 +222,6 @@ def dfg_assign_once(
             table,
             deadline,
             node_key=expansion.origin_of,
-            kernel=kernel,
         )
         assignment = _resolve(
             dfg, table, expansion, dict(tree_result.assignment.items()), pinned={}
@@ -278,16 +274,6 @@ def _repeat_rounds(
     return best
 
 
-@deprecated_positionals(
-    "expansion",
-    "node_limit",
-    "fix_order",
-    "incremental",
-    "stats",
-    "kernel",
-    "workers",
-    keep=3,
-)
 def dfg_assign_repeat(
     dfg: DFG,
     table: TimeCostTable,
@@ -320,7 +306,7 @@ def dfg_assign_repeat(
     runs the re-optimizations on an incremental engine, which
     recomputes only the pinned copies' root-paths per round; the result
     is identical to the reference path (``incremental=False``), which
-    re-runs the full python `Tree_Assign` DP every round.  ``kernel``
+    re-runs the full `Tree_Assign` recurrence every round.  ``kernel``
     selects the incremental engine's implementation (packed default /
     python reference, bit-identical); ``workers`` fans each round's pin
     evaluations out through :func:`~repro.engine.pmap` (0 = serial,
@@ -366,8 +352,8 @@ def dfg_assign_repeat(
                 _emit_dp_metrics(before, run_stats)
         else:
             # The non-incremental branch is the historical reference:
-            # keep it on the python kernel so equivalence tests always
-            # compare the packed path against the original loops.  The
+            # a full `Tree_Assign` recurrence every round, so equivalence
+            # tests compare the engines against the original loops.  The
             # best-over-rounds tracking mirrors _repeat_rounds exactly.
             work_table = table
             tree_result = tree_assign(
@@ -375,7 +361,6 @@ def dfg_assign_repeat(
                 work_table,
                 deadline,
                 node_key=expansion.origin_of,
-                kernel="python",
             )
             tree_mapping = dict(tree_result.assignment.items())
             pinned: Dict[Node, int] = {}
@@ -391,7 +376,6 @@ def dfg_assign_repeat(
                     work_table,
                     deadline,
                     node_key=expansion.origin_of,
-                    kernel="python",
                 )
                 tree_mapping = dict(tree_result.assignment.items())
                 # Costs/times of pinned nodes are identical in

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from ..errors import GraphError
-from ..apiutil import deprecated_positionals
 from ..graph.dag import require_acyclic, reverse_topological_order
 from ..graph.dfg import DFG, Node
 
@@ -85,7 +84,6 @@ def _fresh_id(base: Node, serial: int) -> Node:
     return (base, serial)
 
 
-@deprecated_positionals("node_limit", "transposed", keep=1)
 def dfg_expand(
     dfg: DFG, *, node_limit: int = 200_000, transposed: bool = False
 ) -> ExpandedTree:

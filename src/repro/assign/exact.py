@@ -28,7 +28,6 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..errors import InfeasibleError, ReproError
-from ..apiutil import deprecated_positionals
 from ..fu.table import TimeCostTable
 from ..graph.dag import require_acyclic, topological_order
 from ..graph.dfg import DFG, Node
@@ -99,7 +98,6 @@ def cost_lower_bound(dfg: DFG, table: TimeCostTable, deadline: int) -> float:
     return _timing_aware_suffix(dfg, table, deadline, order)[0]
 
 
-@deprecated_positionals("max_nodes", keep=3)
 def brute_force_assign(
     dfg: DFG, table: TimeCostTable, deadline: int, *, max_nodes: int = 12
 ) -> AssignResult:
@@ -239,7 +237,6 @@ class _Search:
         self.assigned_time.pop(node, None)
 
 
-@deprecated_positionals("node_budget", keep=3)
 def exact_assign(
     dfg: DFG,
     table: TimeCostTable,

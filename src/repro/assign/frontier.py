@@ -6,7 +6,7 @@ achievable system cost.  This module surfaces that as a first-class
 API — the designer's view the paper's tables sample at six points:
 
 * :func:`tree_frontier` — exact frontier for trees/forests (and simple
-  paths), straight from the DP curve;
+  paths), straight from one pass of the Fig. 7 recurrence;
 * :func:`dfg_frontier` — frontier for general DAGs via
   `DFG_Assign_Repeat` at every distinct deadline (heuristic,
   upper-bounds the true frontier), or via `exact_assign` when
@@ -19,42 +19,34 @@ completion time — each carrying the witnessing
 ``(deadline, cost)`` pairs, so tuple-era call sites
 (``dict(frontier)``, ``for d, c in frontier``) keep working.
 
-The heuristic sweep is *incremental* by default: one
-:class:`~repro.assign.incremental.IncrementalTreeDP` is shared across
-every deadline, so each point costs one O(n) traceback plus a refresh
-per pin round — and because pin choices rarely change between adjacent
-deadlines, those refreshes are almost entirely curve-cache hits.  The
-reference per-deadline re-run survives as ``incremental=False`` (the
-equivalence is pinned by tests and ``benchmarks/bench_incremental.py``).
-
-Both sweeps publish their engine counters as ``dp.*`` metrics to the
-ambient :mod:`repro.obs` tracer when one is enabled.
+The heuristic sweep is one batched solve: every deadline becomes a lane
+of :func:`~repro.assign.batch.dfg_assign_repeat_batch`, so all pin
+rounds of the whole sweep run in lockstep in a few numpy passes.  Its
+per-deadline reference is
+:func:`repro.checkkit.oracles.reference_frontier`.  Sweeps publish the
+engine counters as ``dp.*`` metrics to the ambient :mod:`repro.obs`
+tracer when one is enabled.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..apiutil import deprecated_positionals
+from ..engine.kernels import combine_children
 from ..errors import InfeasibleError, NotATreeError
 from ..fu.table import TimeCostTable
 from ..graph.classify import is_in_forest, is_out_forest
 from ..graph.dfg import DFG
 from ..obs import current_tracer
 from .assignment import Assignment, min_completion_time
-from .dfg_assign import (
-    _emit_dp_metrics,
-    _finish,
-    _repeat_rounds,
-    choose_expansion,
-    dfg_assign_repeat,
-)
+from .batch import BatchJob, dfg_assign_repeat_batch
+from .dfg_assign import _emit_dp_metrics
 from .exact import exact_assign
-from .incremental import DPStats, make_tree_engine
-from .knees import KNEE_RTOL, FrontierPoint, _knee_points, frontier_knees
-from .tree_assign import tree_dp
+from .incremental import DPStats
+from .tree_assign import _curves, _infeasible, _prepare, _traceback
 
 __all__ = [
     "FrontierPoint",
@@ -64,53 +56,91 @@ __all__ = [
     "frontier_knees",
 ]
 
+#: Relative improvement below which two costs count as the same knee.
+#: Relative (not absolute): frontiers over large cost scales — energy
+#: tables in the thousands and beyond — would otherwise record spurious
+#: knees from float round-off, while an absolute epsilon larger than the
+#: cost quantum would miss real ones on tiny scales.  The ``max(1, |c|)``
+#: floor keeps near-zero costs on an absolute footing.
+KNEE_RTOL = 1e-9
 
-@deprecated_positionals("max_deadline")
+
+@dataclass(frozen=True)
+class FrontierPoint:
+    """One knee of a cost/latency frontier.
+
+    ``assignment`` is the witnessing assignment achieving ``cost``
+    within ``deadline`` (``None`` for curve-only frontiers that never
+    materialized one).  Iterating yields ``(deadline, cost)`` so the
+    tuple-era idioms — ``dict(frontier)``, ``for d, c in frontier``,
+    comparison against ``(d, c)`` via ``tuple(point)`` — stay valid.
+    """
+
+    deadline: int
+    cost: float
+    assignment: Optional[Assignment] = None
+
+    def __iter__(self) -> Iterator[Union[int, float]]:
+        yield self.deadline
+        yield self.cost
+
+
+def frontier_knees(points: List[Tuple[int, float]]) -> List[Tuple[int, float]]:
+    """Collapse a (deadline, cost) series to its strictly-improving knees.
+
+    "Strictly improving" is judged to relative tolerance
+    :data:`KNEE_RTOL`, so the scale of the cost axis does not change
+    which knees are recorded.
+    """
+    knees: List[Tuple[int, float]] = []
+    for deadline, cost in points:
+        if not knees:
+            knees.append((deadline, cost))
+            continue
+        prev = knees[-1][1]
+        if cost < prev - KNEE_RTOL * max(1.0, abs(prev)):
+            knees.append((deadline, cost))
+    return knees
+
+
+def _knee_points(raw: List[FrontierPoint]) -> List[FrontierPoint]:
+    """Keep the :class:`FrontierPoint` at each strictly-improving knee."""
+    knees = frontier_knees([(p.deadline, p.cost) for p in raw])
+    keep = {deadline for deadline, _ in knees}
+    return [p for p in raw if p.deadline in keep]
+
+
 def tree_frontier(
     tree: DFG,
     table: TimeCostTable,
     *,
     max_deadline: int,
-    kernel: str = "packed",
-    batch: bool = False,
 ) -> List[FrontierPoint]:
     """Exact Pareto frontier of a tree/forest up to ``max_deadline``.
 
-    One DP pass (O(n · max_deadline · M)) yields every point; each knee
-    additionally gets its witnessing assignment via an O(n) traceback.
-    ``kernel`` selects the tree-DP engine (packed default / python
-    reference, bit-identical).  Raises :class:`NotATreeError` for
-    general DAGs (matching `tree_assign`'s contract — use
-    :func:`dfg_frontier` there) and :class:`InfeasibleError` when even
-    ``max_deadline`` is infeasible.
-
-    ``batch=True`` routes through the batched multi-instance engine
-    (:func:`repro.assign.batch.tree_frontier_batch` with this one job)
-    — identical knees and witnesses; useful mainly as a parity check,
-    since batching pays off when *many* forests share one refresh.  The
-    ``kernel="python"`` reference always runs scalar.
-
-    ``max_deadline`` is keyword-only; the positional form is deprecated
-    (see ``docs/algorithms.md``).
+    One DP pass (O(n · max_deadline · M)) yields every point, because
+    the curves are prefix-identical across deadlines; each knee then
+    gets its witnessing assignment via an O(n) traceback.  Raises
+    :class:`NotATreeError` for general DAGs (matching `tree_assign`'s
+    contract — use :func:`dfg_frontier` there) and
+    :class:`InfeasibleError`, carrying the minimum feasible completion
+    time, when even ``max_deadline`` is infeasible.
     """
     if len(tree) and not (is_out_forest(tree) or is_in_forest(tree)):
         raise NotATreeError(
             f"{tree.name!r} is not a tree/forest; use dfg_frontier"
         )
-    if batch and kernel == "packed":
-        from .batch import tree_frontier_batch
-
-        return tree_frontier_batch([(tree, table, max_deadline)])[0]
     with current_tracer().span(
         "tree_frontier", graph=tree.name, nodes=len(tree), max_deadline=max_deadline
     ):
-        engine = tree_dp(tree, table, max_deadline, kernel=kernel)
-        curve = engine.total_curve()
+        forest, key = _prepare(tree, table, max_deadline, None)
+        curves, choices = _curves(forest, table, max_deadline, key)
+        curve = combine_children(
+            [curves[r] for r in forest.roots()], deadline=max_deadline
+        )
         finite = np.isfinite(curve)
         if not finite.any():
-            raise InfeasibleError(
-                f"no assignment of {tree.name!r} completes within {max_deadline}"
-            )
+            raise _infeasible(forest, table, max_deadline, key, tree.name)
         knees = frontier_knees(
             [(int(j), float(curve[j])) for j in np.flatnonzero(finite)]
         )
@@ -118,62 +148,40 @@ def tree_frontier(
             FrontierPoint(
                 deadline=deadline,
                 cost=cost,
-                assignment=Assignment.of(engine.traceback_at(deadline)),
+                assignment=Assignment.of(
+                    _traceback(forest, table, choices, key, deadline)
+                ),
             )
             for deadline, cost in knees
         ]
 
 
-@deprecated_positionals("max_deadline", "exact", "incremental", "stats")
 def dfg_frontier(
     dfg: DFG,
     table: TimeCostTable,
     *,
     max_deadline: int,
     exact: bool = False,
-    incremental: bool = True,
     stats: Optional[DPStats] = None,
-    kernel: str = "packed",
     workers: int = 0,
-    batch: bool = False,
 ) -> List[FrontierPoint]:
     """Pareto frontier of a general DAG up to ``max_deadline``.
 
-    Heuristic by default (`DFG_Assign_Repeat` per deadline, sharing one
-    expansion across the sweep); ``exact=True`` certifies each point
-    with branch-and-bound (small graphs only).  The heuristic frontier
-    upper-bounds the true one and is itself monotone by construction.
+    Heuristic by default: `DFG_Assign_Repeat` at every deadline from
+    the floor to ``max_deadline``, solved as the lanes of one
+    :func:`~repro.assign.batch.dfg_assign_repeat_batch` call sharing a
+    single expansion; ``exact=True`` certifies each point with
+    branch-and-bound instead (small graphs only).  The heuristic
+    frontier upper-bounds the true one and is itself monotone by
+    construction.  Knees, costs and witnesses equal a per-deadline
+    ``dfg_assign_repeat`` loop (pinned against
+    :func:`repro.checkkit.oracles.reference_frontier`).
 
-    With ``incremental=True`` (the default) the whole sweep shares one
-    incremental engine built at ``max_deadline``: curves are
-    prefix-identical across deadlines, so every point's initial tree
-    assignment is a single traceback, and the per-pin refreshes hit the
-    curve cache whenever adjacent deadlines pin the same choices.  The
-    knees are identical to ``incremental=False`` (the per-deadline
-    reference loop, always on the python kernel).  ``kernel`` selects
-    the incremental engine (packed default / python reference);
-    ``workers`` fans pin evaluations out through
-    :func:`~repro.engine.pmap` — results are identical at any worker
-    count.  ``stats`` optionally collects engine counters, which are
-    also published as ``dp.*`` metrics to the ambient tracer.
-
-    ``batch=True`` routes the heuristic sweep through
-    :func:`~repro.assign.batch.dfg_frontier_batch` — every deadline
-    becomes one lane of a :class:`~repro.engine.batch.BatchedTreeDP`
-    and the whole sweep runs in a few numpy passes (``workers`` then
-    fans whole lanes out, not pin evaluations).  Knees, costs, witness
-    assignments and engine counters are identical either way;
-    ``exact=True`` ignores ``batch``.
-
-    Everything after ``table`` is keyword-only; the positional form is
-    deprecated (see ``docs/algorithms.md``).
+    ``workers`` fans lane chunks out through :func:`~repro.engine.pmap`
+    (identical results at any count).  ``stats`` optionally collects
+    the summed per-lane engine counters, which are also published as
+    ``dp.*`` metrics to the ambient tracer.
     """
-    if batch and not exact:
-        from .batch import dfg_frontier_batch
-
-        return dfg_frontier_batch(
-            dfg, table, max_deadline=max_deadline, workers=workers, stats=stats
-        )
     floor = min_completion_time(dfg, table)
     if max_deadline < floor:
         raise InfeasibleError(
@@ -187,54 +195,36 @@ def dfg_frontier(
         nodes=len(dfg),
         max_deadline=max_deadline,
         exact=exact,
-        incremental=incremental,
     ):
-        raw: List[FrontierPoint] = []
-        best = np.inf
-        best_assignment: Optional[Assignment] = None
+        deadlines = range(floor, max_deadline + 1)
         if exact:
-            for deadline in range(floor, max_deadline + 1):
-                result = exact_assign(dfg, table, deadline)
-                if result.cost < best:  # enforce frontier monotonicity
-                    best = result.cost
-                    best_assignment = result.assignment
-                raw.append(FrontierPoint(deadline, float(best), best_assignment))
-            return _knee_points(raw)
-
-        expansion = choose_expansion(dfg)
-        if incremental:
-            order = expansion.duplicated_originals()
+            results = [exact_assign(dfg, table, d) for d in deadlines]
+        else:
             run_stats = stats
             if run_stats is None and tracer.enabled:
                 run_stats = DPStats()
             before = run_stats.as_dict() if run_stats is not None else {}
-            engine = make_tree_engine(
-                expansion.tree,
-                max_deadline,
-                node_key=expansion.origin_of,
-                stats=run_stats,
-                kernel=kernel,
+            outcomes = dfg_assign_repeat_batch(
+                [BatchJob(dfg, table, d) for d in deadlines], workers=workers
             )
-            for deadline in range(floor, max_deadline + 1):
-                assignment = _repeat_rounds(
-                    dfg, engine, table, deadline, expansion, order, workers=workers
-                )
-                result = _finish(
-                    dfg, table, assignment, deadline, "dfg_assign_repeat"
-                )
-                if result.cost < best:
-                    best = result.cost
-                    best_assignment = result.assignment
-                raw.append(FrontierPoint(deadline, float(best), best_assignment))
+            results = []
+            for outcome in outcomes:
+                if outcome.error is not None:
+                    # Deadlines at/above the floor are feasible on the
+                    # expansion tree (same critical paths), so a lane
+                    # error here is a bug — surface it.
+                    raise outcome.error
+                assert outcome.result is not None
+                results.append(outcome.result)
+                if run_stats is not None:
+                    run_stats += outcome.stats
             if tracer.enabled and run_stats is not None:
                 _emit_dp_metrics(before, run_stats)
-            return _knee_points(raw)
-
-        for deadline in range(floor, max_deadline + 1):
-            result = dfg_assign_repeat(
-                dfg, table, deadline, expansion=expansion, incremental=False
-            )
-            if result.cost < best:
+        raw: List[FrontierPoint] = []
+        best = np.inf
+        best_assignment: Optional[Assignment] = None
+        for deadline, result in zip(deadlines, results):
+            if result.cost < best:  # enforce frontier monotonicity
                 best = result.cost
                 best_assignment = result.assignment
             raw.append(FrontierPoint(deadline, float(best), best_assignment))

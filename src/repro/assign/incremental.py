@@ -31,8 +31,7 @@ stage so the savings are observable
 (`repro.report.profiles.profile_incremental`).
 
 Two interchangeable engines implement this contract, selected by the
-``kernel`` knob on `tree_dp`/`tree_assign`/`dfg_assign_repeat`/
-`dfg_frontier` (via :func:`make_tree_engine`):
+``kernel`` knob on `dfg_assign_repeat` (via :func:`make_tree_engine`):
 
 * ``"packed"`` (default) — :class:`PackedAssignDP`, the
   :class:`repro.engine.kernels.PackedTreeDP` array engine plus the
@@ -49,13 +48,13 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from ..engine import DPStats, PackedTreeDP
+from ..engine.kernels import NO_CHOICE, combine_children, first_feasible_budget, node_step
 from ..errors import AssignError, InfeasibleError, NotATreeError
 from ..fu.table import TimeCostTable
 from ..graph.classify import is_out_forest
 from ..graph.dag import reverse_topological_order
 from ..graph.dfg import DFG, Node
 from .assignment import Assignment
-from .dpkernel import NO_CHOICE, combine_children, first_feasible_budget, node_step
 from .result import AssignResult
 
 __all__ = [

@@ -25,13 +25,13 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from ..engine.kernels import NO_CHOICE
 from ..errors import InfeasibleError, NotATreeError
 from ..fu.table import TimeCostTable
 from ..graph.classify import is_in_forest, is_out_forest
 from ..graph.dag import reverse_topological_order
 from ..graph.dfg import DFG, Node
 from .assignment import Assignment
-from .dpkernel import NO_CHOICE
 
 __all__ = ["MinMaxResult", "tree_minmax_assign", "max_cost"]
 

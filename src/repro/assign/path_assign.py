@@ -17,12 +17,12 @@ from __future__ import annotations
 
 from typing import List
 
+from ..engine.kernels import NO_CHOICE, node_step, zero_curve
 from ..errors import InfeasibleError, NotAPathError
 from ..fu.table import TimeCostTable
 from ..graph.classify import is_simple_path
 from ..graph.dfg import DFG, Node
 from .assignment import Assignment, min_completion_time
-from .dpkernel import NO_CHOICE, node_step, zero_curve
 from .result import AssignResult
 
 __all__ = ["path_assign", "chain_order"]

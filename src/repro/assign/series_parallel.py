@@ -29,12 +29,12 @@ from typing import Dict, List, Optional, Set
 
 import numpy as np
 
+from ..engine.kernels import NO_CHOICE, node_step, zero_curve
 from ..errors import GraphError, InfeasibleError, ReproError
 from ..fu.table import TimeCostTable
 from ..graph.dag import ancestors, descendants, require_acyclic, topological_order
 from ..graph.dfg import DFG, Node
 from .assignment import Assignment, min_completion_time
-from .dpkernel import NO_CHOICE, node_step, zero_curve
 from .result import AssignResult
 
 __all__ = ["NotSeriesParallelError", "sp_assign", "is_two_terminal_sp"]

@@ -23,19 +23,18 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
+from ..engine.kernels import NO_CHOICE, combine_children, node_step, zero_curve
 from ..errors import InfeasibleError, NotATreeError
-from ..apiutil import deprecated_positionals
 from ..fu.table import TimeCostTable
 from ..graph.classify import is_in_forest, is_out_forest
 from ..graph.dag import reverse_topological_order
 from ..graph.dfg import DFG, Node
+from ..graph.paths import longest_path_time
 from ..obs import current_tracer
 from .assignment import Assignment
-from .dpkernel import NO_CHOICE, combine_children, node_step, zero_curve
-from .incremental import TreeEngine, make_tree_engine
 from .result import AssignResult
 
-__all__ = ["tree_assign", "tree_cost_curve", "tree_dp"]
+__all__ = ["tree_assign", "tree_cost_curve"]
 
 #: Maps a tree node to the key under which its table row is stored.
 #: Expanded trees pass ``origin_of``; plain trees use the identity.
@@ -81,6 +80,56 @@ def _curves(
     return curves, choices
 
 
+def _prepare(
+    tree: DFG, table: TimeCostTable, deadline: int, node_key: Optional[NodeKey]
+) -> Tuple[DFG, NodeKey]:
+    """Validate and normalize the inputs shared by every tree-DP entry."""
+    key = node_key or (lambda n: n)
+    tree = _normalize(tree)
+    for n in tree.nodes():
+        table.times(key(n))  # validates coverage eagerly
+    if deadline < 0:
+        raise InfeasibleError(f"deadline must be >= 0, got {deadline}")
+    return tree, key
+
+
+def _infeasible(
+    tree: DFG, table: TimeCostTable, deadline: int, key: NodeKey, name: str
+) -> InfeasibleError:
+    """The error for an infeasible ``deadline``, carrying the minimum."""
+    min_time = longest_path_time(tree, {n: table.min_time(key(n)) for n in tree})
+    return InfeasibleError(
+        f"no assignment of {name!r} completes within {deadline} "
+        f"(minimum possible is {min_time})",
+        min_feasible=min_time,
+    )
+
+
+def _traceback(
+    tree: DFG,
+    table: TimeCostTable,
+    choices: Dict[Node, np.ndarray],
+    key: NodeKey,
+    budget: int,
+) -> Dict[Node, int]:
+    """Top-down traceback at ``budget``: every root owns the full budget.
+
+    Curves are prefix-identical across deadlines, so one `_curves` pass
+    at ``L`` answers this for every ``budget <= L``.
+    """
+    mapping: Dict[Node, int] = {}
+    stack = [(r, budget) for r in tree.roots()]
+    while stack:
+        node, remaining = stack.pop()
+        k = int(choices[node][remaining])
+        assert k != NO_CHOICE, f"traceback hit infeasible cell at {node!r}"
+        mapping[node] = k
+        remaining -= table.time(key(node), k)
+        for c in tree.children(node):
+            stack.append((c, remaining))
+    return mapping
+
+
 def tree_cost_curve(
     tree: DFG,
     table: TimeCostTable,
@@ -91,8 +140,8 @@ def tree_cost_curve(
 
     ``D[j]`` is the minimum system cost of an assignment in which every
     root→leaf path finishes within ``j`` (``inf`` = infeasible).  Used
-    by tests (monotonicity, agreement with brute force) and by the
-    paper-figure walkthrough example.
+    by tests (monotonicity, agreement with brute force), by
+    `tree_frontier`, and by the paper-figure walkthrough example.
     """
     key = node_key or (lambda n: n)
     tree = _normalize(tree)
@@ -102,50 +151,21 @@ def tree_cost_curve(
     return combine_children([curves[r] for r in tree.roots()], deadline=deadline)
 
 
-def tree_dp(
-    tree: DFG,
-    table: TimeCostTable,
-    deadline: int,
-    node_key: Optional[NodeKey] = None,
-    kernel: str = "packed",
-) -> TreeEngine:
-    """One DP pass that answers *every* deadline ``j ≤ deadline``.
-
-    Returns a refreshed engine whose ``traceback_at``/``result_at``
-    reproduce ``tree_assign(tree, table, j)`` for any ``j`` in O(n),
-    because cost curves are prefix-identical across deadlines.  Deadline
-    sweeps (`tree_frontier`, `dfg_frontier`) build on this instead of
-    re-running the full O(n·L·M) DP per point.  ``kernel`` selects the
-    packed array engine (default) or the python reference — the two are
-    bit-identical (see ``docs/performance.md``).
-    """
-    key = node_key or (lambda n: n)
-    tree = _normalize(tree)
-    for n in tree.nodes():
-        table.times(key(n))  # validates coverage eagerly
-    if deadline < 0:
-        raise InfeasibleError(f"deadline must be >= 0, got {deadline}")
-    return make_tree_engine(tree, deadline, node_key=key, kernel=kernel).refresh(
-        table
-    )
-
-
-@deprecated_positionals("node_key", "kernel", keep=3)
 def tree_assign(
     tree: DFG,
     table: TimeCostTable,
     deadline: int,
     *,
     node_key: Optional[NodeKey] = None,
-    kernel: str = "packed",
 ) -> AssignResult:
     """Minimum-cost assignment of a tree/forest within ``deadline``.
 
     Optimal for out-forests and in-forests (paper Theorem, Section 5.2).
     ``node_key`` redirects table lookups for expanded trees whose nodes
-    are copies of original nodes.  ``kernel`` selects the packed array
-    engine (default) or the per-node python reference; both produce the
-    same assignment, cost, and errors bit-for-bit.
+    are copies of original nodes.  One bottom-up pass of the Fig. 7
+    recurrence plus a stack traceback: a single solve has nothing to
+    cache, so this is the fastest path for one tree and one deadline
+    (see ``docs/performance.md``).
 
     Raises
     ------
@@ -156,62 +176,23 @@ def tree_assign(
         If even all-fastest misses the deadline; carries the minimum
         achievable completion time.
     """
-    key = node_key or (lambda n: n)
-    tree = _normalize(tree)
-    for n in tree.nodes():
-        table.times(key(n))
-    if deadline < 0:
-        raise InfeasibleError(f"deadline must be >= 0, got {deadline}")
-
+    tree, key = _prepare(tree, table, deadline, node_key)
     with current_tracer().span(
         "tree_assign", nodes=len(tree), deadline=deadline
     ):
-        if kernel != "python":
-            engine = make_tree_engine(tree, deadline, node_key=key, kernel=kernel)
-            engine.refresh(table)
-            return engine.result_at(deadline, algorithm="tree_assign")
-        return _assign_normalized(tree, table, deadline, key)
-
-
-def _assign_normalized(
-    tree: DFG, table: TimeCostTable, deadline: int, key: NodeKey
-) -> AssignResult:
-    """`tree_assign` body after validation/normalization (span-wrapped)."""
-    curves, choices = _curves(tree, table, deadline, key)
-
-    roots = tree.roots()
-    total = combine_children([curves[r] for r in roots], deadline=deadline)
-    if not np.isfinite(total[deadline]):
-        from ..graph.paths import longest_path_time
-
-        min_time = longest_path_time(tree, {n: table.min_time(key(n)) for n in tree})
-        raise InfeasibleError(
-            f"no assignment of {tree.name!r} completes within {deadline} "
-            f"(minimum possible is {min_time})",
-            min_feasible=min_time,
+        curves, choices = _curves(tree, table, deadline, key)
+        total = combine_children(
+            [curves[r] for r in tree.roots()], deadline=deadline
         )
-
-    # Top-down traceback: every root independently owns the full budget.
-    mapping: Dict[Node, int] = {}
-    stack = [(r, deadline) for r in roots]
-    while stack:
-        node, budget = stack.pop()
-        k = int(choices[node][budget])
-        assert k != NO_CHOICE, f"traceback hit infeasible cell at {node!r}"
-        mapping[node] = k
-        remaining = budget - table.time(key(node), k)
-        for c in tree.children(node):
-            stack.append((c, remaining))
-    assignment = Assignment.of(mapping)
-
-    cost = float(sum(table.cost(key(n), mapping[n]) for n in tree.nodes()))
-    times = {n: table.time(key(n), mapping[n]) for n in tree.nodes()}
-    from ..graph.paths import longest_path_time
-
-    return AssignResult(
-        assignment=assignment,
-        cost=cost,
-        completion_time=longest_path_time(tree, times),
-        deadline=deadline,
-        algorithm="tree_assign",
-    )
+        if not np.isfinite(total[deadline]):
+            raise _infeasible(tree, table, deadline, key, tree.name)
+        mapping = _traceback(tree, table, choices, key, deadline)
+        cost = float(sum(table.cost(key(n), mapping[n]) for n in tree.nodes()))
+        times = {n: table.time(key(n), mapping[n]) for n in tree.nodes()}
+        return AssignResult(
+            assignment=Assignment.of(mapping),
+            cost=cost,
+            completion_time=longest_path_time(tree, times),
+            deadline=deadline,
+            algorithm="tree_assign",
+        )

@@ -13,14 +13,15 @@ error).
 :data:`CERTIFY_CHAIN` is the historical `verify.certify` portfolio
 (:mod:`repro.verify` is now a thin facade over it);
 :data:`FUZZ_CHAIN` adds the differential oracles that pin the packed
-kernel, the parallel engine, and the incremental sweeps to their
-reference implementations.
+kernel, the parallel engine, and the batched sweeps to their reference
+implementations.  :func:`reference_frontier` is the single
+per-deadline reference for `dfg_frontier`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..assign import (
     brute_force_assign,
@@ -35,8 +36,10 @@ from ..assign import (
     tree_assign,
     tree_frontier,
 )
+from ..assign.assignment import Assignment, min_completion_time
 from ..assign.dfg_assign import choose_expansion
 from ..assign.dfg_expand import ExpandedTree
+from ..assign.frontier import FrontierPoint, _knee_points
 from ..assign.ilp_model import build_ilp, check_solution
 from ..assign.result import AssignResult
 from ..errors import CheckError
@@ -59,6 +62,7 @@ __all__ = [
     "OracleContext",
     "oracle_names",
     "get_oracle",
+    "reference_frontier",
     "run_oracles",
 ]
 
@@ -407,6 +411,34 @@ def _oracle_simulation(ctx: OracleContext) -> List[str]:
 # ----------------------------------------------------------------------
 
 
+def reference_frontier(
+    dfg: DFG, table: TimeCostTable, *, max_deadline: int, **repeat_knobs: Any
+) -> List[FrontierPoint]:
+    """`dfg_frontier`'s heuristic sweep as a cold per-deadline loop.
+
+    Runs ``dfg_assign_repeat`` independently at every deadline from the
+    floor to ``max_deadline`` on one shared expansion — by default the
+    ``incremental=False`` path, a full `Tree_Assign` recurrence per pin
+    round — and keeps the running-best knees.  ``repeat_knobs`` go to
+    ``dfg_assign_repeat`` (e.g. ``incremental=True, kernel="packed"``).
+    The batched `dfg_frontier` must equal this exactly.
+    """
+    repeat_knobs.setdefault("incremental", False)
+    floor = min_completion_time(dfg, table)
+    expansion = choose_expansion(dfg)
+    raw: List[FrontierPoint] = []
+    best = float("inf")
+    witness: Optional[Assignment] = None
+    for deadline in range(floor, max_deadline + 1):
+        result = dfg_assign_repeat(
+            dfg, table, deadline, expansion=expansion, **repeat_knobs
+        )
+        if result.cost < best:
+            best, witness = result.cost, result.assignment
+        raw.append(FrontierPoint(deadline, float(best), witness))
+    return _knee_points(raw)
+
+
 def _require_identical(
     what: str, packed: AssignResult, python: AssignResult
 ) -> None:
@@ -440,19 +472,17 @@ def _oracle_kernels(ctx: OracleContext) -> List[str]:
     _require_identical("dfg_assign_repeat", packed, python)
     checks = ["packed kernel == python kernel (dfg_assign_repeat)"]
     if _is_forest(ctx):
-        horizon = ctx.deadline
-        pts_packed = tree_frontier(
-            ctx.dag, ctx.table, max_deadline=horizon, kernel="packed"
-        )
-        pts_python = tree_frontier(
-            ctx.dag, ctx.table, max_deadline=horizon, kernel="python"
-        )
-        if [tuple(p) for p in pts_packed] != [tuple(p) for p in pts_python]:
-            raise CheckError(
-                f"tree_frontier: packed knees {[tuple(p) for p in pts_packed]}"
-                f" != python knees {[tuple(p) for p in pts_python]}"
-            )
-        checks.append("packed kernel == python kernel (tree_frontier)")
+        for point in tree_frontier(ctx.dag, ctx.table, max_deadline=ctx.deadline):
+            solo = tree_assign(ctx.dag, ctx.table, point.deadline)
+            drift = abs(point.cost - solo.cost)
+            if point.assignment != solo.assignment or drift > _ATOL * max(
+                1.0, abs(solo.cost)
+            ):
+                raise CheckError(
+                    f"tree_frontier knee ({point.deadline}, {point.cost}) "
+                    f"!= tree_assign at that deadline ({solo.cost})"
+                )
+        checks.append("tree_frontier knees == tree_assign point solves")
     return checks
 
 
@@ -514,23 +544,21 @@ def _oracle_metaheuristics(ctx: OracleContext) -> List[str]:
 
 @_register(
     "frontier",
-    "incremental deadline sweeps equal cold per-deadline re-runs",
+    "batched deadline sweeps equal cold per-deadline re-runs",
 )
 def _oracle_frontier(ctx: OracleContext) -> List[str]:
     horizon = ctx.deadline
-    warm = dfg_frontier(ctx.dag, ctx.table, max_deadline=horizon)
-    cold = dfg_frontier(
-        ctx.dag, ctx.table, max_deadline=horizon, incremental=False
-    )
-    if [tuple(p) for p in warm] != [tuple(p) for p in cold]:
+    swept = dfg_frontier(ctx.dag, ctx.table, max_deadline=horizon)
+    cold = reference_frontier(ctx.dag, ctx.table, max_deadline=horizon)
+    if [tuple(p) for p in swept] != [tuple(p) for p in cold]:
         raise CheckError(
-            f"dfg_frontier: incremental knees {[tuple(p) for p in warm]} != "
+            f"dfg_frontier: batched knees {[tuple(p) for p in swept]} != "
             f"cold knees {[tuple(p) for p in cold]}"
         )
-    costs = [p.cost for p in warm]
+    costs = [p.cost for p in swept]
     if any(b > a for a, b in zip(costs, costs[1:])):
         raise CheckError(f"dfg_frontier costs not non-increasing: {costs}")
-    return ["incremental sweep == cold sweep; frontier non-increasing"]
+    return ["batched sweep == cold sweep; frontier non-increasing"]
 
 
 #: The `verify.certify` chain — the paper's cross-algorithm relations.

@@ -138,32 +138,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("benchmark")
     p_sweep.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_sweep.add_argument("--count", type=int, default=6)
-    p_sweep.add_argument(
-        "--batch",
-        action="store_true",
-        help="solve the Once/Repeat columns through the batched engine "
-        "(identical rows, fewer solver passes)",
-    )
 
     for name in ("table1", "table2"):
         p = sub.add_parser(name, help=f"regenerate the paper's {name}")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--count", type=int, default=6)
-        p.add_argument(
-            "--batch",
-            action="store_true",
-            help="solve the Once/Repeat columns through the batched engine "
-            "(identical rows, fewer solver passes)",
-        )
 
     p_head = sub.add_parser("headline", help="average reductions vs greedy")
     p_head.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_head.add_argument(
-        "--batch",
-        action="store_true",
-        help="solve all sweeps through the batched engine "
-        "(identical summary, fewer solver passes)",
-    )
 
     p_pareto = sub.add_parser(
         "pareto", help="cost/latency Pareto frontier of a benchmark"
@@ -177,16 +159,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="largest deadline to explore (default: 3x the minimum)",
     )
     p_pareto.add_argument(
-        "--batch",
-        action="store_true",
-        help="solve the whole sweep through the batched multi-instance "
-        "engine (identical frontier, one vectorized pass)",
-    )
-    p_pareto.add_argument(
         "--workers",
         type=int,
         default=0,
-        help="processes for the batched sweep's pin fan-out "
+        help="processes for the batched sweep's lane fan-out "
         "(0 = serial, -1 = all cores; results are identical)",
     )
 
@@ -469,15 +445,9 @@ def _cmd_pareto(args) -> int:
         kind = "exact (tree DP)"
     else:
         frontier = dfg_frontier(
-            dfg,
-            table,
-            max_deadline=horizon,
-            batch=args.batch,
-            workers=args.workers,
+            dfg, table, max_deadline=horizon, workers=args.workers
         )
         kind = "heuristic (DFG_Assign_Repeat)"
-        if args.batch:
-            kind += ", batched"
     print(f"{args.benchmark}: {kind} cost/latency frontier, "
           f"deadlines {floor}..{horizon}")
     for deadline, cost in frontier:
@@ -634,9 +604,7 @@ def _cmd_portfolio(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    rows = run_benchmark_rows(
-        args.benchmark, seed=args.seed, count=args.count, batch=args.batch
-    )
+    rows = run_benchmark_rows(args.benchmark, seed=args.seed, count=args.count)
     print(render_rows(rows, title=f"{args.benchmark} (seed {args.seed})"))
     return 0
 
@@ -665,16 +633,16 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_sweep(args)
         if args.command == "table1":
             print(render_rows(
-                run_table1(seed=args.seed, count=args.count, batch=args.batch),
+                run_table1(seed=args.seed, count=args.count),
                 title=f"Table 1 (seed {args.seed})"))
             return 0
         if args.command == "table2":
             print(render_rows(
-                run_table2(seed=args.seed, count=args.count, batch=args.batch),
+                run_table2(seed=args.seed, count=args.count),
                 title=f"Table 2 (seed {args.seed})"))
             return 0
         if args.command == "headline":
-            summary = headline_summary(seed=args.seed, batch=args.batch)
+            summary = headline_summary(seed=args.seed)
             print(f"average reduction vs greedy (seed {args.seed}):")
             print(f"  DFG_Assign_Once  : {format_percent(summary['once'])}")
             print(f"  DFG_Assign_Repeat: {format_percent(summary['repeat'])}")

@@ -34,7 +34,7 @@ numpy passes (:func:`batched_sweep`), bit-identical per lane to
 :class:`PackedTreeDP` driven through the same sequence.
 
 Layering: the engine sits beside ``fu`` (layer 2) — it may import
-``errors``/``obs``/``apiutil``/``graph``/``fu`` and nothing above; the
+``errors``/``obs``/``graph``/``fu`` and nothing above; the
 ``assign``/``sched``/``report`` layers build on it (lintkit rule
 RL004).  See ``docs/performance.md``.
 """

@@ -1,10 +1,9 @@
 """Vectorized DP kernels: curve primitives + the packed tree engine.
 
 The curve primitives (:func:`zero_curve`, :func:`combine_children`,
-:func:`node_step`, ...) moved here from ``repro.assign.dpkernel`` so
-both kernel paths — the python reference and :class:`PackedTreeDP` —
-share one implementation of the O(L·M) inner step; the old module
-remains as a re-export shim.  Bit-identity between the paths follows:
+:func:`node_step`, ...) live here so every DP path — the `Tree_Assign`
+recurrence and :class:`PackedTreeDP` — shares one implementation of
+the O(L·M) inner step.  Bit-identity between the paths follows:
 the packed engine calls the *same* `node_step` on the same float64
 values and sums child/root curves with the same sequential ``+=`` loop
 as `combine_children` (numpy pairwise summation would differ in the

@@ -67,3 +67,8 @@ class DPStats:
             seconds_refresh=self.seconds_refresh + other.seconds_refresh,
             seconds_traceback=self.seconds_traceback + other.seconds_traceback,
         )
+
+    def __iadd__(self, other: "DPStats") -> "DPStats":
+        """Accumulate ``other`` in place, so caller-owned stats fill up."""
+        self.__dict__.update(vars(self + other))
+        return self

@@ -35,8 +35,7 @@ Four rules run on the *whole tree* through the two-pass analysis core
   literals matching ``repro.obs.OBS_NAME_PATTERN``, and ``span()``
   must be used as a context manager;
 * **RL010** API-contract drift — root-facade functions take optional
-  knobs keyword-only, and ``deprecated_positionals`` shims must match
-  the signatures they wrap.
+  knobs keyword-only.
 
 Findings can be suppressed inline (``# lint: ignore[RL002]``) or via a
 committed ``lintkit-baseline.toml`` (``--check-baseline`` fails on

@@ -1,32 +1,18 @@
-"""RL010 — API-contract drift on the public facade and migration shims.
+"""RL010 — API-contract drift on the public facade.
 
-Two contracts, both cross-module and both previously enforced only by
-review:
-
-1. **Facade keyword-only discipline.**  Functions re-exported through
-   the *root* package's ``__all__`` (``repro.synthesize``,
-   ``repro.dfg_assign_repeat``, …) are the documented entry points.
-   Their required parameters are the documented positionals; every
-   parameter *with a default* must be keyword-only, so that inserting
-   a new option can never silently re-map an existing positional call
-   site (the bug class keyword-only migration exists to kill).  The
-   rule resolves each ``__all__`` entry through re-export chains to
-   the defining ``def`` and checks the declared signature.
-
-2. **``deprecated_positionals`` shim consistency.**  The runtime shim
-   maps legacy extra positionals onto the declared names in order; it
-   goes quietly wrong when the decorated signature drifts: a renamed
-   keyword, a third positional parameter, names listed out of order.
-   The rule checks, tree-wide, that every shim's ``names`` are
-   keyword-only parameters of the wrapped function in declaration
-   order, with no duplicates, and that the function has exactly
-   ``keep`` positional parameters.
+Functions re-exported through the *root* package's ``__all__``
+(``repro.synthesize``, ``repro.dfg_assign_repeat``, …) are the
+documented entry points.  Their required parameters are the documented
+positionals; every parameter *with a default* must be keyword-only, so
+that inserting a new option can never silently re-map an existing
+positional call site (the bug class keyword-only signatures exist to
+kill).  The rule resolves each ``__all__`` entry through re-export
+chains to the defining ``def`` and checks the declared signature.
 """
 
 from __future__ import annotations
 
-import ast
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List
 
 from ..engine import Project
 from ..findings import Finding
@@ -34,46 +20,6 @@ from ..project import FunctionInfo, ProjectContext
 from ..registry import Rule, register
 
 __all__ = ["ApiContractRule"]
-
-
-def _shim_decorator(
-    decorator: ast.expr,
-) -> Optional[Tuple[ast.Call, List[str], Optional[int], bool]]:
-    """Parse a ``@deprecated_positionals(...)`` decoration.
-
-    Returns ``(call, names, keep, literal)`` — ``keep`` is None for the
-    default, ``literal`` is False when any argument is not a literal
-    (then the shim cannot be statically checked).
-    """
-    if not isinstance(decorator, ast.Call):
-        return None
-    func = decorator.func
-    tail = (
-        func.id
-        if isinstance(func, ast.Name)
-        else func.attr
-        if isinstance(func, ast.Attribute)
-        else None
-    )
-    if tail != "deprecated_positionals":
-        return None
-    names: List[str] = []
-    literal = True
-    for arg in decorator.args:
-        if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-            names.append(arg.value)
-        else:
-            literal = False
-    keep: Optional[int] = None
-    for kw in decorator.keywords:
-        if kw.arg == "keep":
-            if isinstance(kw.value, ast.Constant) and isinstance(
-                kw.value.value, int
-            ):
-                keep = kw.value.value
-            else:
-                literal = False
-    return decorator, names, keep, literal
 
 
 def _defaulted_positionals(fn: FunctionInfo) -> List[str]:
@@ -86,27 +32,19 @@ def _defaulted_positionals(fn: FunctionInfo) -> List[str]:
 
 @register
 class ApiContractRule(Rule):
-    """Facade functions keyword-only past positionals; shims in sync."""
+    """Facade functions keyword-only past their positionals."""
 
     code = "RL010"
     name = "api-contract"
     rationale = (
         "a defaulted positional on a facade function lets a new option "
-        "silently re-map existing call sites; a drifted "
-        "deprecated_positionals shim mis-assigns legacy positionals at "
-        "runtime"
+        "silently re-map existing call sites"
     )
-
-    #: Default of ``deprecated_positionals``'s ``keep`` parameter.
-    SHIM_DEFAULT_KEEP = 2
 
     def check_project(self, project: Project) -> Iterator[Finding]:
         ctx = ProjectContext.of(project)
         by_name = project.by_name()
         yield from self._check_facades(ctx, by_name)
-        yield from self._check_shims(ctx, by_name)
-
-    # -- contract 1: root-facade keyword-only discipline ----------------
 
     def _check_facades(self, ctx: ProjectContext, by_name) -> Iterator[Finding]:
         for symbols in ctx.symbols.values():
@@ -135,72 +73,3 @@ class ApiContractRule(Rule):
                     f"that are not keyword-only: {listed} — insert '*' "
                     "before them",
                 )
-
-    # -- contract 2: deprecated_positionals shim consistency ------------
-
-    def _check_shims(self, ctx: ProjectContext, by_name) -> Iterator[Finding]:
-        for fn in ctx.iter_functions():
-            mod = by_name.get(fn.id.module)
-            if mod is None:
-                continue
-            for decorator in fn.node.decorator_list:
-                parsed = _shim_decorator(decorator)
-                if parsed is None:
-                    continue
-                call, names, keep, literal = parsed
-                if not literal:
-                    continue  # dynamic shim arguments: not checkable
-                yield from self._check_one_shim(mod, fn, call, names, keep)
-
-    def _check_one_shim(
-        self,
-        mod,
-        fn: FunctionInfo,
-        call: ast.Call,
-        names: List[str],
-        keep: Optional[int],
-    ) -> Iterator[Finding]:
-        label = fn.id.qualname
-        effective_keep = self.SHIM_DEFAULT_KEEP if keep is None else keep
-        seen = set()
-        for name in names:
-            if name in seen:
-                yield mod.finding(
-                    self.code,
-                    call,
-                    f"deprecated_positionals on '{label}' lists '{name}' "
-                    "twice",
-                )
-            seen.add(name)
-        kwonly = fn.keyword_only_params
-        missing = [n for n in names if n not in kwonly]
-        for name in missing:
-            yield mod.finding(
-                self.code,
-                call,
-                f"deprecated_positionals on '{label}' names '{name}', "
-                "which is not a keyword-only parameter of the wrapped "
-                "function — the shim would map legacy positionals onto "
-                "a parameter that no longer exists",
-            )
-        present = [n for n in names if n in kwonly]
-        order = [n for n in kwonly if n in present]
-        if present != order:
-            yield mod.finding(
-                self.code,
-                call,
-                f"deprecated_positionals on '{label}' lists names in a "
-                f"different order than the signature declares them "
-                f"({present} vs {order}) — legacy positionals would be "
-                "re-mapped",
-            )
-        n_positional = len(fn.positional_params)
-        if n_positional != effective_keep:
-            yield mod.finding(
-                self.code,
-                call,
-                f"deprecated_positionals(keep={effective_keep}) on "
-                f"'{label}', but the wrapped function takes "
-                f"{n_positional} positional parameter(s) — extra legacy "
-                "positionals would be mapped from the wrong offset",
-            )

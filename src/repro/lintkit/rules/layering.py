@@ -30,7 +30,6 @@ __all__ = ["ImportLayeringRule", "LAYERS", "segment", "layer_of"]
 LAYERS: Dict[str, int] = {
     "errors": 0,
     "obs": 0,
-    "apiutil": 0,
     "graph": 1,
     "fu": 2,
     "engine": 2,

@@ -25,8 +25,6 @@ from typing import Dict, List, Optional, Sequence
 
 from ..assign import (
     BatchJob,
-    dfg_assign_once,
-    dfg_assign_repeat,
     dfg_assign_repeat_batch,
     exact_assign,
     greedy_assign,
@@ -102,7 +100,6 @@ def run_benchmark_rows(
     seed: int = DEFAULT_SEED,
     count: int = 6,
     with_exact: bool = False,
-    batch: bool = False,
 ) -> List[ExperimentRow]:
     """All sweep rows for one benchmark.
 
@@ -110,35 +107,25 @@ def run_benchmark_rows(
     the optimum (omitted by default: the paper had no such column, and
     it dominates runtime on the elliptic filter).
 
-    ``batch=True`` solves the sweep's `DFG_Assign_Once`/`Repeat`
-    columns in one :func:`repro.assign.dfg_assign_repeat_batch` call
-    (every deadline a lane of one batched engine) instead of two scalar
-    solves per deadline; the rows are identical — both columns are
-    bit-identical per lane — only faster.
+    The sweep's `DFG_Assign_Once`/`Repeat` columns come from one
+    :func:`repro.assign.dfg_assign_repeat_batch` call — every deadline
+    a lane of one batched engine, bit-identical per lane to the scalar
+    heuristics (round 0 of Repeat is Once).
     """
     dfg = get_benchmark(name).dag()
     table = random_table(dfg, num_types=3, seed=seed)
     tree_shaped = is_out_forest(dfg) or is_in_forest(dfg)
     deadlines = deadline_sweep(dfg, table, count=count)
-    batched = (
-        dfg_assign_repeat_batch(
-            [BatchJob(dfg, table, deadline) for deadline in deadlines]
-        )
-        if batch
-        else None
+    outcomes = dfg_assign_repeat_batch(
+        [BatchJob(dfg, table, deadline) for deadline in deadlines]
     )
     rows = []
-    for i, deadline in enumerate(deadlines):
+    for deadline, outcome in zip(deadlines, outcomes):
         greedy = greedy_assign(dfg, table, deadline)
-        if batched is not None:
-            outcome = batched[i]
-            if outcome.error is not None:
-                raise outcome.error
-            assert outcome.result is not None and outcome.once is not None
-            once, repeat = outcome.once, outcome.result
-        else:
-            once = dfg_assign_once(dfg, table, deadline)
-            repeat = dfg_assign_repeat(dfg, table, deadline)
+        if outcome.error is not None:
+            raise outcome.error
+        assert outcome.result is not None and outcome.once is not None
+        once, repeat = outcome.once, outcome.result
         tree_cost = (
             tree_assign(dfg, table, deadline).cost if tree_shaped else None
         )
@@ -163,13 +150,11 @@ def run_benchmark_rows(
     return rows
 
 
-def run_table1(
-    seed: int = DEFAULT_SEED, count: int = 6, batch: bool = False
-) -> List[ExperimentRow]:
+def run_table1(seed: int = DEFAULT_SEED, count: int = 6) -> List[ExperimentRow]:
     """Table 1: the three tree-shaped benchmarks."""
     rows: List[ExperimentRow] = []
     for name in TABLE1_BENCHMARKS:
-        rows.extend(run_benchmark_rows(name, seed=seed, count=count, batch=batch))
+        rows.extend(run_benchmark_rows(name, seed=seed, count=count))
     return rows
 
 
@@ -177,15 +162,12 @@ def run_table2(
     seed: int = DEFAULT_SEED,
     count: int = 6,
     with_exact: bool = False,
-    batch: bool = False,
 ) -> List[ExperimentRow]:
     """Table 2: the three general-DFG benchmarks."""
     rows: List[ExperimentRow] = []
     for name in TABLE2_BENCHMARKS:
         rows.extend(
-            run_benchmark_rows(
-                name, seed=seed, count=count, with_exact=with_exact, batch=batch
-            )
+            run_benchmark_rows(name, seed=seed, count=count, with_exact=with_exact)
         )
     return rows
 
@@ -244,18 +226,14 @@ def render_rows(rows: Sequence[ExperimentRow], title: str = "") -> str:
     return "\n".join(lines)
 
 
-def headline_summary(
-    seed: int = DEFAULT_SEED, count: int = 6, batch: bool = False
-) -> Dict[str, float]:
+def headline_summary(seed: int = DEFAULT_SEED, count: int = 6) -> Dict[str, float]:
     """The paper's headline numbers: average reductions over all rows.
 
     Returns ``{"once": ..., "repeat": ...}`` as fractions (the paper
     reports `DFG_Assign_Once` ≈ a double-digit percentage and
     `DFG_Assign_Repeat` slightly higher, and recommends Repeat).
     """
-    rows = run_table1(seed=seed, count=count, batch=batch) + run_table2(
-        seed=seed, count=count, batch=batch
-    )
+    rows = run_table1(seed=seed, count=count) + run_table2(seed=seed, count=count)
     return {
         "once": average_reduction(rows, "once"),
         "repeat": average_reduction(rows, "repeat"),

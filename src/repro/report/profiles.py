@@ -5,11 +5,13 @@ table — node counts, operation mixes, tree-ness, duplicated nodes —
 plus the derived quantities our extension studies use (path counts,
 expansion growth, peak intrinsic parallelism).
 
-Also characterizes the incremental DP engine
-(:func:`profile_incremental`): per benchmark, the swept
-`dfg_frontier`'s node recomputations vs. visits, curve-cache hit rate,
-and wall time split between refresh and traceback, with the
-per-deadline reference time alongside so the speedup is observable.
+Also characterizes the DP engine on deadline sweeps
+(:func:`profile_incremental`): per benchmark, the batched
+`dfg_frontier`'s summed per-lane node recomputations vs. visits,
+curve-cache hit rate, and wall time split between refresh and
+traceback, with the per-deadline reference time
+(:func:`repro.checkkit.oracles.reference_frontier`) alongside so the
+speedup is observable.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from ..assign.assignment import min_completion_time
 from ..assign.dfg_assign import choose_expansion
 from ..assign.frontier import dfg_frontier
 from ..assign.incremental import DPStats
+from ..checkkit.oracles import reference_frontier
 from ..fu.random_tables import random_table
 from ..graph.analysis import parallelism_profile, profile
 from ..suite.registry import PAPER_BENCHMARKS, get_benchmark
@@ -100,7 +103,7 @@ class IncrementalProfile:
 
     @property
     def speedup(self) -> Optional[float]:
-        """Reference sweep time over incremental sweep time (if timed)."""
+        """Reference sweep time over swept engine time (if timed)."""
         if self.reference_seconds is None:
             return None
         spent = self.seconds_refresh + self.seconds_traceback
@@ -132,9 +135,7 @@ def profile_incremental(
         reference_seconds = None
         if compare:
             t0 = time.perf_counter()
-            reference = dfg_frontier(
-                dfg, table, max_deadline=max_deadline, incremental=False
-            )
+            reference = reference_frontier(dfg, table, max_deadline=max_deadline)
             reference_seconds = time.perf_counter() - t0
             assert reference == swept, f"{name}: swept frontier diverged"
         out.append(

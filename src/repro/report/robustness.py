@@ -74,11 +74,9 @@ class RobustnessSummary:
         )
 
 
-def _seed_reductions(count: int, batch: bool, seed: int) -> Tuple[float, float]:
+def _seed_reductions(count: int, seed: int) -> Tuple[float, float]:
     """Both headline reductions for one seed (module-level: pickles)."""
-    rows = run_table1(seed=seed, count=count, batch=batch) + run_table2(
-        seed=seed, count=count, batch=batch
-    )
+    rows = run_table1(seed=seed, count=count) + run_table2(seed=seed, count=count)
     return average_reduction(rows, "once"), average_reduction(rows, "repeat")
 
 
@@ -86,22 +84,18 @@ def robustness_study(
     seeds: Sequence[int] = tuple(range(10)),
     count: int = 4,
     workers: int = 0,
-    batch: bool = False,
 ) -> RobustnessSummary:
     """Repeat the full evaluation over ``seeds`` deadline sweeps of
     ``count`` constraints each.
 
     Seeds are independent draws, so ``workers`` fans them out across
     processes via :func:`repro.engine.pmap` (0 = serial); the summary
-    is identical at any worker count.  ``batch=True`` additionally
-    solves each sweep's Once/Repeat columns through the batched engine
-    (see :func:`~repro.report.experiments.run_benchmark_rows`) — same
-    summary, fewer solver passes; the two knobs compose.
+    is identical at any worker count.
     """
     if not seeds:
         raise ReproError("need at least one seed")
     reductions = pmap(
-        partial(_seed_reductions, count, batch),
+        partial(_seed_reductions, count),
         list(seeds),
         workers=workers,
         label="engine.robustness",

@@ -25,7 +25,6 @@ from __future__ import annotations
 import heapq
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from ..apiutil import deprecated_positionals
 from ..errors import ScheduleError
 from ..fu.table import TimeCostTable
 from ..graph.dag import topological_order
@@ -65,7 +64,6 @@ class _FUPool:
         return len(self.free_at[fu_type]) - 1
 
 
-@deprecated_positionals("assignment", "deadline", "initial")
 def min_resource_schedule(
     dfg: DFG,
     table: TimeCostTable,
@@ -84,8 +82,7 @@ def min_resource_schedule(
     (possibly new) instance no later than its ALAP step, and ALAP
     guarantees its parents have finished by then.
 
-    Everything after ``table`` is keyword-only; the positional form is
-    deprecated (see ``docs/algorithms.md``).
+    Everything after ``table`` is keyword-only.
     """
     assignment.validate_for(dfg, table)
     with current_tracer().span(
@@ -192,7 +189,6 @@ def _min_resource_schedule(
     return schedule
 
 
-@deprecated_positionals("assignment", "configuration", "horizon_factor")
 def list_schedule(
     dfg: DFG,
     table: TimeCostTable,
@@ -211,8 +207,7 @@ def list_schedule(
     ``horizon_factor ×`` the sequential total time (a safety net
     against zero-count stalls).
 
-    Everything after ``table`` is keyword-only; the positional form is
-    deprecated (see ``docs/algorithms.md``).
+    Everything after ``table`` is keyword-only.
     """
     assignment.validate_for(dfg, table)
     with current_tracer().span(

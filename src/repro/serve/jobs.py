@@ -25,7 +25,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
-from ..engine import Budget
+from ..engine import Budget, pmap
 from ..errors import CyclicDependencyError, ReproError, ServeError
 from ..fu.table import TimeCostTable
 from ..graph.dfg import DFG, Node
@@ -260,7 +260,8 @@ def solve_canonical_batch(
     ``dp.*`` integer counters — so cache entries are interchangeable
     between the two paths.  Jobs that are not batchable (trees, paths,
     explicit non-default algorithms, portfolio strategy, cyclic zero-
-    delay parts) fall back to :func:`solve_canonical_job` one by one.
+    delay parts) run :func:`solve_canonical_job` each, sharded over
+    ``workers`` processes by :func:`repro.engine.pmap`.
     """
     from ..assign.batch import BatchJob, dfg_assign_repeat_batch
     from ..assign.dfg_assign import _emit_dp_metrics
@@ -342,9 +343,15 @@ def solve_canonical_batch(
                 for name, counter in sorted(tracer.metrics.counters.items())
             }
             out[idx] = json.dumps(payload, sort_keys=True)
-    for idx, text in enumerate(job_jsons):
-        if out[idx] is None:
-            out[idx] = solve_canonical_job(text)
+    rest = [idx for idx, text in enumerate(out) if text is None]
+    if rest:
+        solved = pmap(
+            solve_canonical_job,
+            [job_jsons[idx] for idx in rest],
+            workers=workers,
+        )
+        for idx, text in zip(rest, solved):
+            out[idx] = text
     return [text for text in out if text is not None]
 
 

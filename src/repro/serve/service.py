@@ -11,10 +11,11 @@
 2. keys are looked up in the content-addressed
    :class:`~repro.serve.cache.ResultCache`; duplicate keys within one
    batch collapse to a single job;
-3. the remaining misses are sharded across the persistent
-   :func:`repro.engine.pmap` pools (``workers=0`` = serial, identical
-   results at any count) via the spawn-safe
-   :func:`~repro.serve.jobs.solve_canonical_job` payload;
+3. the remaining misses are solved by
+   :func:`~repro.serve.jobs.solve_canonical_batch`: `DFG_Assign_Repeat`
+   misses as lanes of one batched engine run, the rest sharded across
+   the persistent :func:`repro.engine.pmap` pools (``workers=0`` =
+   serial, identical results at any count);
 4. results land in the cache and every response is translated back to
    its caller's node labels.
 
@@ -35,7 +36,7 @@ import json
 from concurrent.futures import Future
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..engine import pmap, shutdown_pools
+from ..engine import shutdown_pools
 from ..obs import Tracer, use_tracer
 from .cache import ResultCache
 from .jobs import (
@@ -45,7 +46,6 @@ from .jobs import (
     prepare,
     relabel_payload,
     solve_canonical_batch,
-    solve_canonical_job,
 )
 
 __all__ = [
@@ -79,13 +79,6 @@ class SynthesisService:
     tracer:
         Telemetry sink (default: a private enabled
         :class:`~repro.obs.Tracer`).
-    batch:
-        When ``True`` (default), cache misses whose phase 1 resolves to
-        `DFG_Assign_Repeat` are grouped by graph structure and solved
-        in one :func:`~repro.serve.jobs.solve_canonical_batch` call —
-        one batched engine run instead of a solve per job.  Responses
-        and cache entries are byte-identical either way; ``False``
-        restores the historical per-job ``pmap`` sharding.
     """
 
     def __init__(
@@ -95,13 +88,11 @@ class SynthesisService:
         cache: Optional[ResultCache] = None,
         default_evaluations: int = DEFAULT_BUDGET_EVALUATIONS,
         tracer: Optional[Tracer] = None,
-        batch: bool = True,
     ):
         self.workers = workers
         self.cache = cache if cache is not None else ResultCache()
         self.default_evaluations = default_evaluations
         self.tracer = tracer if tracer is not None else Tracer()
-        self.batch = batch
 
     # ------------------------------------------------------------------
     def solve_batch(self, requests: Sequence[Request]) -> List[Response]:
@@ -144,20 +135,11 @@ class SynthesisService:
 
         if misses:
             tracer.add_metric("serve.solves", float(len(misses)))
-            if self.batch:
-                with tracer.span(
-                    "serve.solve", items=len(misses), workers=self.workers
-                ):
-                    raw = solve_canonical_batch(
-                        [job.job_json for job in misses],
-                        workers=self.workers,
-                    )
-            else:
-                raw = pmap(
-                    solve_canonical_job,
-                    [job.job_json for job in misses],
-                    workers=self.workers,
-                    label="serve.solve",
+            with tracer.span(
+                "serve.solve", items=len(misses), workers=self.workers
+            ):
+                raw = solve_canonical_batch(
+                    [job.job_json for job in misses], workers=self.workers
                 )
             for job, text in zip(misses, raw):
                 payload = json.loads(text)

@@ -37,7 +37,6 @@ from .assign import (
     path_assign,
     tree_assign,
 )
-from .apiutil import deprecated_positionals
 from .engine import Budget
 from .errors import CyclicDependencyError, ReproError
 from .fu.table import TimeCostTable
@@ -180,7 +179,6 @@ class SynthesisResult:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
 
-@deprecated_positionals("algorithm", "scheduler", "workers", "strategy", keep=3)
 def synthesize(
     dfg: DFG,
     table: TimeCostTable,

@@ -1,10 +1,10 @@
 """Batched assignment entry points vs their scalar counterparts.
 
-``dfg_assign_repeat_batch`` / ``dfg_frontier_batch`` /
-``tree_frontier_batch`` promise *bit-identity* with per-job scalar
-calls — same assignments, costs, ``DPStats`` integer counters, and
-error strings — plus independence across jobs (one failing lane never
-poisons its batch).  Hand-picked suite graphs keep these fast; the
+``dfg_assign_repeat_batch`` and the ``dfg_frontier`` sweep built on it
+promise *bit-identity* with per-job scalar calls — same assignments,
+costs, ``DPStats`` integer counters, and error strings — plus
+independence across jobs (one failing lane never poisons its batch).
+The batched engine's forest frontiers match per-job ``tree_frontier``.  Hand-picked suite graphs keep these fast; the
 exhaustive every-benchmark sweep is in
 ``tests/properties/test_prop_batch.py``.
 """
@@ -19,16 +19,17 @@ from repro.assign import (
     dfg_assign_repeat,
     dfg_assign_repeat_batch,
     dfg_frontier,
-    dfg_frontier_batch,
     min_completion_time,
-    tree_frontier_batch,
 )
 from repro.assign.frontier import tree_frontier
+from repro.checkkit.oracles import reference_frontier
 from repro.engine import DPStats
-from repro.errors import InfeasibleError, NotATreeError, ReproError
+from repro.errors import InfeasibleError, ReproError
 from repro.fu.random_tables import random_table
 from repro.graph.dfg import DFG
 from repro.suite.registry import get_benchmark
+
+from ..conftest import batched_tree_frontiers
 
 
 def _instance(name: str, seed: int = 24):
@@ -135,23 +136,18 @@ def test_repeat_batch_invariant_to_workers_and_arena(workers, arena):
 def test_dfg_frontier_batch_matches_scalar_sweep():
     dfg, table, floor = _instance("elliptic")
     horizon = floor + 8
-    assert dfg_frontier_batch(dfg, table, max_deadline=horizon) == dfg_frontier(
-        dfg, table, max_deadline=horizon
+    stats = DPStats()
+    swept = dfg_frontier(dfg, table, max_deadline=horizon, stats=stats)
+    assert swept == reference_frontier(
+        dfg, table, max_deadline=horizon, incremental=True
     )
-
-
-def test_dfg_frontier_batch_keyword_dispatch():
-    dfg, table, floor = _instance("diffeq")
-    horizon = floor + 6
-    assert dfg_frontier(
-        dfg, table, max_deadline=horizon, batch=True
-    ) == dfg_frontier(dfg, table, max_deadline=horizon)
+    assert stats.tracebacks > 0
 
 
 def test_dfg_frontier_batch_infeasible_horizon():
     dfg, table, floor = _instance("diffeq")
     with pytest.raises(InfeasibleError, match="below minimum completion"):
-        dfg_frontier_batch(dfg, table, max_deadline=floor - 1)
+        dfg_frontier(dfg, table, max_deadline=floor - 1)
 
 
 def test_tree_frontier_batch_matches_scalar_per_job():
@@ -160,21 +156,7 @@ def test_tree_frontier_batch_matches_scalar_per_job():
         dfg, table, floor = _instance(name)
         jobs.append((dfg, table, floor + 10))
         expected.append(tree_frontier(dfg, table, max_deadline=floor + 10))
-    assert tree_frontier_batch(jobs) == expected
-    assert tree_frontier_batch([]) == []
-
-
-def test_tree_frontier_batch_rejects_general_dags():
-    dfg, table, floor = _instance("elliptic")
-    with pytest.raises(NotATreeError, match="use dfg_frontier"):
-        tree_frontier_batch([(dfg, table, floor + 2)])
-
-
-def test_tree_frontier_keyword_dispatch():
-    tree, table, floor = _instance("volterra")
-    assert tree_frontier(
-        tree, table, max_deadline=floor + 8, batch=True
-    ) == tree_frontier(tree, table, max_deadline=floor + 8)
+    assert batched_tree_frontiers(jobs) == expected
 
 
 def test_repeat_batch_cyclic_job_carries_scalar_error():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.assign.dpkernel import (
+from repro.engine.kernels import (
     NO_CHOICE,
     combine_children,
     first_feasible_budget,

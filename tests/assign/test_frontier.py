@@ -5,6 +5,7 @@ import pytest
 from repro.assign.assignment import min_completion_time
 from repro.assign.frontier import dfg_frontier, frontier_knees, tree_frontier
 from repro.assign.tree_assign import tree_assign
+from repro.checkkit.oracles import reference_frontier
 from repro.errors import InfeasibleError, NotATreeError
 from repro.fu.random_tables import random_table
 from repro.fu.table import TimeCostTable
@@ -110,18 +111,9 @@ class TestTreeFrontier:
         for deadline, cost in frontier:
             assert as_dict[deadline] == pytest.approx(cost)
 
-    def test_positional_max_deadline_warns_but_works(self, setup, monkeypatch):
-        import repro.apiutil
-
-        monkeypatch.setattr(repro.apiutil, "STRICT_API", False)
-        dfg, table = setup
-        with pytest.warns(DeprecationWarning, match="max_deadline"):
-            old_style = tree_frontier(dfg, table, 60)  # legacy positional
-        assert old_style == tree_frontier(dfg, table, max_deadline=60)
-
     def test_positional_max_deadline_rejected_under_freeze(self, setup):
         dfg, table = setup
-        with pytest.raises(TypeError, match="STRICT_API"):
+        with pytest.raises(TypeError, match="2 positional arguments"):
             tree_frontier(dfg, table, 60)  # legacy positional
 
 
@@ -152,7 +144,7 @@ class TestDfgFrontier:
     def test_swept_matches_reference(self, setup):
         dfg, table = setup
         floor = min_completion_time(dfg, table)
-        ref = dfg_frontier(dfg, table, max_deadline=floor + 15, incremental=False)
+        ref = reference_frontier(dfg, table, max_deadline=floor + 15)
         assert dfg_frontier(dfg, table, max_deadline=floor + 15) == ref
 
     def test_below_floor_raises(self, setup):

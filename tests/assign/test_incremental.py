@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.assign.dfg_assign import dfg_assign_repeat
-from repro.assign.incremental import DPStats, IncrementalTreeDP
-from repro.assign.tree_assign import tree_assign, tree_cost_curve, tree_dp
+from repro.assign.incremental import DPStats, IncrementalTreeDP, make_tree_engine
+from repro.assign.tree_assign import _normalize, tree_assign, tree_cost_curve
 from repro.errors import InfeasibleError, NotATreeError, TableError
 from repro.fu.random_tables import random_table
 from repro.fu.table import TimeCostTable
@@ -15,6 +15,11 @@ from repro.suite.registry import get_benchmark
 
 def make_table(dfg, seed=0, num_types=3):
     return random_table(dfg, num_types=num_types, seed=seed)
+
+
+def tree_dp(dfg, table, deadline):
+    """A refreshed engine at ``deadline`` (in-forests transposed)."""
+    return make_tree_engine(_normalize(dfg), deadline).refresh(table)
 
 @pytest.fixture
 def tree() -> DFG:

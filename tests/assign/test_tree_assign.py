@@ -113,7 +113,7 @@ class TestCostCurve:
 
     def test_first_finite_is_min_completion(self, small_tree):
         from repro.assign.assignment import min_completion_time
-        from repro.assign.dpkernel import first_feasible_budget
+        from repro.engine.kernels import first_feasible_budget
 
         table = random_table(small_tree, seed=5)
         curve = tree_cost_curve(small_tree, table, 60)

@@ -52,7 +52,7 @@ class TestRunOracles:
 
         deadline = min_completion_time(wide_dag, table) + 3
         cert = run_oracles(wide_dag, table, deadline, names=FUZZ_CHAIN)
-        assert any("incremental sweep == cold sweep" in c for c in cert.checks)
+        assert any("batched sweep == cold sweep" in c for c in cert.checks)
 
     def test_default_chain_is_certify(self, small_tree):
         table = make_table(small_tree, seed=2)
@@ -88,6 +88,20 @@ class TestInjectedBugs:
         monkeypatch.setattr(oracles_mod, "dfg_assign_repeat", buggy)
         inst = generate("dag", 13)
         with pytest.raises(CheckError, match="packed cost"):
+            run_oracles(
+                inst.dfg, inst.table, inst.deadline, names=("kernels",)
+            )
+
+    def test_tree_frontier_point_divergence_is_detected(self, monkeypatch):
+        real = oracles_mod.tree_assign
+
+        def buggy(dag, table, deadline, **kwargs):
+            result = real(dag, table, deadline, **kwargs)
+            return dataclasses.replace(result, cost=result.cost + 1.0)
+
+        monkeypatch.setattr(oracles_mod, "tree_assign", buggy)
+        inst = generate("out_tree", 3)
+        with pytest.raises(CheckError, match="tree_frontier knee"):
             run_oracles(
                 inst.dfg, inst.table, inst.deadline, names=("kernels",)
             )

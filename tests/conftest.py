@@ -1,25 +1,11 @@
-"""Shared fixtures and helpers for the repro test suite.
-
-The suite runs with the v1 API freeze engaged: ``STRICT_API`` is forced
-on below (mirroring ``REPRO_STRICT_API=1`` in CI), so any legacy
-positional call that survives in library or test code fails loudly as a
-TypeError instead of a DeprecationWarning.  Tests that exercise the
-migration shims themselves opt back out with
-``monkeypatch.setattr(repro.apiutil, "STRICT_API", False)``.
-"""
+"""Shared fixtures and helpers for the repro test suite."""
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
-import repro.apiutil
 from repro.fu.table import TimeCostTable
 from repro.graph.dfg import DFG
-
-os.environ.setdefault("REPRO_STRICT_API", "1")
-repro.apiutil.STRICT_API = True
 
 
 @pytest.fixture
@@ -68,3 +54,34 @@ def make_table(dfg: DFG, seed: int = 0, num_types: int = 3) -> TimeCostTable:
     from repro.fu.random_tables import random_table
 
     return random_table(dfg, num_types=num_types, seed=seed)
+
+
+def batched_tree_frontiers(jobs):
+    """Exact forest frontiers of ``(forest, table, max_deadline)`` jobs
+    from one :class:`~repro.engine.batch.BatchedTreeDP` refresh — the
+    engine-level twin of per-job ``tree_frontier`` calls."""
+    import numpy as np
+
+    from repro.assign import Assignment, FrontierPoint, frontier_knees
+    from repro.assign.tree_assign import _normalize
+    from repro.engine import BatchedTreeDP, PackedForest
+
+    forests = [_normalize(dfg) for dfg, _, _ in jobs]
+    packs = [PackedForest(forest) for forest in forests]
+    engine = BatchedTreeDP(
+        packs, [horizon for _, _, horizon in jobs], names=[f.name for f in forests]
+    )
+    for lane, ((_, table, _), pack) in enumerate(zip(jobs, packs)):
+        engine.bind_table(lane, table, pack.rows)
+    engine.refresh()
+    frontiers = []
+    for lane, pack in enumerate(packs):
+        curve = engine.total_curve(lane)
+        finite = np.flatnonzero(np.isfinite(curve))
+        points = []
+        for deadline, cost in frontier_knees([(int(j), float(curve[j])) for j in finite]):
+            choice = map(int, engine.traceback_at(lane, deadline))
+            witness = Assignment.of(dict(zip(pack.nodes, choice)))
+            points.append(FrontierPoint(deadline, cost, witness))
+        frontiers.append(points)
+    return frontiers

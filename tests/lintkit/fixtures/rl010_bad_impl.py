@@ -1,11 +1,4 @@
-"""RL010 fixture: facade + shim drift (loaded as ``repro.impl``)."""
-
-
-def deprecated_positionals(*names, keep=2):
-    def deco(fn):
-        return fn
-
-    return deco
+"""RL010 fixture: facade drift (loaded as ``repro.impl``)."""
 
 
 def run_flow(dfg, table, deadline=100, algorithm=None):
@@ -13,13 +6,6 @@ def run_flow(dfg, table, deadline=100, algorithm=None):
     return (dfg, table, deadline, algorithm)
 
 
-@deprecated_positionals("mode", "workers", keep=2)
-def tuned(a, b, *, workers=0, mode="fast"):
-    # names listed out of declaration order
-    return (a, b, workers, mode)
-
-
-@deprecated_positionals("missing", keep=2)
-def shifted(a, b, c, *, other=0):
-    # 'missing' is not a kwonly param; 3 positionals vs keep=2
-    return (a, b, c, other)
+def helper(a, b=0):
+    # not re-exported through the root facade: out of RL010's scope
+    return (a, b)

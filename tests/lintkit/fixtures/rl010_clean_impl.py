@@ -1,17 +1,5 @@
-"""RL010 fixture: keyword-only facade + consistent shim (no findings)."""
-
-
-def deprecated_positionals(*names, keep=2):
-    def deco(fn):
-        return fn
-
-    return deco
+"""RL010 fixture: keyword-only facade (no findings)."""
 
 
 def run_flow(dfg, table, *, deadline=100, algorithm=None):
     return (dfg, table, deadline, algorithm)
-
-
-@deprecated_positionals("workers", "mode", keep=2)
-def tuned(a, b, *, workers=0, mode="fast"):
-    return (a, b, workers, mode)

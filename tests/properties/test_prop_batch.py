@@ -2,10 +2,10 @@
 
 The batched engine is an execution-layer optimization, so its contract
 is total: for *every* registered benchmark and for arbitrary random
-instances, the batched entry points must reproduce the scalar packed
-path — which in turn equals the python reference — bit for bit:
-assignments, costs, frontier knees, ``DPStats`` work counters, and the
-exact error strings of infeasible lanes.  Shared-memory arenas and
+instances, the batched paths must reproduce the scalar engines — the
+packed engine and the python reference — bit for bit: assignments,
+costs, frontier knees, ``DPStats`` work counters, and the exact error
+strings of infeasible lanes.  Shared-memory arenas and
 process pools must be invisible at this level too.
 """
 
@@ -20,15 +20,16 @@ from repro.assign import (
     dfg_assign_repeat_batch,
     dfg_frontier,
     min_completion_time,
-    tree_frontier_batch,
 )
 from repro.assign.frontier import tree_frontier
+from repro.checkkit.oracles import reference_frontier
 from repro.engine import DPStats
 from repro.errors import ReproError
 from repro.fu.random_tables import random_table
 from repro.graph.classify import is_in_forest, is_out_forest
 from repro.suite.registry import benchmark_names, get_benchmark
 
+from ..conftest import batched_tree_frontiers
 from .strategies import dags, tables_for, trees
 
 SEED = 2004
@@ -73,9 +74,11 @@ def _assert_outcome_matches_scalar(outcome, dfg, table, deadline):
 def test_batched_frontier_matches_packed_and_python(name):
     dag, table, floor = _instance(name)
     horizon = floor + SLACK
-    batched = dfg_frontier(dag, table, max_deadline=horizon, batch=True)
-    packed = dfg_frontier(dag, table, max_deadline=horizon, kernel="packed")
-    python = dfg_frontier(dag, table, max_deadline=horizon, kernel="python")
+    batched = dfg_frontier(dag, table, max_deadline=horizon)
+    packed = reference_frontier(
+        dag, table, max_deadline=horizon, incremental=True, kernel="packed"
+    )
+    python = reference_frontier(dag, table, max_deadline=horizon)
     assert [tuple(p) for p in batched] == [tuple(p) for p in packed]
     assert [tuple(p) for p in batched] == [tuple(p) for p in python]
 
@@ -97,7 +100,7 @@ def test_tree_frontier_batch_matches_scalar_per_benchmark(name):
     if not (is_out_forest(dag) or is_in_forest(dag)):
         pytest.skip(f"{name} is not tree-shaped")
     horizon = floor + SLACK
-    (batched,) = tree_frontier_batch([(dag, table, horizon)])
+    (batched,) = batched_tree_frontiers([(dag, table, horizon)])
     assert batched == tree_frontier(dag, table, max_deadline=horizon)
 
 
@@ -123,7 +126,7 @@ def test_batched_repeat_matches_scalar_on_random_dags(data):
 def test_batched_tree_frontier_matches_scalar_on_random_trees(data):
     tree, table = data
     horizon = min_completion_time(tree, table) + 4
-    (batched,) = tree_frontier_batch([(tree, table, horizon)])
+    (batched,) = batched_tree_frontiers([(tree, table, horizon)])
     assert batched == tree_frontier(tree, table, max_deadline=horizon)
 
 

@@ -18,7 +18,13 @@ from hypothesis import strategies as st
 from repro.assign.assignment import min_completion_time
 from repro.assign.dfg_assign import dfg_assign_repeat
 from repro.assign.frontier import dfg_frontier, tree_frontier
-from repro.assign.incremental import IncrementalTreeDP, PackedAssignDP
+from repro.assign.incremental import (
+    IncrementalTreeDP,
+    PackedAssignDP,
+    make_tree_engine,
+)
+from repro.assign.tree_assign import _normalize
+from repro.checkkit.oracles import reference_frontier
 from repro.engine import DPStats, pmap
 from repro.fu.random_tables import random_table
 from repro.graph.classify import is_in_forest, is_out_forest
@@ -105,17 +111,22 @@ def test_packed_repeat_matches_python_kernel(pair, slack):
 def test_packed_frontier_matches_python_kernel(pair, span):
     dfg, table = pair
     floor = min_completion_time(dfg, table)
-    packed = dfg_frontier(dfg, table, max_deadline=floor + span)
-    python = dfg_frontier(
-        dfg, table, max_deadline=floor + span, kernel="python"
-    )
-    assert packed == python
-    if is_out_forest(dfg) or is_in_forest(dfg):
-        assert tree_frontier(
-            dfg, table, max_deadline=floor + span
-        ) == tree_frontier(
-            dfg, table, max_deadline=floor + span, kernel="python"
+    packed, python = (
+        reference_frontier(
+            dfg, table, max_deadline=floor + span, incremental=True, kernel=k
         )
+        for k in ("packed", "python")
+    )
+    assert packed == python == dfg_frontier(dfg, table, max_deadline=floor + span)
+    if is_out_forest(dfg) or is_in_forest(dfg):
+        for kernel in ("packed", "python"):
+            engine = make_tree_engine(
+                _normalize(dfg), floor + span, kernel=kernel
+            ).refresh(table)
+            for point in tree_frontier(dfg, table, max_deadline=floor + span):
+                assert engine.traceback_at(point.deadline) == dict(
+                    point.assignment.items()
+                )
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 from repro.assign.assignment import min_completion_time
 from repro.assign.dfg_assign import choose_expansion, dfg_assign_repeat
 from repro.assign.frontier import dfg_frontier
-from repro.assign.tree_assign import tree_assign, tree_dp
+from repro.assign.incremental import make_tree_engine
+from repro.assign.tree_assign import _normalize, tree_assign
+from repro.checkkit.oracles import reference_frontier
 from repro.fu.random_tables import random_table
 from repro.suite.registry import benchmark_names, get_benchmark
 
@@ -38,7 +40,7 @@ def test_incremental_repeat_matches_reference(pair, slack):
 def test_swept_frontier_matches_reference(pair, span):
     dfg, table = pair
     floor = min_completion_time(dfg, table)
-    ref = dfg_frontier(dfg, table, max_deadline=floor + span, incremental=False)
+    ref = reference_frontier(dfg, table, max_deadline=floor + span)
     assert dfg_frontier(dfg, table, max_deadline=floor + span) == ref
 
 
@@ -53,7 +55,7 @@ def test_swept_frontier_matches_reference(pair, span):
 def test_tree_dp_answers_every_budget(pair, span):
     tree, table = pair
     floor = min_completion_time(tree, table)
-    dp = tree_dp(tree, table, floor + span)
+    dp = make_tree_engine(_normalize(tree), floor + span).refresh(table)
     for j in range(floor, floor + span + 1):
         ref = tree_assign(tree, table, j)
         assert dp.traceback_at(j) == dict(ref.assignment.items())
@@ -84,5 +86,5 @@ def test_registry_equivalence(name, seed):
         )
         assert dict(inc.assignment.items()) == dict(ref.assignment.items())
         assert inc.cost == ref.cost
-    ref_frontier = dfg_frontier(dfg, table, max_deadline=floor + span, incremental=False)
+    ref_frontier = reference_frontier(dfg, table, max_deadline=floor + span)
     assert dfg_frontier(dfg, table, max_deadline=floor + span) == ref_frontier

@@ -7,8 +7,8 @@ byte-identical to ``solve_canonical_job`` on the same job, and the
 ``dp.*`` work counters match integer for integer (only the wall-clock
 ``dp.seconds_*`` metrics may differ).  These tests pin that, the
 fallback lanes (trees, explicit algorithms, infeasible and malformed
-jobs), the service-level ``batch=`` knob, and the ``close()`` pool
-shutdown regression.
+jobs) and their ``workers`` fan-out, and the ``close()`` pool shutdown
+regression.
 """
 
 from __future__ import annotations
@@ -103,21 +103,32 @@ def test_batch_is_empty_safe_and_order_preserving():
     assert costs == want
 
 
-def test_service_batch_knob_is_response_invisible():
-    dfg, table, floor = _instance("elliptic")
-    requests = [
-        Request(dfg, table, deadline=floor + i) for i in range(3)
-    ] + [Request(dfg, table, deadline=floor - 1)]
-    with SynthesisService(batch=True) as batched_service:
-        batched = batched_service.solve_batch(requests)
-        metrics = batched_service.metrics()
-    with SynthesisService(batch=False) as per_job_service:
-        per_job = per_job_service.solve_batch(requests)
-    assert [(r.key, r.result, r.error) for r in batched] == [
-        (r.key, r.result, r.error) for r in per_job
-    ]
-    # the three feasible sweep lanes went through the batched DP
-    assert metrics["serve.batched"] >= 3.0
+def _cacheable(text):
+    """A payload as the service caches it: wall-clock counters dropped."""
+    payload = json.loads(text)
+    payload.pop("counters")
+    return json.dumps(payload, sort_keys=True)
+
+
+def test_fallback_jobs_fan_out_with_identical_payloads():
+    elliptic, e_table, e_floor = _instance("elliptic")  # batched lane
+    tree, t_table, t_floor = _instance("fir8")  # tree: per-job fallback
+    diffeq, d_table, d_floor = _instance("diffeq")
+    jobs = _job_jsons(
+        [
+            Request(tree, t_table, deadline=t_floor + 2),
+            Request(elliptic, e_table, deadline=e_floor + 1),
+            Request(diffeq, d_table, deadline=d_floor + 3, strategy="portfolio"),
+        ]
+    )
+    serial = solve_canonical_batch(jobs, workers=0)
+    shutdown_pools()
+    fanned = solve_canonical_batch(jobs, workers=2)
+    # the tree and portfolio jobs went through a worker pool
+    assert _POOLS
+    shutdown_pools()
+    assert [_cacheable(t) for t in fanned] == [_cacheable(t) for t in serial]
+    _assert_payload_parity(serial, jobs)
 
 
 def _sweep_requests(count: int = 4):

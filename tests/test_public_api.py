@@ -24,7 +24,6 @@ PUBLIC_MODULES = [
     "repro.verify",
     "repro.errors",
     "repro.cli",
-    "repro.apiutil",
     "repro.io",
     "repro.serve",
 ]
@@ -126,35 +125,43 @@ class TestFacadeKeywordOnly:
                 offenders[name] = bad
         assert offenders == {}
 
-    def test_legacy_positionals_still_work_with_warning(self, monkeypatch):
-        """The migration shims keep old positional call sites running
-        (outside the v1 freeze, which the suite otherwise runs under)."""
-        import warnings
-
-        import repro.apiutil
-        from repro.assign.dfg_expand import dfg_expand
-        from repro.graph.dfg import DFG
-
-        monkeypatch.setattr(repro.apiutil, "STRICT_API", False)
-        dfg = DFG("legacy")
-        dfg.add_node("a", "mul")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            expanded = dfg_expand(dfg, 1000)  # legacy: node_limit positional
-        assert expanded is not None
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-
     def test_strict_api_rejects_legacy_positionals(self):
-        """Under the v1 freeze the same call is a hard TypeError."""
+        """The frozen v1 API rejects legacy positional calls natively."""
         from repro.assign.dfg_expand import dfg_expand
         from repro.graph.dfg import DFG
 
         dfg = DFG("legacy")
         dfg.add_node("a", "mul")
-        with pytest.raises(TypeError, match="STRICT_API"):
+        with pytest.raises(TypeError, match="1 positional argument"):
             dfg_expand(dfg, 1000)
+
+    def test_call_shape_picks_the_dp_path(self):
+        """No entry point takes a DP-path knob; the call shape decides."""
+        import inspect
+
+        from repro import assign, report
+        from repro.serve import SynthesisService
+
+        entry_points = [
+            assign.tree_assign,
+            assign.tree_frontier,
+            assign.dfg_assign_once,
+            assign.dfg_frontier,
+            SynthesisService,
+            report.run_benchmark_rows,
+            report.run_table1,
+            report.run_table2,
+            report.headline_summary,
+            report.robustness_study,
+        ]
+        for fn in entry_points:
+            params = set(inspect.signature(fn).parameters)
+            assert not params & {"kernel", "batch", "incremental"}, fn
+        for gone in ("tree_dp", "tree_frontier_batch", "dfg_frontier_batch"):
+            assert not hasattr(assign, gone), gone
+        for module in ("repro.apiutil", "repro.assign.dpkernel"):
+            with pytest.raises(ImportError):
+                importlib.import_module(module)
 
 
 class TestResultSchema:
