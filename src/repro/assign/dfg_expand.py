@@ -145,10 +145,7 @@ def dfg_expand(
         # parent its own copy of the subtree.
         for parent in parents[1:]:
             new_u = copy_subtree(u)
-            g = tree.nx
-            # remove every (possibly parallel) edge parent -> u
-            while g.has_edge(parent, u):
-                g.remove_edge(parent, u)
+            tree.remove_edges(parent, u)
             tree.add_edge(parent, new_u, 0)
 
     origin = {n: tree.attr(n, "origin") for n in tree.nodes()}

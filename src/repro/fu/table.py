@@ -98,14 +98,42 @@ class TimeCostTable:
         cls,
         rows: Mapping[Node, Tuple[Sequence[int], Sequence[float]]],
     ) -> "TimeCostTable":
-        """Build a table from ``{node: (times, costs)}``."""
+        """Build a table from ``{node: (times, costs)}``.
+
+        All rows are stacked and checked in one numpy pass; only when a
+        check fails does it fall back to :meth:`set_row` row by row, so
+        the error raised is the one :meth:`set_row` raises for the
+        first bad row.
+        """
         rows = dict(rows)
         if not rows:
             raise TableError("cannot build a table with no rows")
         first = next(iter(rows.values()))
         table = cls(num_types=len(first[0]))
-        for node, (times, costs) in rows.items():
-            table.set_row(node, times, costs)
+        try:
+            times = np.array([r[0] for r in rows.values()])
+            costs = np.array([r[1] for r in rows.values()], dtype=np.float64)
+        except (TypeError, ValueError, IndexError):  # malformed rows
+            times = costs = np.empty(0)
+        shape = (len(rows), table._num_types)
+        if (
+            times.shape == shape
+            and costs.shape == shape
+            and np.issubdtype(times.dtype, np.integer)
+            and not (times < 0).any()
+            and not (costs < 0).any()
+            and np.isfinite(costs).all()
+        ):
+            times = times.astype(np.int64, copy=False)
+            times.setflags(write=False)
+            costs.setflags(write=False)
+            for node, t, c in zip(rows, times, costs):
+                table._times[node] = t
+                table._costs[node] = c
+                table._versions[node] = next(_ROW_VERSIONS)
+            return table
+        for node, (times_row, costs_row) in rows.items():
+            table.set_row(node, times_row, costs_row)
         return table
 
     # ------------------------------------------------------------------

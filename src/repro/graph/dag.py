@@ -13,12 +13,10 @@ duplicates bottom-up.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
-
-import networkx as nx
+from typing import Callable, Dict, List, Set
 
 from ..errors import CyclicDependencyError, GraphError
-from .dfg import DFG, Node
+from .dfg import DFG, Node, _kahn_order
 
 __all__ = [
     "topological_order",
@@ -34,9 +32,8 @@ __all__ = [
 def require_acyclic(dfg: DFG) -> None:
     """Raise :class:`CyclicDependencyError` unless ``dfg`` is a DAG."""
     if dfg.has_cycle():
-        cyc = nx.find_cycle(dfg.nx)
         raise CyclicDependencyError(
-            f"graph {dfg.name!r} contains cycle {[e[:2] for e in cyc]}; "
+            f"graph {dfg.name!r} contains cycle {dfg.find_cycle()}; "
             "call .dag() first to drop delayed edges"
         )
 
@@ -44,11 +41,13 @@ def require_acyclic(dfg: DFG) -> None:
 def topological_order(dfg: DFG) -> List[Node]:
     """Nodes in an order where every edge goes forward.
 
-    Deterministic for a given insertion order (networkx's Kahn
-    implementation is stable w.r.t. node ordering).
+    Kahn's algorithm from the roots in node order, so the order is
+    deterministic for a given insertion order.
     """
-    require_acyclic(dfg)
-    return list(nx.topological_sort(dfg.nx))
+    order = _kahn_order(dfg)
+    if len(order) < len(dfg):
+        require_acyclic(dfg)
+    return order
 
 
 def reverse_topological_order(dfg: DFG) -> List[Node]:
@@ -56,18 +55,29 @@ def reverse_topological_order(dfg: DFG) -> List[Node]:
     return list(reversed(topological_order(dfg)))
 
 
-def descendants(dfg: DFG, node: Node) -> Set[Node]:
-    """All nodes reachable from ``node`` (excluding ``node`` itself)."""
+def _reach(dfg: DFG, node: Node, step: Callable[[Node], List[Node]]) -> Set[Node]:
+    """Nodes reachable from ``node`` through ``step``, ``node`` excluded."""
     if node not in dfg:
         raise GraphError(f"unknown node {node!r}")
-    return set(nx.descendants(dfg.nx, node))
+    seen = {node}
+    stack = [node]
+    while stack:
+        for nxt in step(stack.pop()):
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    seen.discard(node)
+    return seen
+
+
+def descendants(dfg: DFG, node: Node) -> Set[Node]:
+    """All nodes reachable from ``node`` (excluding ``node`` itself)."""
+    return _reach(dfg, node, dfg.children)
 
 
 def ancestors(dfg: DFG, node: Node) -> Set[Node]:
     """All nodes that can reach ``node`` (excluding ``node`` itself)."""
-    if node not in dfg:
-        raise GraphError(f"unknown node {node!r}")
-    return set(nx.ancestors(dfg.nx, node))
+    return _reach(dfg, node, dfg.parents)
 
 
 def depth_map(dfg: DFG) -> Dict[Node, int]:

@@ -43,7 +43,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .errors import GraphError, TableError
 from .fu.table import TimeCostTable
-from .graph.dfg import DFG, Node
+from .graph.dfg import DFG, Edge, Node
 
 __all__ = [
     "INSTANCE_SCHEMA_VERSION",
@@ -75,10 +75,7 @@ _CANONICAL_BUDGET = 50_000
 # faithful JSON exchange (schema_version 1)
 # ----------------------------------------------------------------------
 def _row_dict(table: TimeCostTable, node: Node) -> Dict[str, List[Any]]:
-    return {
-        "times": [int(t) for t in table.times(node)],
-        "costs": [float(c) for c in table.costs(node)],
-    }
+    return {"times": table.times(node).tolist(), "costs": table.costs(node).tolist()}
 
 
 def instance_to_dict(
@@ -182,20 +179,25 @@ def instance_from_json(
 # ----------------------------------------------------------------------
 _Color = int
 _Adj = Dict[Node, List[Tuple[int, Node]]]
+_Invariant = Tuple[Any, ...]
 
 
-def _node_invariant(
-    dfg: DFG, table: Optional[TimeCostTable], node: Node
-) -> Tuple[Any, ...]:
-    """Label-free local invariant: operation plus table row (if any)."""
-    if table is not None and node in table:
-        return (
-            dfg.op(node),
-            1,
-            tuple(int(t) for t in table.times(node)),
-            tuple(float(c) for c in table.costs(node)),
-        )
-    return (dfg.op(node), 0, (), ())
+def _node_invariants(
+    dfg: DFG, table: Optional[TimeCostTable]
+) -> Dict[Node, _Invariant]:
+    """Label-free local invariant per node: operation plus table row (if any)."""
+    out: Dict[Node, _Invariant] = {}
+    for node in dfg:
+        if table is not None and node in table:
+            out[node] = (
+                dfg.op(node),
+                1,
+                tuple(table.times(node).tolist()),
+                tuple(table.costs(node).tolist()),
+            )
+        else:
+            out[node] = (dfg.op(node), 0, (), ())
+    return out
 
 
 def _dense(colors: Dict[Node, Any]) -> Dict[Node, _Color]:
@@ -225,13 +227,12 @@ def _refine(
 
 
 def _encode(
-    order: Sequence[Node], dfg: DFG, table: Optional[TimeCostTable]
+    order: Sequence[Node], invariants: Dict[Node, _Invariant], edges: List[Edge]
 ) -> Tuple[Any, ...]:
     """Label-free encoding of the instance under one node order."""
     index = {node: i for i, node in enumerate(order)}
-    nodes = tuple(_node_invariant(dfg, table, node) for node in order)
-    edges = tuple(sorted((index[u], index[v], d) for u, v, d in dfg.edges()))
-    return (nodes, edges)
+    nodes = tuple(invariants[node] for node in order)
+    return (nodes, tuple(sorted((index[u], index[v], d) for u, v, d in edges)))
 
 
 class _BudgetExceeded(Exception):
@@ -240,8 +241,8 @@ class _BudgetExceeded(Exception):
 
 def _search(
     colors: Dict[Node, _Color],
-    dfg: DFG,
-    table: Optional[TimeCostTable],
+    invariants: Dict[Node, _Invariant],
+    edges: List[Edge],
     out_adj: _Adj,
     in_adj: _Adj,
     spent: List[int],
@@ -257,14 +258,14 @@ def _search(
     target = min((c for c, members in cells.items() if len(members) > 1), default=None)
     if target is None:
         order = sorted(colors, key=colors.__getitem__)
-        return _encode(order, dfg, table), order
+        return _encode(order, invariants, edges), order
     fresh = len(colors)  # strictly above every dense rank
     best: Optional[Tuple[Tuple[Any, ...], List[Node]]] = None
     for candidate in cells[target]:
         trial = dict(colors)
         trial[candidate] = fresh
         refined = _refine(_dense(trial), out_adj, in_adj, spent)
-        result = _search(refined, dfg, table, out_adj, in_adj, spent)
+        result = _search(refined, invariants, edges, out_adj, in_adj, spent)
         if best is None or result[0] < best[0]:
             best = result
     assert best is not None
@@ -285,16 +286,17 @@ def canonical_order(
     nodes = dfg.nodes()
     if not nodes:
         return []
+    edges = dfg.edges()
     out_adj: _Adj = {n: [] for n in nodes}
     in_adj: _Adj = {n: [] for n in nodes}
-    for u, v, d in dfg.edges():
+    for u, v, d in edges:
         out_adj[u].append((d, v))
         in_adj[v].append((d, u))
     spent = [0]
-    colors = _dense({n: _node_invariant(dfg, table, n) for n in nodes})
-    colors = _refine(colors, out_adj, in_adj, spent)
+    invariants = _node_invariants(dfg, table)
+    colors = _refine(_dense(invariants), out_adj, in_adj, spent)
     try:
-        _, order = _search(colors, dfg, table, out_adj, in_adj, spent)
+        _, order = _search(colors, invariants, edges, out_adj, in_adj, spent)
     except _BudgetExceeded:
         # Deterministic fallback: still collision-free, possibly not
         # relabel-invariant (worst case: a cache miss on a twin).
@@ -306,17 +308,21 @@ def canonical_instance_dict(
     dfg: DFG,
     table: Optional[TimeCostTable] = None,
     deadline: Optional[int] = None,
+    *,
+    order: Optional[Sequence[Node]] = None,
 ) -> Dict[str, Any]:
     """The canonical (label-free) dict form of an instance.
 
     Node names are dropped entirely: nodes appear as a list in
     canonical order (position = canonical index), and edges reference
     those indices.  Hash this — via :func:`instance_key` — to address
-    results by content.
+    results by content.  ``order`` is ``canonical_order(dfg, table)``
+    when the caller has already computed it.
     """
     if table is not None:
         table.validate_for(dfg)
-    order = canonical_order(dfg, table)
+    if order is None:
+        order = canonical_order(dfg, table)
     index = {node: i for i, node in enumerate(order)}
     nodes = []
     for node in order:

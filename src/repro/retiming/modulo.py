@@ -27,8 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
-
 from ..errors import ScheduleError
 from ..fu.table import TimeCostTable
 from ..graph.dfg import DFG, Node
@@ -118,23 +116,29 @@ def rec_mii(dfg: DFG, table: TimeCostTable, assignment: Assignment) -> int:
     ``t(u) − d·II`` has no positive cycle.
     """
     times = assignment.execution_times(dfg, table)
-    g = nx.DiGraph()
-    g.add_nodes_from(dfg.nodes())
+    nodes = dfg.nodes()
     edges = dfg.edges()
     if not edges:
         return 1
 
     def feasible(ii: int) -> bool:
-        # no positive-weight cycle with weights t(u) - d*ii:
-        # negate and ask for no negative cycle via Bellman-Ford
-        h = nx.DiGraph()
-        h.add_nodes_from(dfg.nodes())
+        # no positive-weight cycle with weights t(u) - d*ii: negate and
+        # ask Bellman-Ford (from a virtual source joined to every node)
+        # for no negative cycle, keeping the lightest parallel edge
+        weight: Dict[Tuple[Node, Node], int] = {}
         for u, v, d in edges:
-            w = -(times[u] - d * ii)
-            if h.has_edge(u, v):
-                w = min(w, h[u][v]["weight"])
-            h.add_edge(u, v, weight=w)
-        return not nx.negative_edge_cycle(h)
+            w = d * ii - times[u]
+            weight[(u, v)] = min(w, weight.get((u, v), w))
+        dist = dict.fromkeys(nodes, 0)
+        for _ in nodes:
+            relaxed = False
+            for (u, v), w in weight.items():
+                if dist[u] + w < dist[v]:
+                    dist[v] = dist[u] + w
+                    relaxed = True
+            if not relaxed:
+                return True
+        return False
 
     lo, hi = 1, max(1, sum(times.values()))
     if feasible(lo):

@@ -10,32 +10,39 @@ is absent.  Values are the label-free canonical payloads returned by
 them back to its own node names, which is how two differently-labelled
 isomorphic requests share one entry.
 
-The cache is two-tier: an in-process dict always, plus an optional
-directory of ``<key>.json`` files for persistence across processes
-(``repro-hls batch`` runs, service restarts).  Disk reads populate the
-memory tier; corrupt or truncated files are treated as misses.  Every
-lookup emits ``serve.cache.hits`` / ``serve.cache.misses`` counters to
-the ambient tracer, every write ``serve.cache.stores`` — the metrics
-the warm-batch acceptance gate is measured with.
+The cache is two-tier: an in-process LRU of at most
+:data:`MEMORY_ENTRIES` payloads always, plus an optional directory of
+``<key>.json`` files for persistence across processes (``repro-hls
+batch`` runs, service restarts).  The directory is not bounded, so a
+key evicted from memory is still a hit when it is set.  Disk reads
+populate the memory tier; corrupt or truncated files are treated as
+misses.  Every lookup emits ``serve.cache.hits`` /
+``serve.cache.misses`` counters to the ambient tracer, every write
+``serve.cache.stores`` — the metrics the warm-batch acceptance gate is
+measured with.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections import OrderedDict
 from typing import Any, Dict, Iterator, Optional
 
 from ..errors import ServeError
 from ..obs import add_metric
 
-__all__ = ["ResultCache"]
+__all__ = ["MEMORY_ENTRIES", "ResultCache"]
+
+#: Payloads the memory tier holds; the least recently used goes first.
+MEMORY_ENTRIES = 1024
 
 
 class ResultCache:
     """Two-tier (memory + optional directory) content-addressed cache."""
 
     def __init__(self, path: Optional[str] = None):
-        self._memory: Dict[str, Dict[str, Any]] = {}
+        self._memory: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
         self._path = path
         if path is not None:
             try:
@@ -57,11 +64,13 @@ class ResultCache:
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         """The payload stored under ``key``, or ``None`` on a miss."""
         payload = self._memory.get(key)
-        if payload is None and self._path is not None:
+        if payload is not None:
+            self._memory.move_to_end(key)
+        elif self._path is not None:
             try:
                 with open(self._file(key), "r", encoding="utf-8") as fh:
                     payload = json.load(fh)
-                self._memory[key] = payload
+                self._remember(key, payload)
             except (OSError, json.JSONDecodeError):
                 payload = None  # absent or corrupt: a miss either way
         if payload is None:
@@ -72,7 +81,7 @@ class ResultCache:
 
     def put(self, key: str, payload: Dict[str, Any]) -> None:
         """Store ``payload`` under ``key`` in both tiers."""
-        self._memory[key] = payload
+        self._remember(key, payload)
         if self._path is not None:
             target = self._file(key)
             tmp = target + ".tmp"
@@ -85,6 +94,13 @@ class ResultCache:
                     f"cannot persist cache entry to {target!r}: {exc}"
                 ) from exc
         add_metric("serve.cache.stores")
+
+    def _remember(self, key: str, payload: Dict[str, Any]) -> None:
+        """Put ``payload`` in the memory tier as most recent; evict LRU."""
+        self._memory[key] = payload
+        self._memory.move_to_end(key)
+        while len(self._memory) > MEMORY_ENTRIES:
+            self._memory.popitem(last=False)
 
     def __contains__(self, key: str) -> bool:
         if key in self._memory:

@@ -16,16 +16,24 @@ the :func:`repro.engine.pmap` worker pools, and a single coordinator
 keeps the cache free of write races without locks.  Malformed bodies
 get a 400 with the :class:`~repro.errors.ServeError` message; solver
 infeasibility is *not* an HTTP error (it is a per-request error entry
-in a 200 reply).
+in a 200 reply); anything unexpected gets a 500 with an ``error``
+message and the server keeps serving.
+
+Each reply — status line, headers and compact JSON body — leaves in a
+single write on a socket with ``TCP_NODELAY`` set.  Split across two
+sends, the body would wait under Nagle's algorithm for the client's
+delayed ACK of the headers, about 40 ms per keep-alive request.
 """
 
 from __future__ import annotations
 
 import json
+import sys
+import traceback
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from typing import Any, Dict, Optional, Tuple
 
-from ..errors import ServeError
+from ..errors import ReproError
 from ..synthesis import RESULT_SCHEMA_VERSION
 from .loader import requests_from_doc
 from .service import SynthesisService
@@ -48,6 +56,7 @@ class ServeHTTPServer(HTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     server: ServeHTTPServer  # narrowed for the route helpers
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
@@ -55,12 +64,15 @@ class _Handler(BaseHTTPRequestHandler):
             super().log_message(format, *args)
 
     def _reply(self, status: int, doc: Dict[str, Any]) -> None:
-        body = json.dumps(doc, sort_keys=True).encode("utf-8")
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        body = text.encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        # end_headers() would send the buffered head on its own; append
+        # the blank line and the body so that one write sends it all.
+        self._headers_buffer.extend([b"\r\n", body])  # type: ignore[attr-defined]
+        self.flush_headers()
 
     def _error(self, status: int, message: str) -> None:
         self._reply(status, {"error": message})
@@ -88,36 +100,36 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(404, f"unknown path {self.path!r}")
             return
         try:
+            status, doc = self._batch()
+        except Exception as exc:  # a server fault: report it, keep serving
+            sys.stderr.write(f"POST /v1/batch failed\n{traceback.format_exc()}")
+            status, doc = 500, {"error": f"internal error: {type(exc).__name__}: {exc}"}
+        self._reply(status, doc)
+
+    def _batch(self) -> Tuple[int, Dict[str, Any]]:
+        try:
             length = int(self.headers.get("Content-Length", "0"))
         except ValueError:
-            self._error(400, "invalid Content-Length")
-            return
+            return 400, {"error": "invalid Content-Length"}
         if length <= 0 or length > _MAX_BODY_BYTES:
-            self._error(400, f"body length {length} out of range")
-            return
+            return 400, {"error": f"body length {length} out of range"}
         raw = self.rfile.read(length)
         try:
-            doc = json.loads(raw)
-            requests = requests_from_doc(doc)
+            requests = requests_from_doc(json.loads(raw))
         except json.JSONDecodeError as exc:
-            self._error(400, f"body is not valid JSON: {exc}")
-            return
-        except ServeError as exc:
-            self._error(400, str(exc))
-            return
+            return 400, {"error": f"body is not valid JSON: {exc}"}
+        except ReproError as exc:
+            return 400, {"error": str(exc)}
         responses = self.server.service.solve_batch(requests)
-        self._reply(
-            200,
-            {
-                "schema_version": RESULT_SCHEMA_VERSION,
-                "responses": [r.to_dict() for r in responses],
-                "batch": {
-                    "requests": len(responses),
-                    "cached": sum(1 for r in responses if r.cached),
-                    "failed": sum(1 for r in responses if not r.ok),
-                },
+        return 200, {
+            "schema_version": RESULT_SCHEMA_VERSION,
+            "responses": [r.to_dict() for r in responses],
+            "batch": {
+                "requests": len(responses),
+                "cached": sum(1 for r in responses if r.cached),
+                "failed": sum(1 for r in responses if not r.ok),
             },
-        )
+        }
 
 
 def make_server(

@@ -139,13 +139,13 @@ def prepare(request: Request, *, default_evaluations: int) -> PreparedJob:
     knobs = dict(request.knobs())
     knobs["budget_evaluations"] = evaluations
     knobs["budget_wall_s"] = wall_s
+    order = canonical_order(request.dfg, request.table)
     instance = canonical_instance_dict(
-        request.dfg, request.table, request.deadline
+        request.dfg, request.table, request.deadline, order=order
     )
     job = {"instance": instance, "knobs": knobs}
     job_json = json.dumps(job, sort_keys=True, separators=(",", ":"))
     key = hashlib.sha256(job_json.encode("utf-8")).hexdigest()
-    order = canonical_order(request.dfg, request.table)
     return PreparedJob(request=request, order=order, key=key, job_json=job_json)
 
 

@@ -15,12 +15,19 @@ feasible completion time, mirroring the CLI.
 
 A batch document is ``{"requests": [<request doc>, ...]}`` (a bare
 list is also accepted).
+
+Sizes are bounded before anything is built: a deadline above
+:data:`MAX_DEADLINE`, a ``num_types`` above :data:`MAX_TYPES` or an
+inline instance with more than :data:`MAX_NODES` nodes is a
+:class:`~repro.errors.ServeError`.  The DP holds ``deadline + 1``
+floats per node per lane, so an unbounded deadline would let one
+request allocate until the process dies.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional
 
 from ..assign import min_completion_time
 from ..errors import ReproError, ServeError
@@ -28,7 +35,21 @@ from ..fu.random_tables import random_table
 from ..io import instance_from_dict
 from .jobs import Request
 
-__all__ = ["request_from_dict", "requests_from_doc", "requests_from_file"]
+__all__ = [
+    "MAX_DEADLINE",
+    "MAX_NODES",
+    "MAX_TYPES",
+    "request_from_dict",
+    "requests_from_doc",
+    "requests_from_file",
+]
+
+#: Largest deadline (time steps) a request may ask for.
+MAX_DEADLINE = 10_000
+#: Largest node count of an inline instance.
+MAX_NODES = 2_000
+#: Largest ``num_types`` of a benchmark-form table.
+MAX_TYPES = 64
 
 _KNOWN_FIELDS = frozenset(
     {
@@ -71,6 +92,8 @@ def request_from_dict(doc: Dict[str, Any]) -> Request:
             "'benchmark' or 'instance'"
         )
     deadline = doc.get("deadline")
+    if deadline is not None:
+        deadline = _integer("deadline", deadline, MAX_DEADLINE)
     if has_bench:
         from ..suite.registry import get_benchmark
 
@@ -80,8 +103,8 @@ def request_from_dict(doc: Dict[str, Any]) -> Request:
             raise ServeError(str(exc)) from exc
         table = random_table(
             dfg,
-            num_types=int(doc.get("num_types", 3)),
-            seed=int(doc.get("seed", _DEFAULT_SEED)),
+            num_types=_integer("num_types", doc.get("num_types", 3), MAX_TYPES),
+            seed=_integer("seed", doc.get("seed", _DEFAULT_SEED)),
         )
     else:
         if "num_types" in doc or "seed" in doc:
@@ -89,7 +112,17 @@ def request_from_dict(doc: Dict[str, Any]) -> Request:
                 "'num_types'/'seed' apply to the benchmark form only "
                 "(inline instances carry their own rows)"
             )
-        dfg, table, inline_deadline = instance_from_dict(doc["instance"])
+        instance = doc["instance"]
+        if isinstance(instance, dict):
+            nodes = instance.get("nodes")
+            if isinstance(nodes, list) and len(nodes) > MAX_NODES:
+                raise ServeError(
+                    f"inline instance has {len(nodes)} nodes; "
+                    f"the limit is {MAX_NODES}"
+                )
+            if deadline is None and instance.get("deadline") is not None:
+                _integer("deadline", instance["deadline"], MAX_DEADLINE)
+        dfg, table, inline_deadline = instance_from_dict(instance)
         dfg = dfg.dag()
         if table is None:
             raise ServeError(
@@ -100,11 +133,13 @@ def request_from_dict(doc: Dict[str, Any]) -> Request:
         if deadline is None:
             deadline = inline_deadline
     if deadline is None:
-        deadline = int(1.3 * min_completion_time(dfg, table)) + 1
+        deadline = _integer(
+            "deadline", int(1.3 * min_completion_time(dfg, table)) + 1, MAX_DEADLINE
+        )
     return Request(
         dfg=dfg,
         table=table,
-        deadline=int(deadline),
+        deadline=deadline,
         algorithm=doc.get("algorithm"),
         scheduler=str(doc.get("scheduler", "min_resource")),
         strategy=str(doc.get("strategy", "paper")),
@@ -112,6 +147,17 @@ def request_from_dict(doc: Dict[str, Any]) -> Request:
         budget_wall_s=doc.get("budget_wall_s"),
         label=str(doc.get("label", "")),
     )
+
+
+def _integer(name: str, value: Any, limit: Optional[int] = None) -> int:
+    """``value`` as an int, at most ``limit``; otherwise a ServeError."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ServeError(f"{name} must be an integer, got {value!r}") from None
+    if limit is not None and number > limit:
+        raise ServeError(f"{name} {number} exceeds the limit {limit}")
+    return number
 
 
 def requests_from_doc(doc: Any) -> List[Request]:

@@ -20,9 +20,11 @@
    its caller's node labels.
 
 The service owns a dedicated :class:`~repro.obs.Tracer`: each batch
-runs under it, so ``serve.*`` spans/metrics and the solver-side
-``dp.*``/``engine.*`` counters (merged from the workers' private
-tracers) are always available through :meth:`SynthesisService.metrics`
+runs under it (keeping the last :data:`RETAINED_TRACES` batch span
+trees; counters accumulate for the service's lifetime), so
+``serve.*`` spans/metrics and the solver-side ``dp.*``/``engine.*``
+counters (merged from the workers' private tracers) are always
+available through :meth:`SynthesisService.metrics`
 — this is the signal the "warm batch does zero solver work" acceptance
 gate reads.
 
@@ -50,6 +52,7 @@ from .jobs import (
 
 __all__ = [
     "DEFAULT_BUDGET_EVALUATIONS",
+    "RETAINED_TRACES",
     "SynthesisService",
     "Client",
     "submit_batch",
@@ -59,6 +62,11 @@ __all__ = [
 #: default race budget, so ``strategy="portfolio"`` requests behave
 #: like a direct :func:`repro.assign.portfolio_assign` call).
 DEFAULT_BUDGET_EVALUATIONS = 4000
+
+#: Root spans (one per batch) the service's tracer keeps; older batch
+#: traces are dropped so a long-running server does not grow with
+#: every request.
+RETAINED_TRACES = 256
 
 
 class SynthesisService:
@@ -78,7 +86,8 @@ class SynthesisService:
         budget of their own.
     tracer:
         Telemetry sink (default: a private enabled
-        :class:`~repro.obs.Tracer`).
+        :class:`~repro.obs.Tracer`).  After each batch the service
+        trims its ``roots`` to the last :data:`RETAINED_TRACES`.
     """
 
     def __init__(
@@ -98,10 +107,13 @@ class SynthesisService:
     def solve_batch(self, requests: Sequence[Request]) -> List[Response]:
         """Solve a batch; responses align with ``requests`` by index."""
         with use_tracer(self.tracer):
-            with self.tracer.span(
-                "serve.batch", requests=len(requests), workers=self.workers
-            ):
-                return self._solve_batch_locked(list(requests))
+            try:
+                with self.tracer.span(
+                    "serve.batch", requests=len(requests), workers=self.workers
+                ):
+                    return self._solve_batch_locked(list(requests))
+            finally:
+                del self.tracer.roots[:-RETAINED_TRACES]
 
     def _solve_batch_locked(self, requests: List[Request]) -> List[Response]:
         tracer = self.tracer

@@ -168,3 +168,52 @@ class TestValidation:
         dfg = DFG.from_edges([("a", "zzz")])
         with pytest.raises(TableError, match="zzz"):
             table.validate_for(dfg)
+
+
+def _per_row(rows):
+    """The reference path: one ``set_row`` per row."""
+    table = TimeCostTable(num_types=len(next(iter(rows.values()))[0]))
+    for node, (times, costs) in rows.items():
+        table.set_row(node, times, costs)
+    return table
+
+
+class TestFromRowsFastPath:
+    GOOD = {"a": ([1, 2], [3.0, 1.0]), "b": ([4, 0], [0.0, 2.5])}
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"b": ([4, -1], [0.0, 2.5])},  # negative time
+            {"b": ([4, 2.5], [0.0, 2.5])},  # non-integer time
+            {"b": ([4, 2], [float("nan"), 2.5])},  # NaN cost
+            {"b": ([4, 2], [0.0, -2.5])},  # negative cost
+            {"b": ([4, 2, 7], [0.0, 2.5, 1.0])},  # ragged row
+            {"b": ([4], [0.0, 2.5])},  # ragged times only
+        ],
+    )
+    def test_same_error_as_per_row_path(self, bad):
+        rows = {**self.GOOD, **bad}
+        with pytest.raises(TableError) as reference:
+            _per_row(rows)
+        with pytest.raises(TableError) as fast:
+            TimeCostTable.from_rows(rows)
+        assert type(fast.value) is type(reference.value)
+        assert str(fast.value) == str(reference.value)
+
+    def test_integral_float_times_accepted_like_set_row(self):
+        rows = {"a": ([1.0, 2.0], [3.0, 1.0])}
+        table = TimeCostTable.from_rows(rows)
+        assert table.times("a").dtype == np.int64
+        assert table.times("a").tolist() == [1, 2]
+
+    def test_same_table_as_per_row_path(self):
+        fast, reference = TimeCostTable.from_rows(self.GOOD), _per_row(self.GOOD)
+        assert list(fast.nodes()) == list(reference.nodes())
+        for node in self.GOOD:
+            assert fast.times(node).dtype == reference.times(node).dtype
+            assert fast.times(node).tolist() == reference.times(node).tolist()
+            assert fast.costs(node).tolist() == reference.costs(node).tolist()
+            assert not fast.times(node).flags.writeable
+            assert not fast.costs(node).flags.writeable
+        assert fast.row_version("a") != fast.row_version("b")

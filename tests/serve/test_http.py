@@ -8,6 +8,7 @@ single-threaded coordinator the long-running CLI mode uses.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -16,6 +17,7 @@ import pytest
 
 from repro.io import instance_to_dict
 from repro.serve import SynthesisService, make_server
+from repro.serve import http as http_module
 
 from ..conftest import make_table
 
@@ -143,3 +145,78 @@ class TestWideDag:
         assert set(response["result"]["schedule"]) == {
             str(n) for n in wide_dag.nodes()
         }
+
+
+class TestFaults:
+    def test_solver_exception_is_a_500_and_server_keeps_serving(
+        self, server, chain3, chain3_table, monkeypatch
+    ):
+        payload = _batch_doc(chain3, chain3_table, 12)
+        service = server.service
+
+        def boom(requests):
+            # an unexpected fault, outside the ReproError taxonomy
+            raise RuntimeError("solver blew up")  # lint: ignore[RL001]
+
+        monkeypatch.setattr(service, "solve_batch", boom)
+        status, doc = _call(server, "POST", "/v1/batch", payload)
+        assert status == 500
+        assert doc == {"error": "internal error: RuntimeError: solver blew up"}
+
+        monkeypatch.undo()
+        status, doc = _call(server, "POST", "/v1/batch", payload)
+        assert status == 200
+        assert doc["batch"] == {"requests": 1, "cached": 0, "failed": 0}
+
+    def test_malformed_inline_instance_is_a_400(self, server):
+        doc = {"requests": [{"instance": {"schema_version": 99}, "deadline": 3}]}
+        status, reply = _call(server, "POST", "/v1/batch", doc)
+        assert status == 400 and "schema_version" in reply["error"]
+
+
+class _CountingWriter:
+    def __init__(self, inner, writes):
+        self._inner = inner
+        self._writes = writes
+
+    def write(self, data):
+        self._writes.append(bytes(data))
+        return self._inner.write(data)
+
+    def flush(self):
+        self._inner.flush()
+
+
+class TestTransport:
+    @pytest.fixture
+    def observed(self, monkeypatch):
+        """Per accepted connection: its TCP_NODELAY flag and its writes."""
+        seen = {"nodelay": [], "writes": []}
+        setup = http_module._Handler.setup
+
+        def observing_setup(handler):
+            setup(handler)
+            flag = handler.connection.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY
+            )
+            seen["nodelay"].append(flag)
+            handler.wfile = _CountingWriter(handler.wfile, seen["writes"])
+
+        monkeypatch.setattr(http_module._Handler, "setup", observing_setup)
+        return seen
+
+    def test_accepted_socket_has_nodelay(self, server, observed):
+        _call(server, "GET", "/v1/health")
+        assert len(observed["nodelay"]) == 1
+        assert observed["nodelay"][0] != 0
+
+    def test_reply_is_one_write(self, server, observed, chain3, chain3_table):
+        status, doc = _call(
+            server, "POST", "/v1/batch", _batch_doc(chain3, chain3_table, 12)
+        )
+        assert status == 200
+        (write,) = observed["writes"]
+        head, body = write.split(b"\r\n\r\n", 1)
+        assert head.startswith(b"HTTP/1.1 200")
+        assert json.loads(body) == doc
+        assert b", " not in body and b": " not in body  # compact separators

@@ -23,6 +23,8 @@ from repro.serve import (
     prepare,
     submit_batch,
 )
+from repro.serve import cache as cache_module
+from repro.serve import service as service_module
 from repro.serve.service import DEFAULT_BUDGET_EVALUATIONS
 
 from ..conftest import make_table
@@ -238,3 +240,66 @@ class TestTelemetry:
         service = SynthesisService()
         service.solve_batch([Request(wide_dag, make_table(wide_dag, seed=2), 16)])
         assert any(k.startswith("dp.") for k in service.metrics())
+
+
+class TestRetention:
+    def test_memory_tier_evicts_least_recently_used(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "MEMORY_ENTRIES", 2)
+        cache = ResultCache()
+        cache.put("a", {"v": 1})
+        cache.put("b", {"v": 2})
+        assert cache.get("a") == {"v": 1}  # a hit makes "a" most recent
+        cache.put("c", {"v": 3})  # evicts "b", the least recently used
+        assert cache.get("b") is None
+        assert cache.get("a") == {"v": 1}
+        assert cache.get("c") == {"v": 3}
+        assert len(cache) == 2
+
+    def test_evicted_key_still_served_from_disk(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cache_module, "MEMORY_ENTRIES", 1)
+        cache = ResultCache(str(tmp_path))
+        cache.put("a", {"v": 1})
+        cache.put("b", {"v": 2})  # "a" leaves the memory tier only
+        assert "a" not in cache._memory
+        assert cache.get("a") == {"v": 1}
+        assert list(cache._memory) == ["a"]
+
+    def test_trace_roots_bounded_counters_kept(self, chain_request, monkeypatch):
+        bounded, unbounded = SynthesisService(), SynthesisService()
+        monkeypatch.setattr(service_module, "RETAINED_TRACES", 3)
+        for _ in range(3 + 4):
+            bounded.solve_batch([chain_request])
+        monkeypatch.setattr(service_module, "RETAINED_TRACES", 100)
+        for _ in range(3 + 4):
+            unbounded.solve_batch([chain_request])
+        assert len(bounded.tracer.roots) == 3
+        assert len(unbounded.tracer.roots) == 7
+        assert all(root.name == "serve.batch" for root in bounded.tracer.roots)
+
+        def content(metrics):
+            return {k: v for k, v in metrics.items() if "seconds" not in k}
+
+        assert content(bounded.metrics()) == content(unbounded.metrics())
+        assert bounded.metrics()["serve.requests"] == 7.0
+
+
+class TestCanonicalizeOnce:
+    def test_prepare_runs_canonical_order_once(self, chain_request, monkeypatch):
+        import repro.io
+        import repro.serve.jobs as jobs
+
+        calls = []
+
+        def counted(where, fn):
+            def call(*args, **kwargs):
+                calls.append(where)
+                return fn(*args, **kwargs)
+
+            return call
+
+        for where, module in (("jobs", jobs), ("io", repro.io)):
+            wrapped = counted(where, module.canonical_order)
+            monkeypatch.setattr(module, "canonical_order", wrapped)
+        job = prepare(chain_request, default_evaluations=DEFAULT_BUDGET_EVALUATIONS)
+        assert calls == ["jobs"]
+        assert sorted(job.order) == ["a", "b", "c"]
