@@ -3,7 +3,8 @@
 Public surface:
 
 * :class:`Assignment`, :class:`AssignResult` — data types;
-* :func:`path_assign`, :func:`tree_assign` — optimal pseudo-polynomial
+* :func:`path_assign`, :func:`tree_assign` (and :func:`tree_assign_sweep`,
+  every deadline of a sweep from one pass) — optimal pseudo-polynomial
   DPs for simple paths and trees/forests;
 * :func:`dfg_expand`, :func:`dfg_assign_once`, :func:`dfg_assign_repeat`
   — the paper's general-DAG heuristics;
@@ -59,7 +60,7 @@ from .series_parallel import (
     is_two_terminal_sp,
     sp_assign,
 )
-from .tree_assign import tree_assign, tree_cost_curve
+from .tree_assign import tree_assign, tree_assign_sweep, tree_cost_curve
 
 __all__ = [
     "BatchJob",
@@ -92,6 +93,7 @@ __all__ = [
     "path_assign",
     "chain_order",
     "tree_assign",
+    "tree_assign_sweep",
     "tree_cost_curve",
     "dfg_expand",
     "ExpandedTree",

@@ -184,20 +184,20 @@ def _shape_from_bundle(arrays: Dict[str, np.ndarray]) -> ForestShape:
 def _lex_min_k(
     t_mat: np.ndarray, c_mat: np.ndarray, k_mat: np.ndarray
 ) -> np.ndarray:
-    """Per-lane lexicographic ``(time, cost, type)`` minimum over copies.
+    """Lexicographic ``(time, cost, type)`` minimum over the last axis.
 
-    Equals ``min((t[k], c[k], k) for k in row)`` per lane — the scalar
-    `_min_time_choice` tie-break.  The masked equality compares a value
-    against the exact minimum just reduced from the same array, so the
-    float comparison is exact by construction.
+    Equals ``min((t[k], c[k], k) for k in row)`` per row of copies —
+    the scalar `_min_time_choice` tie-break.  The masked equality
+    compares a value against the exact minimum just reduced from the
+    same array, so the float comparison is exact by construction.
     """
-    tmin = t_mat.min(axis=1, keepdims=True)
+    tmin = t_mat.min(axis=-1, keepdims=True)
     mask = t_mat == tmin
     c_masked = np.where(mask, c_mat, np.inf)
-    cmin = c_masked.min(axis=1, keepdims=True)
+    cmin = c_masked.min(axis=-1, keepdims=True)
     mask &= c_masked == cmin
     k_masked = np.where(mask, k_mat, np.iinfo(np.int64).max)
-    return np.asarray(k_masked.min(axis=1), dtype=np.int64)
+    return np.asarray(k_masked.min(axis=-1), dtype=np.int64)
 
 
 def _error_tuple(exc: ReproError) -> Tuple[str, str, Optional[int]]:
@@ -277,31 +277,38 @@ def _solve_group(
 
     pinned_k = np.zeros((nl, nr), dtype=np.int64)
 
+    # Copies of every multi-copy row, padded with the row's first copy:
+    # a repeated (time, cost, type) triple cannot change the minimum.
+    width = int(np.diff(cop_off)[multis].max()) if multis.size else 0
+    multi_copies = np.empty((multis.size, width), dtype=np.int64)
+    for j, o in enumerate(multis.tolist()):
+        copies = cop_idx[cop_off[o] : cop_off[o + 1]]
+        multi_copies[j] = copies[0]
+        multi_copies[j, : copies.size] = copies
+    perm_first = np.zeros(nr + 1, dtype=np.int64)
+    perm_first[1:] = nodes_perm + 1  # column 0 holds the 0.0 start
+
     def resolve_costs(
         lanes: List[int], n_pinned: int
     ) -> Tuple[np.ndarray, np.ndarray]:
         """(choice rows, costs) of `_resolve` for ``lanes``."""
         la = np.asarray(lanes, dtype=np.int64)
+        lane_trace = trace[la]
         out_k = np.zeros((la.size, nr), dtype=np.int64)
         if singles.size:
-            out_k[:, singles] = trace[la][:, singles_node]
-        for o in multis.tolist():
-            copies = cop_idx[cop_off[o] : cop_off[o + 1]]
-            ks = trace[la][:, copies]
-            out_k[:, o] = _lex_min_k(
-                bt[la, o][np.arange(la.size)[:, None], ks],
-                bc[la, o][np.arange(la.size)[:, None], ks],
-                ks,
-            )
+            out_k[:, singles] = lane_trace[:, singles_node]
+        if multis.size:
+            ks = lane_trace[:, multi_copies]  # (lanes, multis, width)
+            at = (la[:, None, None], multis[None, :, None], ks)
+            out_k[:, multis] = _lex_min_k(bt[at], bc[at], ks)
         if n_pinned:
             pins = order_rows[:n_pinned]
             out_k[:, pins] = pinned_k[la][:, pins]
-        costs = np.zeros(la.size, dtype=np.float64)
-        vals = np.take_along_axis(
-            bc[la], out_k[:, :, None], axis=2
-        )[:, :, 0]
-        for r in nodes_perm.tolist():  # sequential: float sum order
-            costs += vals[:, r]
+        # Cost sums run in ``dfg.nodes()`` order from 0.0, sequentially
+        # (``accumulate``, not the pairwise ``sum``): the scalar float sum.
+        vals = np.zeros((la.size, nr + 1), dtype=np.float64)
+        vals[:, 1:] = bc[la[:, None], np.arange(nr)[None, :], out_k]
+        costs = np.add.accumulate(vals[:, perm_first], axis=1)[:, -1]
         return out_k, costs
 
     best_k, best_cost = resolve_costs(active, 0)

@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Tuple
 from ..engine import pmap
 from ..errors import GraphError
 from ..fu.table import TimeCostTable
+from ..graph.classify import expansion_sizes
 from ..graph.dag import require_acyclic
 from ..graph.dfg import DFG, Node
 from ..graph.paths import longest_path_time
@@ -93,9 +94,16 @@ def expansion_candidates(
 
 
 def choose_expansion(dfg: DFG, node_limit: int = 200_000) -> ExpandedTree:
-    """The smaller of the two candidate trees (ties favor the forward one)."""
-    t_fwd, t_rev = expansion_candidates(dfg, node_limit=node_limit)
-    return t_fwd if len(t_fwd) <= len(t_rev) else t_rev
+    """The smaller of the two candidate trees (ties favor the forward one).
+
+    :func:`~repro.graph.classify.expansion_sizes` predicts both sizes
+    exactly, so only the kept tree is built; ``node_limit`` applies to
+    that tree alone.
+    """
+    forward, reverse = expansion_sizes(dfg)
+    if forward <= reverse:
+        return dfg_expand(dfg, node_limit=node_limit)
+    return dfg_expand(dfg.transpose(), node_limit=node_limit, transposed=True)
 
 
 def _pin_candidate_key(

@@ -35,7 +35,6 @@ from typing import Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..engine.kernels import combine_children
 from ..errors import InfeasibleError, NotATreeError
 from ..fu.table import TimeCostTable
 from ..graph.classify import is_in_forest, is_out_forest
@@ -46,7 +45,7 @@ from .batch import BatchJob, dfg_assign_repeat_batch
 from .dfg_assign import _emit_dp_metrics
 from .exact import exact_assign
 from .incremental import DPStats
-from .tree_assign import _curves, _infeasible, _prepare, _traceback
+from .tree_assign import _infeasible, _pass, _prepare, _traceback
 
 __all__ = [
     "FrontierPoint",
@@ -134,10 +133,7 @@ def tree_frontier(
         "tree_frontier", graph=tree.name, nodes=len(tree), max_deadline=max_deadline
     ):
         forest, key = _prepare(tree, table, max_deadline, None)
-        curves, choices = _curves(forest, table, max_deadline, key)
-        curve = combine_children(
-            [curves[r] for r in forest.roots()], deadline=max_deadline
-        )
+        choices, curve = _pass(forest, table, max_deadline, key)
         finite = np.isfinite(curve)
         if not finite.any():
             raise _infeasible(forest, table, max_deadline, key, tree.name)

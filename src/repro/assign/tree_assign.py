@@ -19,7 +19,7 @@ costs, and feasibility are unchanged.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from ..obs import current_tracer
 from .assignment import Assignment
 from .result import AssignResult
 
-__all__ = ["tree_assign", "tree_cost_curve"]
+__all__ = ["tree_assign", "tree_assign_sweep", "tree_cost_curve"]
 
 #: Maps a tree node to the key under which its table row is stored.
 #: Expanded trees pass ``origin_of``; plain trees use the identity.
@@ -80,14 +80,32 @@ def _curves(
     return curves, choices
 
 
-def _prepare(
-    tree: DFG, table: TimeCostTable, deadline: int, node_key: Optional[NodeKey]
+def _pass(
+    tree: DFG, table: TimeCostTable, horizon: int, key: NodeKey
+) -> Tuple[Dict[Node, np.ndarray], np.ndarray]:
+    """One Fig. 7 pass at ``horizon``: traceback choices and the forest
+    curve (the root curves summed, as under the paper's pseudo root)."""
+    curves, choices = _curves(tree, table, horizon, key)
+    total = combine_children([curves[r] for r in tree.roots()], deadline=horizon)
+    return choices, total
+
+
+def _validated(
+    tree: DFG, table: TimeCostTable, node_key: Optional[NodeKey]
 ) -> Tuple[DFG, NodeKey]:
-    """Validate and normalize the inputs shared by every tree-DP entry."""
+    """``tree`` as an out-forest plus its row key, coverage checked."""
     key = node_key or (lambda n: n)
     tree = _normalize(tree)
     for n in tree.nodes():
         table.times(key(n))  # validates coverage eagerly
+    return tree, key
+
+
+def _prepare(
+    tree: DFG, table: TimeCostTable, deadline: int, node_key: Optional[NodeKey]
+) -> Tuple[DFG, NodeKey]:
+    """Validate and normalize the inputs shared by every tree-DP entry."""
+    tree, key = _validated(tree, table, node_key)
     if deadline < 0:
         raise InfeasibleError(f"deadline must be >= 0, got {deadline}")
     return tree, key
@@ -143,12 +161,8 @@ def tree_cost_curve(
     by tests (monotonicity, agreement with brute force), by
     `tree_frontier`, and by the paper-figure walkthrough example.
     """
-    key = node_key or (lambda n: n)
-    tree = _normalize(tree)
-    for n in tree.nodes():
-        table.times(key(n))  # validates coverage eagerly
-    curves, _ = _curves(tree, table, deadline, key)
-    return combine_children([curves[r] for r in tree.roots()], deadline=deadline)
+    tree, key = _validated(tree, table, node_key)
+    return _pass(tree, table, deadline, key)[1]
 
 
 def tree_assign(
@@ -162,10 +176,9 @@ def tree_assign(
 
     Optimal for out-forests and in-forests (paper Theorem, Section 5.2).
     ``node_key`` redirects table lookups for expanded trees whose nodes
-    are copies of original nodes.  One bottom-up pass of the Fig. 7
-    recurrence plus a stack traceback: a single solve has nothing to
-    cache, so this is the fastest path for one tree and one deadline
-    (see ``docs/performance.md``).
+    are copies of original nodes.  The one-deadline case of
+    :func:`tree_assign_sweep`: one bottom-up pass of the Fig. 7
+    recurrence plus a stack traceback.
 
     Raises
     ------
@@ -176,23 +189,58 @@ def tree_assign(
         If even all-fastest misses the deadline; carries the minimum
         achievable completion time.
     """
-    tree, key = _prepare(tree, table, deadline, node_key)
+    (outcome,) = tree_assign_sweep(tree, table, [deadline], node_key=node_key)
+    if isinstance(outcome, InfeasibleError):
+        raise outcome
+    return outcome
+
+
+def tree_assign_sweep(
+    tree: DFG,
+    table: TimeCostTable,
+    deadlines: Sequence[int],
+    *,
+    node_key: Optional[NodeKey] = None,
+) -> List[Union[AssignResult, InfeasibleError]]:
+    """`Tree_Assign` at every deadline of ``deadlines`` from one DP pass.
+
+    Fig. 7 fills ``D_v[j]`` for every budget ``j <= L``, and curves are
+    prefix-identical across deadlines, so one pass at the largest
+    deadline plus one traceback per deadline answers the whole sweep.
+    Entry ``i`` is exactly what ``tree_assign(tree, table,
+    deadlines[i])`` returns, or the :class:`InfeasibleError` it raises
+    (a negative deadline, or one below the minimum completion time).
+    Structural errors (not a tree, a table that misses a node) concern
+    every deadline and raise.
+    """
+    tree, key = _validated(tree, table, node_key)
+    horizon = max(deadlines, default=-1)
+    out: List[Union[AssignResult, InfeasibleError]] = []
     with current_tracer().span(
-        "tree_assign", nodes=len(tree), deadline=deadline
+        "tree_assign", nodes=len(tree), deadline=horizon
     ):
-        curves, choices = _curves(tree, table, deadline, key)
-        total = combine_children(
-            [curves[r] for r in tree.roots()], deadline=deadline
-        )
-        if not np.isfinite(total[deadline]):
-            raise _infeasible(tree, table, deadline, key, tree.name)
-        mapping = _traceback(tree, table, choices, key, deadline)
-        cost = float(sum(table.cost(key(n), mapping[n]) for n in tree.nodes()))
-        times = {n: table.time(key(n), mapping[n]) for n in tree.nodes()}
-        return AssignResult(
-            assignment=Assignment.of(mapping),
-            cost=cost,
-            completion_time=longest_path_time(tree, times),
-            deadline=deadline,
-            algorithm="tree_assign",
-        )
+        if horizon >= 0:
+            choices, total = _pass(tree, table, horizon, key)
+        for deadline in deadlines:
+            if deadline < 0:
+                out.append(
+                    InfeasibleError(f"deadline must be >= 0, got {deadline}")
+                )
+            elif not np.isfinite(total[deadline]):
+                out.append(_infeasible(tree, table, deadline, key, tree.name))
+            else:
+                mapping = _traceback(tree, table, choices, key, deadline)
+                cost = float(
+                    sum(table.cost(key(n), mapping[n]) for n in tree.nodes())
+                )
+                times = {n: table.time(key(n), mapping[n]) for n in tree.nodes()}
+                out.append(
+                    AssignResult(
+                        assignment=Assignment.of(mapping),
+                        cost=cost,
+                        completion_time=longest_path_time(tree, times),
+                        deadline=deadline,
+                        algorithm="tree_assign",
+                    )
+                )
+    return out

@@ -309,6 +309,11 @@ class BatchedForest:
         return shapes
 
 
+#: Cap on the elements of one ``(targets, types or children, budgets)``
+#: block of :func:`batched_sweep`; a larger height pass runs in chunks.
+SWEEP_BLOCK = 1 << 20
+
+
 def batched_sweep(
     shape: ForestShape,
     curves: np.ndarray,
@@ -330,54 +335,58 @@ def batched_sweep(
     Float semantics mirror :func:`~repro.engine.kernels.node_step` and
     ``combine_children`` exactly: child curves accumulate with the same
     sequential ``+=`` (the first child is an assignment, not an add),
-    each type's candidate is the same ``child_curve[j - t_k] + c_k``
-    add, and the running strict-``<`` minimum keeps the earliest
-    minimal type, matching ``argmin``'s first-occurrence tie-break.
-    Types padded with ``time 0 / cost inf`` never win; infeasible
-    budgets come out ``inf`` with choice :data:`NO_CHOICE`.
+    and each type's candidate is the same ``child_curve[j - t_k] + c_k``
+    add.  A height pass gathers every child curve at once, then every
+    type's shifted curve at once from the combined curves with one
+    ``inf`` column prepended (``inf + c_k`` is the ``inf`` of an
+    infeasible budget), then takes ``min``/``argmin`` over the type
+    axis; ``argmin``'s first-occurrence rule is the smallest-type
+    tie-break (tables reject NaN, so no NaN can win it).  Types padded
+    with ``time 0 / cost inf`` never win; infeasible budgets come out
+    ``inf`` with choice :data:`NO_CHOICE`.
     """
     if node_idx.size == 0:
         return 0
-    size = curves.shape[2]
+    lanes, n, size = curves.shape
     m = times.shape[2]
-    budget_axis = np.arange(size, dtype=np.int64)[None, :]
+    flat_curves = curves.reshape(lanes * n, size)
+    # shift[k, j] indexes the inf-padded curve: j - t_k + 1, or 0 (inf).
+    budget_axis = np.arange(1, size + 1, dtype=np.int64)
     order = np.argsort(shape.heights[node_idx], kind="stable")
     heights = shape.heights[node_idx][order]
     bounds = np.flatnonzero(np.diff(heights)) + 1
+    chunk = max(1, SWEEP_BLOCK // (max(m, shape.kids_mat.shape[1]) * size))
     for part in np.split(order, bounds):
-        nodes = node_idx[part]
-        slots = slot_idx[part]
-        t_count = nodes.size
-        base = np.zeros((t_count, size), dtype=np.float64)
-        counts = shape.kid_counts[nodes]
-        max_kids = int(counts.max()) if t_count else 0
-        for j in range(max_kids):
-            sel = counts > j
-            kid = shape.kids_mat[nodes[sel], j]
-            if j == 0:
-                base[sel] = curves[slots[sel], kid]
-            else:
-                base[sel] += curves[slots[sel], kid]
-        rows = shape.row_of[nodes]
-        t = times[slots, rows]
-        c = costs[slots, rows]
-        best = np.empty((t_count, size), dtype=np.float64)
-        kbest = np.zeros((t_count, size), dtype=np.int16)
-        for k in range(m):
-            tk = t[:, k : k + 1]
-            idx = budget_axis - tk
-            valid = idx >= 0
-            shifted = np.take_along_axis(base, np.where(valid, idx, 0), axis=1)
-            cand = np.where(valid, shifted + c[:, k : k + 1], np.inf)
-            if k == 0:
-                best[:] = cand
-            else:
-                better = cand < best
-                np.copyto(best, cand, where=better)
-                kbest[better] = k
-        kbest[~np.isfinite(best)] = NO_CHOICE
-        curves[slots, nodes] = best
-        choices[slots, nodes] = kbest
+        for lo in range(0, part.size, chunk):
+            nodes = node_idx[part[lo : lo + chunk]]
+            slots = slot_idx[part[lo : lo + chunk]]
+            t_count = nodes.size
+            padded = np.zeros((t_count, size + 1), dtype=np.float64)
+            padded[:, 0] = np.inf
+            kids = shape.kids_mat[nodes]
+            if kids.size:
+                # Every child curve in one gather; a missing child reads
+                # as the zero curve, and ``x + 0.0`` is ``x``, so the sum
+                # runs child by child exactly like ``combine_children``.
+                gathered = flat_curves[slots[:, None] * n + np.maximum(kids, 0)]
+                gathered[kids < 0] = 0.0
+                base = padded[:, 1:]
+                base[:] = gathered[:, 0]
+                for j in range(1, kids.shape[1]):
+                    base += gathered[:, j]
+            rows = shape.row_of[nodes]
+            t = times[slots, rows]
+            shift = np.maximum(budget_axis - t[:, :, None], 0)
+            shift += (np.arange(t_count, dtype=np.int64) * (size + 1))[
+                :, None, None
+            ]
+            cand = padded.ravel()[shift]
+            cand += costs[slots, rows][:, :, None]
+            choice = cand.argmin(axis=1).astype(np.int16)
+            best = cand.min(axis=1)
+            choice[best == np.inf] = NO_CHOICE
+            curves[slots, nodes] = best
+            choices[slots, nodes] = choice
     return int(node_idx.size)
 
 

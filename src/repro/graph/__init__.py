@@ -4,6 +4,7 @@ from .analysis import GraphProfile, op_histogram, parallelism_profile, profile
 from .classify import (
     common_nodes,
     duplication_count,
+    expansion_sizes,
     is_in_forest,
     is_out_forest,
     is_out_tree,
@@ -60,6 +61,7 @@ __all__ = [
     "common_nodes",
     "multi_parent_nodes",
     "duplication_count",
+    "expansion_sizes",
     "to_dict",
     "from_dict",
     "to_json",

@@ -16,7 +16,7 @@ one parent, or some ancestor does.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List, Tuple
 
 from .dag import require_acyclic, topological_order
 from .dfg import DFG, Node
@@ -29,6 +29,7 @@ __all__ = [
     "common_nodes",
     "multi_parent_nodes",
     "duplication_count",
+    "expansion_sizes",
 ]
 
 
@@ -117,3 +118,29 @@ def duplication_count(dfg: DFG) -> int:
         up[v] = 1 if not ps else sum(up[p] for p in ps)
         total += up[v] - 1
     return total
+
+
+def expansion_sizes(dfg: DFG) -> Tuple[int, int]:
+    """Node counts of `DFG_Expand` on ``dfg`` and on its transpose.
+
+    ``len(dfg) + duplication_count(dfg)`` and ``len(dfg) +
+    duplication_count(dfg.transpose())``, from one topological order: on
+    the transpose a node is copied once per path from it down to a leaf
+    of ``dfg``.  Both candidates of `DFG_Assign_Once` step 1 are sized
+    without building either tree.
+    """
+    order = topological_order(dfg)  # raises on a cycle
+    parents, children = dfg.parents, dfg.children
+    up: Dict[Node, int] = {}
+    for v in order:
+        paths = 0
+        for p in parents(v):
+            paths += up[p]
+        up[v] = paths or 1  # a root starts one path
+    down: Dict[Node, int] = {}
+    for v in reversed(order):
+        paths = 0
+        for c in children(v):
+            paths += down[c]
+        down[v] = paths or 1  # a leaf ends one path
+    return sum(up.values()), sum(down.values())

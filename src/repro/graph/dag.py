@@ -47,7 +47,7 @@ def topological_order(dfg: DFG) -> List[Node]:
     order = _kahn_order(dfg)
     if len(order) < len(dfg):
         require_acyclic(dfg)
-    return order
+    return list(order)
 
 
 def reverse_topological_order(dfg: DFG) -> List[Node]:

@@ -50,15 +50,19 @@ class DFG:
     parallel edges ``u -> v`` and ``_pred[v][u]`` is the same list.
     Every order is insertion order: nodes as added, targets of ``u`` by
     their first edge from ``u``, sources of ``v`` by their first edge
-    into ``v``, parallel edges as added.
+    into ``v``, parallel edges as added.  Kahn's order is computed once
+    and kept until the next structural change (a new node, an added or
+    removed edge): the assignment and scheduling passes ask for it many
+    times per solve.
     """
 
-    __slots__ = ("_attrs", "_succ", "_pred", "name")
+    __slots__ = ("_attrs", "_succ", "_pred", "_kahn", "name")
 
     def __init__(self, name: str = "dfg"):
         self._attrs: Dict[Node, Dict[str, Any]] = {}
         self._succ: Dict[Node, Dict[Node, List[int]]] = {}
         self._pred: Dict[Node, Dict[Node, List[int]]] = {}
+        self._kahn: Optional[List[Node]] = None
         self.name = name
 
     # ------------------------------------------------------------------
@@ -78,6 +82,7 @@ class DFG:
             data = self._attrs[node] = {}
             self._succ[node] = {}
             self._pred[node] = {}
+            self._kahn = None
         data["op"] = op
         data.update(attrs)
 
@@ -100,12 +105,14 @@ class DFG:
         delays = self._succ[u].get(v)
         if delays is None:
             delays = self._succ[u][v] = self._pred[v][u] = []
+            self._kahn = None
         delays.append(int(delay))
 
     def remove_edges(self, u: Node, v: Node) -> None:
         """Remove every (possibly parallel) edge ``u -> v``; none is fine."""
         if self._succ.get(u, {}).pop(v, None) is not None:
             del self._pred[v][u]
+            self._kahn = None
 
     @classmethod
     def from_edges(
@@ -356,7 +363,11 @@ def _kahn_order(dfg: DFG) -> List[Node]:
     parent is placed, children visited by first edge (networkx's
     topological generations, flattened).  Nodes on or behind a cycle
     never enter it, so it is short exactly when ``dfg`` is cyclic.
+
+    The list is the graph's cached copy: callers must not mutate it.
     """
+    if dfg._kahn is not None:
+        return dfg._kahn
     indegree = {n: len(ps) for n, ps in dfg._pred.items()}
     order = [n for n, d in indegree.items() if d == 0]
     for node in order:  # grows while iterating: a FIFO queue
@@ -364,4 +375,5 @@ def _kahn_order(dfg: DFG) -> List[Node]:
             indegree[child] -= 1
             if indegree[child] == 0:
                 order.append(child)
+    dfg._kahn = order
     return order

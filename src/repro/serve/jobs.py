@@ -22,21 +22,26 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
+import traceback
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..engine import Budget, pmap
+from ..assign import AssignResult, tree_assign_sweep
+from ..assign.dfg_assign import _emit_dp_metrics
+from ..engine import Budget, DPStats, pmap
 from ..errors import CyclicDependencyError, ReproError, ServeError
 from ..fu.table import TimeCostTable
 from ..graph.dfg import DFG, Node
 from ..io import canonical_instance_dict, canonical_order
-from ..obs import Tracer, add_metric, use_tracer
+from ..obs import Tracer, add_metric, current_tracer, use_tracer
 from ..synthesis import RESULT_SCHEMA_VERSION, auto_algorithm, synthesize
 
 __all__ = [
     "Request",
     "Response",
     "PreparedJob",
+    "CanonicalMemo",
     "prepare",
     "solve_canonical_job",
     "solve_canonical_batch",
@@ -125,12 +130,28 @@ class PreparedJob:
     job_json: str = ""
 
 
-def prepare(request: Request, *, default_evaluations: int) -> PreparedJob:
+#: One batch's canonical forms: ``(id(dfg), id(table))`` -> the pair
+#: (kept alive, so the ids stay unique), its canonical order, and its
+#: canonical instance dict without a deadline.
+CanonicalMemo = Dict[
+    Tuple[int, int], Tuple[DFG, TimeCostTable, List[Node], Dict[str, Any]]
+]
+
+
+def prepare(
+    request: Request,
+    *,
+    default_evaluations: int,
+    memo: Optional[CanonicalMemo] = None,
+) -> PreparedJob:
     """Canonicalize one request and derive its cache key.
 
     The effective budget is resolved *before* keying, so "no budget
     given" and "the default budget given explicitly" address the same
-    cache entry.
+    cache entry.  ``memo`` (one batch's, see :data:`CanonicalMemo`)
+    canonicalizes each distinct ``(dfg, table)`` object pair once: the
+    requests of a deadline sweep share their loader-built objects and
+    differ in the deadline only.
     """
     evaluations = request.budget_evaluations
     wall_s = request.budget_wall_s
@@ -139,9 +160,18 @@ def prepare(request: Request, *, default_evaluations: int) -> PreparedJob:
     knobs = dict(request.knobs())
     knobs["budget_evaluations"] = evaluations
     knobs["budget_wall_s"] = wall_s
-    order = canonical_order(request.dfg, request.table)
-    instance = canonical_instance_dict(
-        request.dfg, request.table, request.deadline, order=order
+    pair = (id(request.dfg), id(request.table))
+    known = memo.get(pair) if memo is not None else None
+    if known is None:
+        order = canonical_order(request.dfg, request.table)
+        base = canonical_instance_dict(request.dfg, request.table, order=order)
+        known = (request.dfg, request.table, order, base)
+        if memo is not None:
+            memo[pair] = known
+    order, base = known[2], known[3]
+    instance = dict(base)
+    instance["deadline"] = (
+        None if request.deadline is None else int(request.deadline)
     )
     job = {"instance": instance, "knobs": knobs}
     job_json = json.dumps(job, sort_keys=True, separators=(",", ":"))
@@ -163,6 +193,38 @@ def _instance_from_canonical(doc: Dict[str, Any]) -> tuple:
     return dfg, table, int(doc["deadline"])
 
 
+def _error_payload(exc: BaseException) -> Dict[str, Any]:
+    return {"error": {"type": type(exc).__name__, "message": str(exc)}}
+
+
+def _result_payload(result: Any) -> Dict[str, Any]:
+    doc = result.to_dict()
+    doc["timings"] = {}
+    return {"result": doc}
+
+
+def _crash_payload(exc: Exception) -> Dict[str, Any]:
+    """The entry of a job whose solve raised unexpectedly.
+
+    A crash says nothing about the job, so the entry is ``transient``:
+    the service answers the request with it but does not cache it, and
+    a retry solves again.  The traceback goes to standard error.
+    """
+    sys.stderr.write(f"serve job failed\n{traceback.format_exc()}")
+    payload = _error_payload(exc)
+    payload["transient"] = True
+    return payload
+
+
+def _finish(tracer: Tracer, payload: Dict[str, Any]) -> str:
+    """Attach the job tracer's counters and serialize the payload."""
+    payload["counters"] = {
+        name: counter.value
+        for name, counter in sorted(tracer.metrics.counters.items())
+    }
+    return json.dumps(payload, sort_keys=True)
+
+
 def solve_canonical_job(job_json: str) -> str:
     """pmap payload: solve one canonical job, return a JSON payload.
 
@@ -171,10 +233,11 @@ def solve_canonical_job(job_json: str) -> str:
     the solve fails for an instance-determined reason (infeasible
     deadline, malformed knobs — :class:`~repro.errors.ReproError`
     family).  Both outcomes are deterministic functions of the job, so
-    both are cacheable.  Unexpected exceptions propagate and abort the
-    batch.  The result's ``timings`` are cleared: wall times are not
-    content, and stripping them keeps responses identical across
-    worker counts and cache states.
+    both are cacheable.  Any other exception is a crash: its error
+    entry carries ``"transient": true`` (see :func:`_crash_payload`).
+    The result's ``timings`` are cleared: wall times are not content,
+    and stripping them keeps responses identical across worker counts
+    and cache states.
     """
     job = json.loads(job_json)
     dfg, table, deadline = _instance_from_canonical(job["instance"])
@@ -199,18 +262,50 @@ def solve_canonical_job(job_json: str) -> str:
                 strategy=knobs.get("strategy", "paper"),
                 budget=budget,
             )
-        doc = result.to_dict()
-        doc["timings"] = {}
-        payload = {"result": doc}
+        payload = _result_payload(result)
     except ReproError as exc:
-        payload = {
-            "error": {"type": type(exc).__name__, "message": str(exc)}
-        }
-    payload["counters"] = {
-        name: counter.value
-        for name, counter in sorted(tracer.metrics.counters.items())
-    }
-    return json.dumps(payload, sort_keys=True)
+        payload = _error_payload(exc)
+    except Exception as exc:
+        payload = _crash_payload(exc)
+    return _finish(tracer, payload)
+
+
+def _phase2(
+    dfg: DFG,
+    table: TimeCostTable,
+    deadline: int,
+    knobs: Dict[str, Any],
+    outcome: Union[AssignResult, ReproError],
+    stats: Optional[DPStats] = None,
+) -> str:
+    """The payload of a job whose phase 1 was solved in bulk.
+
+    Phase 2 runs per job through ``synthesize(assign_result=...)``
+    under a private tracer; ``stats`` are the job's lane counters,
+    published as ``dp.*`` the way a scalar solve publishes them (a
+    failed phase 1 publishes none, like a scalar solve that raised).
+    """
+    tracer = Tracer()
+    if isinstance(outcome, ReproError):
+        return _finish(tracer, _error_payload(outcome))
+    payload: Dict[str, Any]
+    try:
+        with use_tracer(tracer):
+            if stats is not None:
+                _emit_dp_metrics({}, stats)
+            result = synthesize(
+                dfg,
+                table,
+                deadline,
+                scheduler=knobs.get("scheduler", "min_resource"),
+                assign_result=outcome,
+            )
+        payload = _result_payload(result)
+    except ReproError as exc:
+        payload = _error_payload(exc)
+    except Exception as exc:
+        payload = _crash_payload(exc)
+    return _finish(tracer, payload)
 
 
 def _table_from_canonical(doc: Dict[str, Any]) -> TimeCostTable:
@@ -223,7 +318,7 @@ def _table_from_canonical(doc: Dict[str, Any]) -> TimeCostTable:
     )
 
 
-def _structure_key(instance: Dict[str, Any]) -> str:
+def _structure_key(instance: Dict[str, Any]) -> Tuple[Any, ...]:
     """Everything about an instance except times/costs/deadline.
 
     Jobs sharing this key describe the same labeled graph, so they can
@@ -231,49 +326,66 @@ def _structure_key(instance: Dict[str, Any]) -> str:
     :func:`repro.assign.dfg_assign_repeat_batch` recognizes lanes of a
     common structure and stacks them into one engine group.
     """
-    return json.dumps(
-        {
-            "ops": [entry["op"] for entry in instance["nodes"]],
-            "edges": instance["edges"],
-        },
-        sort_keys=True,
-        separators=(",", ":"),
+    return (
+        tuple(entry["op"] for entry in instance["nodes"]),
+        tuple(tuple(edge) for edge in instance["edges"]),
+    )
+
+
+def _rows_key(instance: Dict[str, Any]) -> Tuple[Any, ...]:
+    """The table part of an instance (times and costs, node by node)."""
+    return tuple(
+        (tuple(entry["times"]), tuple(entry["costs"]))
+        for entry in instance["nodes"]
     )
 
 
 def solve_canonical_batch(
     job_jsons: Sequence[str], *, workers: int = 0, arena: bool = True
 ) -> List[str]:
-    """Solve many canonical jobs, batching the phase-1 DP across them.
+    """Solve many canonical jobs, sharing phase 1 across them.
 
-    Jobs whose phase 1 resolves to `DFG_Assign_Repeat` (the general-DAG
-    default) are grouped by graph structure and solved in **one**
-    :func:`repro.assign.dfg_assign_repeat_batch` call — a deadline
-    sweep or a burst of same-shape requests becomes a single batched
-    engine run, optionally fanned out over ``workers`` processes with
-    the shared-memory table arena.  Phase 2 (lower bound + schedule)
-    then runs per job via ``synthesize(assign_result=...)``.
+    Each distinct graph structure gets one DAG and one
+    :func:`~repro.synthesis.auto_algorithm` verdict.  Two kinds of jobs
+    share their phase 1:
 
-    Every returned payload's ``result``/``error`` parts are
-    byte-identical to :func:`solve_canonical_job` on the same job —
-    phase-1 outcomes are bit-identical lane by lane, including the
-    ``dp.*`` integer counters — so cache entries are interchangeable
-    between the two paths.  Jobs that are not batchable (trees, paths,
-    explicit non-default algorithms, portfolio strategy, cyclic zero-
-    delay parts) run :func:`solve_canonical_job` each, sharded over
-    ``workers`` processes by :func:`repro.engine.pmap`.
+    * jobs whose phase 1 resolves to `DFG_Assign_Repeat` (the
+      general-DAG default) are grouped by structure and solved in
+      **one** :func:`repro.assign.dfg_assign_repeat_batch` call,
+      optionally fanned out over ``workers`` processes with the
+      shared-memory table arena;
+    * jobs whose phase 1 is `Tree_Assign` (trees and forests) are
+      grouped by structure and table, and each group is answered by
+      one :func:`repro.assign.tree_assign_sweep`: one Fig. 7 pass at
+      the group's largest deadline, one traceback per deadline.
+
+    Phase 2 (lower bound + schedule) then runs per job via
+    ``synthesize(assign_result=...)``.  Every returned payload's
+    ``result``/``error`` parts are byte-identical to
+    :func:`solve_canonical_job` on the same job — phase-1 outcomes are
+    bit-identical lane by lane, including the ``dp.*`` integer counters
+    — so cache entries are interchangeable between the two paths.  The
+    remaining jobs (paths, other algorithms, the portfolio strategy,
+    cyclic zero-delay parts) run :func:`solve_canonical_job` each,
+    sharded over ``workers`` processes by :func:`repro.engine.pmap`.
+    An unexpected exception becomes the error entry of the jobs it hit
+    (all lanes of a shared phase 1), marked ``transient``.
     """
     from ..assign.batch import BatchJob, dfg_assign_repeat_batch
-    from ..assign.dfg_assign import _emit_dp_metrics
 
     docs = [json.loads(text) for text in job_jsons]
-    #: structure key -> shared (dfg, dag) pair, or None when the
-    #: zero-delay part is cyclic (scalar path reproduces the error).
-    structures: Dict[str, Optional[tuple]] = {}
-    batch_items: List[tuple] = []  # (job index, dfg, table, deadline)
+    #: structure key -> (dfg, dag, auto algorithm), or None when the
+    #: zero-delay part is cyclic (the scalar path reproduces the error).
+    structures: Dict[Tuple[Any, ...], Optional[Tuple[DFG, DFG, str]]] = {}
+    #: (structure key, rows key) -> the one table of those jobs.
+    tables: Dict[Tuple[Any, ...], TimeCostTable] = {}
+    repeat_items: List[int] = []
+    sweeps: Dict[Tuple[Any, ...], List[int]] = {}
+    shared: Dict[int, Tuple[DFG, DFG, TimeCostTable]] = {}
     for idx, doc in enumerate(docs):
         knobs = doc["knobs"]
-        if knobs.get("algorithm") not in (None, "repeat"):
+        algorithm = knobs.get("algorithm")
+        if algorithm not in (None, "repeat", "tree"):
             continue
         if knobs.get("strategy", "paper") != "paper":
             continue
@@ -281,68 +393,73 @@ def solve_canonical_batch(
         if key not in structures:
             dfg, _, _ = _instance_from_canonical(doc["instance"])
             try:
-                structures[key] = (dfg, dfg.dag())
+                dag = dfg.dag()
             except CyclicDependencyError:
                 structures[key] = None
+            else:
+                structures[key] = (dfg, dag, auto_algorithm(dag))
         entry = structures[key]
         if entry is None:
             continue
-        dfg, dag = entry
-        if knobs.get("algorithm") is None and auto_algorithm(dag) != "repeat":
+        dfg, dag, auto = entry
+        name = algorithm or auto
+        if name != "repeat" and not (name == "tree" and auto != "repeat"):
             continue
-        table = _table_from_canonical(doc["instance"])
-        batch_items.append(
-            (idx, dfg, dag, table, int(doc["instance"]["deadline"]))
-        )
+        pair = (key, _rows_key(doc["instance"]))
+        if pair not in tables:
+            tables[pair] = _table_from_canonical(doc["instance"])
+        shared[idx] = (dfg, dag, tables[pair])
+        if name == "repeat":
+            repeat_items.append(idx)
+        else:
+            sweeps.setdefault(pair, []).append(idx)
+
+    def deadline_of(idx: int) -> int:
+        return int(docs[idx]["instance"]["deadline"])
 
     out: List[Optional[str]] = [None] * len(docs)
-    if batch_items:
-        add_metric("serve.batched", float(len(batch_items)))
-        outcomes = dfg_assign_repeat_batch(
-            [BatchJob(dag, tbl, dl) for _, _, dag, tbl, dl in batch_items],
-            workers=workers,
-            arena=arena,
-        )
-        for (idx, dfg, _, table, deadline), outcome in zip(
-            batch_items, outcomes
-        ):
-            knobs = docs[idx]["knobs"]
-            tracer = Tracer()
-            payload: Dict[str, Any]
-            with use_tracer(tracer):
-                if outcome.error is not None:
-                    payload = {
-                        "error": {
-                            "type": type(outcome.error).__name__,
-                            "message": str(outcome.error),
-                        }
-                    }
-                else:
-                    assert outcome.result is not None
-                    _emit_dp_metrics({}, outcome.stats)
-                    try:
-                        result = synthesize(
-                            dfg,
-                            table,
-                            deadline,
-                            scheduler=knobs.get("scheduler", "min_resource"),
-                            assign_result=outcome.result,
-                        )
-                        doc_out = result.to_dict()
-                        doc_out["timings"] = {}
-                        payload = {"result": doc_out}
-                    except ReproError as exc:
-                        payload = {
-                            "error": {
-                                "type": type(exc).__name__,
-                                "message": str(exc),
-                            }
-                        }
-            payload["counters"] = {
-                name: counter.value
-                for name, counter in sorted(tracer.metrics.counters.items())
-            }
-            out[idx] = json.dumps(payload, sort_keys=True)
+    if repeat_items:
+        add_metric("serve.batched", float(len(repeat_items)))
+        try:
+            outcomes = dfg_assign_repeat_batch(
+                [
+                    BatchJob(shared[i][1], shared[i][2], deadline_of(i))
+                    for i in repeat_items
+                ],
+                workers=workers,
+                arena=arena,
+            )
+        except Exception as exc:
+            crash = _finish(Tracer(), _crash_payload(exc))
+            for idx in repeat_items:
+                out[idx] = crash
+        else:
+            for idx, outcome in zip(repeat_items, outcomes):
+                dfg, _, table = shared[idx]
+                phase1 = outcome.error or outcome.result
+                assert phase1 is not None  # exactly one of the two is set
+                out[idx] = _phase2(
+                    dfg,
+                    table,
+                    deadline_of(idx),
+                    docs[idx]["knobs"],
+                    phase1,
+                    outcome.stats,
+                )
+    tracer = current_tracer()
+    for group in sweeps.values():
+        dfg, dag, table = shared[group[0]]
+        deadlines = [deadline_of(idx) for idx in group]
+        try:
+            with tracer.span("assign", algorithm="tree", jobs=len(group)):
+                results = tree_assign_sweep(dag, table, deadlines)
+        except Exception as exc:
+            crash = _finish(Tracer(), _crash_payload(exc))
+            for idx in group:
+                out[idx] = crash
+            continue
+        for idx, deadline, outcome in zip(group, deadlines, results):
+            out[idx] = _phase2(dfg, table, deadline, docs[idx]["knobs"], outcome)
     rest = [idx for idx, text in enumerate(out) if text is None]
     if rest:
         solved = pmap(

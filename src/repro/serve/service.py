@@ -17,7 +17,10 @@
    the persistent :func:`repro.engine.pmap` pools (``workers=0`` =
    serial, identical results at any count);
 4. results land in the cache and every response is translated back to
-   its caller's node labels.
+   its caller's node labels.  Two kinds of entries are answered but
+   never cached: results solved under a wall-clock budget (they depend
+   on the machine's speed) and the entry of a job whose solve crashed
+   (a retry solves it again).
 
 The service owns a dedicated :class:`~repro.obs.Tracer`: each batch
 runs under it (keeping the last :data:`RETAINED_TRACES` batch span
@@ -42,6 +45,7 @@ from ..engine import shutdown_pools
 from ..obs import Tracer, use_tracer
 from .cache import ResultCache
 from .jobs import (
+    CanonicalMemo,
     PreparedJob,
     Request,
     Response,
@@ -120,12 +124,14 @@ class SynthesisService:
         tracer.add_metric("serve.requests", float(len(requests)))
 
         prepared: List[PreparedJob] = []
+        memo: CanonicalMemo = {}  # this batch's canonical forms only
         with tracer.span("serve.canonicalize", requests=len(requests)):
             for request in requests:
                 prepared.append(
                     prepare(
                         request,
                         default_evaluations=self.default_evaluations,
+                        memo=memo,
                     )
                 )
 
@@ -156,9 +162,14 @@ class SynthesisService:
             for job, text in zip(misses, raw):
                 payload = json.loads(text)
                 self._merge_counters(payload.pop("counters", {}))
+                transient = payload.pop("transient", False)
                 if payload.get("error") is not None:
                     tracer.add_metric("serve.errors")
-                self.cache.put(job.key, payload)
+                # A crash entry says nothing about the job, and a result
+                # under a wall-clock budget depends on the machine's
+                # speed: answer both, cache neither.
+                if not transient and job.request.budget_wall_s is None:
+                    self.cache.put(job.key, payload)
                 payloads[job.key] = payload
 
         responses: List[Response] = []

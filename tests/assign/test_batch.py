@@ -71,6 +71,39 @@ def test_repeat_batch_matches_scalar_results_and_stats():
         assert _int_counters(outcome.stats) == _int_counters(stats)
 
 
+def _arbitrary_table(dfg, seed):
+    """Non-monotone rows with fractional costs: the float sum order and
+    every copy's choice in the (time, cost, type) resolve matter."""
+    import random
+
+    from repro.fu.table import TimeCostTable
+
+    rng = random.Random(seed)
+    table = TimeCostTable(3)
+    for node in dfg.nodes():
+        table.set_row(
+            node,
+            [rng.randint(1, 6) for _ in range(3)],
+            [rng.randint(0, 40) / 10 for _ in range(3)],
+        )
+    return table
+
+
+@pytest.mark.parametrize("name,seed", [("dct8", 9), ("fft3", 27), ("fft3", 5)])
+def test_repeat_batch_matches_scalar_on_arbitrary_tables(name, seed):
+    # dct8 and fft3 duplicate nodes into different copy counts, so the
+    # padded gather over multi-copy rows sees rows narrower than others.
+    dfg = get_benchmark(name).dag()
+    table = _arbitrary_table(dfg, seed)
+    floor = min_completion_time(dfg, table)
+    deadlines = list(range(floor, floor + 8, 2))
+    outcomes = dfg_assign_repeat_batch(
+        [BatchJob(dfg, table, d) for d in deadlines]
+    )
+    for deadline, outcome in zip(deadlines, outcomes):
+        _same_result(outcome.result, dfg_assign_repeat(dfg, table, deadline))
+
+
 def test_repeat_batch_accepts_plain_tuples_and_empty():
     assert dfg_assign_repeat_batch([]) == []
     dfg, table, floor = _instance("diffeq")

@@ -45,6 +45,23 @@ class TestTopologicalOrder:
         dfg.add_node("lonely")
         assert topological_order(dfg) == ["lonely"]
 
+    def test_cached_order_follows_structural_changes(self):
+        dfg = DFG.from_edges([("b", "c"), ("a", "c")])
+        assert topological_order(dfg) == ["b", "a", "c"]
+        topological_order(dfg).clear()  # callers get their own list
+        assert topological_order(dfg) == ["b", "a", "c"]
+        dfg.add_edge("a", "b")
+        assert topological_order(dfg) == ["a", "b", "c"]
+        dfg.add_node("z")
+        assert topological_order(dfg) == ["a", "z", "b", "c"]
+        dfg.add_node("z", op="mul")  # attributes only: same order
+        assert topological_order(dfg) == ["a", "z", "b", "c"]
+        dfg.remove_edges("a", "b")
+        assert topological_order(dfg) == ["b", "a", "z", "c"]
+        dfg.add_edge("c", "b", 0)
+        with pytest.raises(CyclicDependencyError):
+            topological_order(dfg)
+
 
 class TestReachability:
     def test_descendants(self, diamond):

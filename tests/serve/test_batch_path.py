@@ -6,8 +6,8 @@ is that nobody can tell: every payload's ``result``/``error`` parts are
 byte-identical to ``solve_canonical_job`` on the same job, and the
 ``dp.*`` work counters match integer for integer (only the wall-clock
 ``dp.seconds_*`` metrics may differ).  These tests pin that, the
-fallback lanes (trees, explicit algorithms, infeasible and malformed
-jobs) and their ``workers`` fan-out, and the ``close()`` pool shutdown
+tree sweeps, the fallback lanes (explicit algorithms, the portfolio,
+infeasible and malformed jobs) and their ``workers`` fan-out, and the ``close()`` pool shutdown
 regression.
 """
 
@@ -69,7 +69,7 @@ def test_sweep_batch_payloads_match_per_job():
 
 def test_mixed_batch_falls_back_per_lane():
     elliptic, e_table, e_floor = _instance("elliptic")  # batchable repeat
-    tree, t_table, t_floor = _instance("fir8")  # tree: scalar fallback
+    tree, t_table, t_floor = _instance("fir8")  # tree: one-lane sweep
     jobs = _job_jsons(
         [
             Request(elliptic, e_table, deadline=e_floor + 2),
@@ -112,11 +112,12 @@ def _cacheable(text):
 
 def test_fallback_jobs_fan_out_with_identical_payloads():
     elliptic, e_table, e_floor = _instance("elliptic")  # batched lane
-    tree, t_table, t_floor = _instance("fir8")  # tree: per-job fallback
+    tree, t_table, t_floor = _instance("fir8")
     diffeq, d_table, d_floor = _instance("diffeq")
     jobs = _job_jsons(
         [
-            Request(tree, t_table, deadline=t_floor + 2),
+            # explicit non-paper algorithm: per-job fallback
+            Request(tree, t_table, deadline=t_floor + 2, algorithm="greedy"),
             Request(elliptic, e_table, deadline=e_floor + 1),
             Request(diffeq, d_table, deadline=d_floor + 3, strategy="portfolio"),
         ]
@@ -124,7 +125,7 @@ def test_fallback_jobs_fan_out_with_identical_payloads():
     serial = solve_canonical_batch(jobs, workers=0)
     shutdown_pools()
     fanned = solve_canonical_batch(jobs, workers=2)
-    # the tree and portfolio jobs went through a worker pool
+    # the greedy and portfolio jobs went through a worker pool
     assert _POOLS
     shutdown_pools()
     assert [_cacheable(t) for t in fanned] == [_cacheable(t) for t in serial]
