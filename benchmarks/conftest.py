@@ -9,39 +9,21 @@ EXPERIMENTS.md can be re-checked after any run of::
     pytest benchmarks/ --benchmark-only
 
 Each saved artifact also drops a machine-readable ``BENCH_<name>.json``
-at the repo root (bench name, wall seconds, optional speedup, config,
-git SHA, timestamp) so CI and the perf docs can track runs over time
-without parsing the rendered text.
+at the repo root (bench name, wall seconds, optional speedup, config)
+so CI can print a run's headline numbers without parsing the rendered
+text.
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
-import subprocess
-from datetime import datetime, timezone
 from typing import Any, Dict, Optional
 
 import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-HISTORY_DIR = RESULTS_DIR / "history"
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-
-
-def _git_sha() -> str:
-    """Current commit SHA, or "unknown" outside a usable git checkout."""
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-    except OSError:
-        return "unknown"
-    return out.stdout.strip() if out.returncode == 0 else "unknown"
 
 
 def write_bench_json(
@@ -51,30 +33,15 @@ def write_bench_json(
     speedup: Optional[float] = None,
     config: Optional[Dict[str, Any]] = None,
 ) -> pathlib.Path:
-    """Emit ``BENCH_<name>.json`` at the repo root and return its path.
-
-    The same payload is also appended as an immutable file under
-    ``benchmarks/results/history/`` (one file per run, named by bench,
-    UTC timestamp, and short SHA) so ``repro-hls bench --history``
-    can diff runs across commits; CI uploads the directory as an
-    artifact.
-    """
+    """Emit ``BENCH_<name>.json`` at the repo root and return its path."""
     path = REPO_ROOT / f"BENCH_{name}.json"
-    now = datetime.now(timezone.utc)
     payload = {
         "bench": name,
         "wall_s": wall_s,
         "speedup": speedup,
         "config": config or {},
-        "git_sha": _git_sha(),
-        "timestamp": now.isoformat(),
     }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    path.write_text(text)
-    HISTORY_DIR.mkdir(parents=True, exist_ok=True)
-    stamp = now.strftime("%Y%m%dT%H%M%S%fZ")
-    sha = payload["git_sha"][:12]
-    (HISTORY_DIR / f"{name}-{stamp}-{sha}.json").write_text(text)
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
 
 

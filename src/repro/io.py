@@ -11,8 +11,8 @@ across process and machine boundaries:
   JSON round-trip used by the batch files and the HTTP front of
   :mod:`repro.serve`.
 * :func:`loads_text` / :func:`dumps_text` — the line-oriented plain-text
-  format that predates the JSON schema (kept for hand-written kernels;
-  ``repro.suite.io_formats`` re-exports it for compatibility).
+  format that predates the JSON schema (kept for hand-written kernels
+  and ``repro-hls run``).
 * :func:`canonical_instance_json` / :func:`instance_key` — the
   **canonical form**: a relabel-invariant encoding in which two
   isomorphic instances (same structure, same per-node rows, any node
@@ -366,7 +366,7 @@ def instance_key(
 
 
 # ----------------------------------------------------------------------
-# plain-text exchange format (pre-JSON; see repro.suite.io_formats)
+# plain-text exchange format (pre-JSON)
 # ----------------------------------------------------------------------
 def _strip(line: str) -> str:
     return line.split("#", 1)[0].strip()

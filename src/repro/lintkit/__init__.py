@@ -42,10 +42,7 @@ committed ``lintkit-baseline.toml`` (``--check-baseline`` fails on
 stale entries; ``--prune-baseline`` rewrites them away).  Run as
 ``python -m repro.lintkit [paths]`` or ``repro-hls lint [paths]``;
 exit codes are 0 (clean), 1 (findings), 2 (usage error).  ``--format
-sarif`` emits SARIF 2.1.0 for CI annotation upload, ``--changed``
-restricts per-file rules to the merge-base diff, and a content-hash
-result cache (``.lintkit_cache/``) makes warm CLI reruns skip
-unchanged work.
+sarif`` emits SARIF 2.1.0 for CI annotation upload.
 """
 
 from .api import LintReport, lint_paths
@@ -56,9 +53,7 @@ from .baseline import (
     format_baseline_entries,
     load_baseline,
 )
-from .cache import DEFAULT_CACHE_DIR, LintCache
 from .callgraph import CallGraph, classify_payload
-from .changed import changed_paths
 from .engine import (
     ModuleInfo,
     Project,
@@ -100,7 +95,4 @@ __all__ = [
     "load_baseline",
     "format_baseline",
     "format_baseline_entries",
-    "LintCache",
-    "DEFAULT_CACHE_DIR",
-    "changed_paths",
 ]

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Sequence, Set
+from typing import List, Optional, Sequence
 
 from . import rules as _rules  # noqa: F401  (import registers the catalog)
 from .baseline import Baseline, BaselineEntry, load_baseline
@@ -69,26 +69,16 @@ def lint_paths(
     baseline: Optional[str] = None,
     use_baseline: bool = True,
     exclude: Sequence[str] = (),
-    cache: Optional[object] = None,
-    per_file_paths: Optional[Set[str]] = None,
 ) -> LintReport:
     """Lint ``paths`` and return a :class:`LintReport`.
 
     ``baseline`` overrides the auto-discovered baseline file; pass
     ``use_baseline=False`` to lint without any baseline at all.
-    ``exclude`` skips files/directories during discovery.  ``cache``
-    takes a :class:`~repro.lintkit.cache.LintCache` (the API default is
-    uncached — only the CLI turns the cache on by default); with a
-    cache, discovery is lazy, so a fully warm run parses nothing.
-    ``per_file_paths`` (resolved paths) restricts *per-file* rules to a
-    subset — project-wide rules always analyse the full tree, because a
-    local edit can change reachability modules away (``--changed``).
+    ``exclude`` skips files/directories during discovery.
     """
     rules = resolve_rules(select, ignore)
-    modules = discover(paths, exclude=exclude, lazy=cache is not None)
-    findings, suppressed_inline = run_rules(
-        modules, rules, cache=cache, per_file_paths=per_file_paths
-    )
+    modules = discover(paths, exclude=exclude)
+    findings, suppressed_inline = run_rules(modules, rules)
 
     loaded: Optional[Baseline] = None
     if use_baseline:

@@ -5,10 +5,6 @@ Exit codes follow the usual linter convention:
 * **0** — clean (possibly via suppressions/baseline),
 * **1** — findings (or, under ``--check-baseline``, stale entries),
 * **2** — usage error (bad path, unknown rule code, bad baseline).
-
-The result cache is **on by default** here (``.lintkit_cache/``, a
-self-ignoring directory) and off by default in the programmatic API —
-interactive reruns are the case the cache exists for.
 """
 
 from __future__ import annotations
@@ -16,13 +12,11 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional, Set
+from typing import List, Optional
 
 from ..errors import LintError
 from .api import BASELINE_FILENAME, find_default_baseline, lint_paths
 from .baseline import format_baseline, format_baseline_entries, load_baseline
-from .cache import DEFAULT_CACHE_DIR, LintCache
-from .changed import changed_paths
 from .findings import render_json, render_text
 from .registry import all_rules, resolve_rules
 from .sarif import render_sarif
@@ -72,15 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the report to FILE instead of stdout",
     )
     parser.add_argument(
-        "--changed",
-        action="store_true",
-        help=(
-            "restrict per-file rules to files changed since the merge "
-            "base with origin/main (project-wide rules still see the "
-            "full tree)"
-        ),
-    )
-    parser.add_argument(
         "--baseline",
         metavar="FILE",
         help=f"baseline file (default: nearest {BASELINE_FILENAME})",
@@ -107,17 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
             "rewrite the baseline dropping entries that no longer match "
             "a finding (written reasons are preserved)"
         ),
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the on-disk result cache",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        default=DEFAULT_CACHE_DIR,
-        help=f"cache directory (default: {DEFAULT_CACHE_DIR})",
     )
     parser.add_argument(
         "--list-rules",
@@ -177,17 +151,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.list_rules:
         return _cmd_list_rules()
-    if args.changed and (
-        args.update_baseline or args.prune_baseline or args.check_baseline
-    ):
-        print(
-            "error: --changed skips per-file findings on unchanged files, "
-            "so baseline maintenance flags need a full run",
-            file=sys.stderr,
-        )
-        return 2
     paths = args.paths or list(_DEFAULT_PATHS)
-    cache = None if args.no_cache else LintCache.load(args.cache_dir)
     try:
         if args.update_baseline:
             report = lint_paths(
@@ -196,21 +160,15 @@ def main(argv: Optional[List[str]] = None) -> int:
                 ignore=_split_codes(args.ignore),
                 use_baseline=False,
                 exclude=args.exclude,
-                cache=cache,
             )
             target = _baseline_target(args, paths)
             target.write_text(
                 format_baseline(report.findings), encoding="utf-8"
             )
-            if cache is not None:
-                cache.save()
             print(
                 f"wrote {len(report.findings)} suppression(s) to {target}"
             )
             return 0
-        per_file: Optional[Set[str]] = None
-        if args.changed:
-            per_file = changed_paths()
         report = lint_paths(
             paths,
             select=_split_codes(args.select),
@@ -218,8 +176,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             baseline=args.baseline,
             use_baseline=not args.no_baseline,
             exclude=args.exclude,
-            cache=cache,
-            per_file_paths=per_file,
         )
         if args.prune_baseline:
             target = _baseline_target(args, paths)
@@ -229,8 +185,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             target.write_text(
                 format_baseline_entries(kept), encoding="utf-8"
             )
-            if cache is not None:
-                cache.save()
             print(
                 f"pruned {len(loaded.entries) - len(kept)} stale "
                 f"entry(ies) from {target}; {len(kept)} kept"
@@ -240,8 +194,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except LintError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if cache is not None:
-        cache.save()
     if args.out:
         out = Path(args.out)
         if out.parent != Path(""):

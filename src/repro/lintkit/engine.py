@@ -3,24 +3,17 @@
 The engine is import-free by design: modules are *parsed*, never
 executed, so linting a broken tree (or one with heavy import-time side
 effects) is always safe.
-
-Parsing is *lazy*: a :class:`ModuleInfo` holds the raw source (and its
-content hash) from construction, but the AST and the suppression map
-are only materialized on first access.  The per-file result cache
-(:mod:`repro.lintkit.cache`) leans on this — a warm full-tree run
-hashes every file but parses none of them.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 import io
 import re
 import tokenize
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..errors import LintError
 from .findings import Finding
@@ -77,18 +70,17 @@ _UNSET = object()
 
 
 class ModuleInfo:
-    """One source module, parsed on demand, ready for rules to inspect."""
+    """One parsed source module, ready for rules to inspect."""
 
     __slots__ = (
         "path",
         "module",
         "is_package",
         "source",
-        "_tree",
+        "tree",
         "_lines",
         "_suppressions",
         "_effective_suppressions",
-        "_content_hash",
     )
 
     def __init__(
@@ -97,7 +89,7 @@ class ModuleInfo:
         module: str,
         is_package: bool,
         source: str,
-        tree: Optional[ast.Module] = None,
+        tree: ast.Module,
     ):
         #: display path (as discovered or as given by the caller)
         self.path = path
@@ -106,21 +98,10 @@ class ModuleInfo:
         #: True for an ``__init__.py``
         self.is_package = is_package
         self.source = source
-        self._tree = tree
+        self.tree = tree
         self._lines: Optional[List[str]] = None
         self._suppressions: object = _UNSET
         self._effective_suppressions: object = _UNSET
-        self._content_hash: Optional[str] = None
-
-    @property
-    def tree(self) -> ast.Module:
-        """The parsed AST (parsed and memoized on first access)."""
-        if self._tree is None:
-            try:
-                self._tree = ast.parse(self.source, filename=self.path)
-            except SyntaxError as exc:
-                raise LintError(f"{self.path}: cannot parse: {exc}") from exc
-        return self._tree
 
     @property
     def lines(self) -> List[str]:
@@ -135,14 +116,6 @@ class ModuleInfo:
         if self._suppressions is _UNSET:
             self._suppressions = _extract_suppressions(self.source)
         return self._suppressions  # type: ignore[return-value]
-
-    @property
-    def content_hash(self) -> str:
-        """SHA-256 of the source text (the cache key for this file)."""
-        if self._content_hash is None:
-            digest = hashlib.sha256(self.source.encode("utf-8"))
-            self._content_hash = digest.hexdigest()
-        return self._content_hash
 
     def line_at(self, lineno: int) -> str:
         """Stripped source text of a 1-based line ('' out of range)."""
@@ -230,7 +203,7 @@ def module_from_source(
     path: str = "<memory>",
     is_package: bool = False,
 ) -> ModuleInfo:
-    """Parse ``source`` into a :class:`ModuleInfo` (used heavily in tests)."""
+    """Parse ``source`` into a :class:`ModuleInfo`."""
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
@@ -261,38 +234,27 @@ def _dotted_name(path: Path) -> Tuple[str, bool]:
     return ".".join(reversed(parts)), is_package
 
 
-def module_from_path(
-    path: Path, display: Optional[str] = None, *, lazy: bool = False
-) -> ModuleInfo:
-    """Load (and, unless ``lazy``, parse) one file from disk."""
+def module_from_path(path: Path, display: Optional[str] = None) -> ModuleInfo:
+    """Load and parse one file from disk."""
     try:
         source = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise LintError(f"cannot read {path}: {exc}") from exc
     module, is_package = _dotted_name(path)
-    info = ModuleInfo(
-        path=display or str(path),
-        module=module,
-        is_package=is_package,
-        source=source,
+    return module_from_source(
+        source, module=module, path=display or str(path), is_package=is_package
     )
-    if not lazy:
-        info.tree  # noqa: B018 — force the parse so syntax errors surface now
-    return info
 
 
 def discover(
     paths: Sequence[str],
     *,
     exclude: Sequence[str] = (),
-    lazy: bool = False,
 ) -> List[ModuleInfo]:
     """Collect every ``*.py`` under ``paths`` (files or directories).
 
     ``exclude`` lists files or directories to skip (compared by resolved
-    path, so ``tests/lintkit/fixtures`` works from any cwd).  With
-    ``lazy=True`` files are read and hashed but not parsed — syntax
-    errors then surface when a rule first touches the module's AST.
+    path, so ``tests/lintkit/fixtures`` works from any cwd).
     """
     excluded: List[Path] = [Path(e).resolve() for e in exclude]
 
@@ -318,7 +280,7 @@ def discover(
         if key in seen or is_excluded(key):
             continue
         seen.add(key)
-        modules.append(module_from_path(f, display=str(f), lazy=lazy))
+        modules.append(module_from_path(f, display=str(f)))
     return modules
 
 
@@ -347,82 +309,28 @@ class Project:
 def run_rules(
     modules: Iterable[ModuleInfo],
     rules: Sequence[Rule],
-    *,
-    cache: Optional["object"] = None,
-    per_file_paths: Optional[Set[str]] = None,
 ) -> Tuple[List[Finding], int]:
     """Run ``rules`` over ``modules``.
 
     Returns ``(findings, inline_suppressed_count)`` — findings already
     filtered through ``# lint: ignore`` directives, sorted.
-
-    ``cache`` is an optional :class:`~repro.lintkit.cache.LintCache`:
-    per-file (``check_module``) results are reused per content hash,
-    project-wide (``check_project``) results are reused when no file in
-    the tree changed.  ``per_file_paths`` (resolved paths) restricts the
-    per-file pass to a subset of files (``--changed``); project-wide
-    rules always see the full tree.
     """
     project = Project(list(modules))
     by_name = project.by_name()
-    codes_sig = ",".join(sorted(r.code for r in rules))
-
-    def keep_suppressed(
-        raw: Iterable[Finding],
-    ) -> Tuple[List[Finding], int]:
-        kept: List[Finding] = []
-        suppressed = 0
-        for finding in raw:
-            mod = by_name.get(finding.module)
-            if mod is not None and mod.is_suppressed(finding):
-                suppressed += 1
-            else:
-                kept.append(finding)
-        return kept, suppressed
-
+    raw = [
+        f
+        for mod in project.modules
+        for rule in rules
+        for f in rule.check_module(mod)
+    ]
+    raw.extend(f for rule in rules for f in rule.check_project(project))
     findings: List[Finding] = []
-    total_suppressed = 0
-
-    # --- pass 1: per-file rules (cacheable per content hash) ---
-    for mod in project.modules:
-        if per_file_paths is not None:
-            if str(Path(mod.path).resolve()) not in per_file_paths:
-                continue
-        # the module name qualifies the key: findings embed module/path,
-        # so two identical files must not share a cache entry
-        file_key = f"{mod.module}:{mod.content_hash}"
-        cached = None
-        if cache is not None:
-            cached = cache.get_file(file_key, codes_sig)
-        if cached is not None:
-            file_findings, suppressed = cached
+    suppressed = 0
+    for finding in raw:
+        mod = by_name.get(finding.module)
+        if mod is not None and mod.is_suppressed(finding):
+            suppressed += 1
         else:
-            raw = [
-                f for rule in rules for f in rule.check_module(mod)
-            ]
-            file_findings, suppressed = keep_suppressed(raw)
-            if cache is not None:
-                cache.put_file(
-                    file_key, codes_sig, file_findings, suppressed
-                )
-        findings.extend(file_findings)
-        total_suppressed += suppressed
-
-    # --- pass 2: project-wide rules (cacheable per tree hash) ---
-    tree_sig = None
-    cached_project = None
-    if cache is not None:
-        tree_sig = cache.tree_signature(project.modules, codes_sig)
-        cached_project = cache.get_project(tree_sig)
-    if cached_project is not None:
-        project_findings, suppressed = cached_project
-    else:
-        raw = [f for rule in rules for f in rule.check_project(project)]
-        project_findings, suppressed = keep_suppressed(raw)
-        if cache is not None and tree_sig is not None:
-            cache.put_project(tree_sig, project_findings, suppressed)
-    findings.extend(project_findings)
-    total_suppressed += suppressed
-
+            findings.append(finding)
     findings.sort(key=Finding.sort_key)
-    return findings, total_suppressed
+    return findings, suppressed

@@ -46,7 +46,7 @@ class Finding:
         return digest.hexdigest()[:16]
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-ready representation (``--format json`` and the cache)."""
+        """JSON-ready representation (``--format json``)."""
         return {
             "module": self.module,
             "path": self.path,
@@ -57,24 +57,6 @@ class Finding:
             "snippet": self.snippet,
             "fingerprint": self.fingerprint,
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "Finding":
-        """Inverse of :meth:`to_dict` (cache round-trip).
-
-        ``fingerprint`` is derived, so it is ignored on input; missing
-        required keys raise :class:`KeyError` for the caller to treat
-        as a cache miss.
-        """
-        return cls(
-            module=str(data["module"]),
-            path=str(data["path"]),
-            line=int(data["line"]),  # type: ignore[call-overload]
-            col=int(data["col"]),  # type: ignore[call-overload]
-            code=str(data["code"]),
-            message=str(data["message"]),
-            snippet=str(data.get("snippet", "")),
-        )
 
 
 def render_text(findings: Sequence[Finding]) -> str:

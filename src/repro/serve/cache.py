@@ -2,10 +2,13 @@
 
 Entries are keyed on the request's canonical hash (see
 :func:`repro.serve.jobs.prepare`): sha256 over the relabel-invariant
-canonical instance JSON plus the solver knobs.  Because the key is
-content-addressed, the cache needs no invalidation — a key either
-means exactly one (instance, knobs) equivalence class forever, or it
-is absent.  Values are the label-free canonical payloads returned by
+canonical instance JSON, the solver knobs, and the result-schema and
+solver versions.  A key means one (instance, knobs) equivalence class
+as answered by one solver release; bumping
+:data:`~repro.serve.jobs.SOLVER_VERSION` (or the result schema) moves
+every key, so a persisted tier never serves an answer from an older
+solver, and its stale files are simply never read again.  Values are
+the label-free canonical payloads returned by
 :func:`~repro.serve.jobs.solve_canonical_job`; each request translates
 them back to its own node names, which is how two differently-labelled
 isomorphic requests share one entry.

@@ -42,11 +42,19 @@ __all__ = [
     "Response",
     "PreparedJob",
     "CanonicalMemo",
+    "SOLVER_VERSION",
     "prepare",
     "solve_canonical_job",
     "solve_canonical_batch",
     "relabel_payload",
 ]
+
+
+#: Version of the answers the solver serves.  Bump it with any change
+#: that can alter a served result for some request (a solver fix, a new
+#: tie-break, a changed default): it is hashed into every cache key, so
+#: a persisted cache tier stops serving answers from an older solver.
+SOLVER_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -124,7 +132,7 @@ class PreparedJob:
     #: Caller nodes in canonical order: ``order[i]`` is the caller's
     #: name for canonical index ``i``.
     order: List[Node] = field(hash=False)
-    #: sha256 over the canonical instance JSON + solver knobs.
+    #: sha256 over the canonical instance JSON + solver knobs + versions.
     key: str = ""
     #: JSON payload handed to :func:`solve_canonical_job` on a miss.
     job_json: str = ""
@@ -146,7 +154,9 @@ def prepare(
 ) -> PreparedJob:
     """Canonicalize one request and derive its cache key.
 
-    The effective budget is resolved *before* keying, so "no budget
+    The key hashes the canonical instance, the solver knobs, and the
+    result-schema and solver versions (:data:`SOLVER_VERSION`).  The
+    effective budget is resolved *before* keying, so "no budget
     given" and "the default budget given explicitly" address the same
     cache entry.  ``memo`` (one batch's, see :data:`CanonicalMemo`)
     canonicalizes each distinct ``(dfg, table)`` object pair once: the
@@ -173,7 +183,11 @@ def prepare(
     instance["deadline"] = (
         None if request.deadline is None else int(request.deadline)
     )
-    job = {"instance": instance, "knobs": knobs}
+    version = {
+        "result_schema": RESULT_SCHEMA_VERSION,
+        "solver": SOLVER_VERSION,
+    }
+    job = {"instance": instance, "knobs": knobs, "version": version}
     job_json = json.dumps(job, sort_keys=True, separators=(",", ":"))
     key = hashlib.sha256(job_json.encode("utf-8")).hexdigest()
     return PreparedJob(request=request, order=order, key=key, job_json=job_json)

@@ -12,7 +12,6 @@ from .paper_example import (
     paper_path_example,
     paper_tree_example,
 )
-from .io_formats import dump, dumps, load, loads
 from .registry import BENCHMARKS, PAPER_BENCHMARKS, benchmark_names, get_benchmark
 from .rls_laguerre import rls_laguerre_filter
 from .synthetic import layered_dag, random_dag, random_path, random_tree
@@ -20,10 +19,6 @@ from .volterra import volterra_filter
 
 __all__ = [
     "dct8",
-    "load",
-    "loads",
-    "dump",
-    "dumps",
     "lattice_filter",
     "volterra_filter",
     "differential_equation_solver",

@@ -7,8 +7,6 @@ key here is an API break for consumers that never import this package.
 
 import json
 
-import pytest
-
 from repro.lintkit.cli import main
 from repro.lintkit.sarif import SARIF_SCHEMA, SARIF_VERSION, TOOL_NAME
 
@@ -24,18 +22,10 @@ def _make_tree(tmp_path, bad=True):
     return str(pkg)
 
 
-@pytest.fixture
-def no_cache_args(tmp_path):
-    """Keep CLI cache writes inside tmp, away from the repo CWD."""
-    return ["--cache-dir", str(tmp_path / ".lintkit_cache")]
-
-
 class TestJsonSchema:
-    def test_finding_object_keys_are_pinned(
-        self, tmp_path, capsys, no_cache_args
-    ):
+    def test_finding_object_keys_are_pinned(self, tmp_path, capsys):
         tree = _make_tree(tmp_path)
-        assert main([tree, "--format", "json", *no_cache_args]) == 1
+        assert main([tree, "--format", "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert set(payload) == {
             "findings",
@@ -61,24 +51,22 @@ class TestJsonSchema:
         assert isinstance(finding["fingerprint"], str)
         assert len(finding["fingerprint"]) == 16
 
-    def test_fingerprint_is_line_number_independent(
-        self, tmp_path, capsys, no_cache_args
-    ):
+    def test_fingerprint_is_line_number_independent(self, tmp_path, capsys):
         tree = _make_tree(tmp_path)
-        assert main([tree, "--format", "json", *no_cache_args]) == 1
+        assert main([tree, "--format", "json"]) == 1
         first = json.loads(capsys.readouterr().out)["findings"][0]
         mod = tmp_path / "repro" / "assign" / "mod.py"
         mod.write_text("import os  # noqa\n" + mod.read_text())
-        assert main([tree, "--format", "json", *no_cache_args]) == 1
+        assert main([tree, "--format", "json"]) == 1
         second = json.loads(capsys.readouterr().out)["findings"][0]
         assert second["line"] == first["line"] + 1
         assert second["fingerprint"] == first["fingerprint"]
 
 
 class TestSarifShape:
-    def test_sarif_2_1_0_document(self, tmp_path, capsys, no_cache_args):
+    def test_sarif_2_1_0_document(self, tmp_path, capsys):
         tree = _make_tree(tmp_path)
-        assert main([tree, "--format", "sarif", *no_cache_args]) == 1
+        assert main([tree, "--format", "sarif"]) == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc["version"] == SARIF_VERSION
         assert doc["$schema"] == SARIF_SCHEMA
@@ -101,12 +89,12 @@ class TestSarifShape:
         )
         assert "lintkitFingerprint/v1" in result["partialFingerprints"]
 
-    def test_out_writes_file(self, tmp_path, capsys, no_cache_args):
+    def test_out_writes_file(self, tmp_path, capsys):
         tree = _make_tree(tmp_path)
         out = tmp_path / "artifacts" / "lint.sarif"
         assert (
             main(
-                [tree, "--format", "sarif", "--out", str(out), *no_cache_args]
+                [tree, "--format", "sarif", "--out", str(out)]
             )
             == 1
         )
@@ -116,29 +104,23 @@ class TestSarifShape:
 
 
 class TestExitCodes:
-    def test_zero_when_clean(self, tmp_path, capsys, no_cache_args):
+    def test_zero_when_clean(self, tmp_path, capsys):
         tree = _make_tree(tmp_path, bad=False)
-        assert main([tree, *no_cache_args]) == 0
+        assert main([tree]) == 0
         capsys.readouterr()
 
-    def test_one_on_findings(self, tmp_path, capsys, no_cache_args):
+    def test_one_on_findings(self, tmp_path, capsys):
         tree = _make_tree(tmp_path)
-        assert main([tree, *no_cache_args]) == 1
+        assert main([tree]) == 1
         capsys.readouterr()
 
-    def test_two_on_usage_errors(self, tmp_path, capsys, no_cache_args):
-        assert main(["no/such/path", *no_cache_args]) == 2
+    def test_two_on_usage_errors(self, tmp_path, capsys):
+        assert main(["no/such/path"]) == 2
         tree = _make_tree(tmp_path)
-        assert main([tree, "--select", "RL999", *no_cache_args]) == 2
-        assert (
-            main([tree, "--changed", "--check-baseline", *no_cache_args])
-            == 2
-        )
+        assert main([tree, "--select", "RL999"]) == 2
         capsys.readouterr()
 
-    def test_one_on_stale_baseline_even_when_clean(
-        self, tmp_path, capsys, no_cache_args
-    ):
+    def test_one_on_stale_baseline_even_when_clean(self, tmp_path, capsys):
         tree = _make_tree(tmp_path, bad=False)
         baseline = tmp_path / "baseline.toml"
         baseline.write_text(
@@ -148,16 +130,14 @@ class TestExitCodes:
             'snippet = "return err == 0.0"\n'
             'reason = "stale"\n'
         )
-        args = [tree, "--baseline", str(baseline), *no_cache_args]
+        args = [tree, "--baseline", str(baseline)]
         assert main(args) == 0  # warning only, by default
         assert main([*args, "--check-baseline"]) == 1
         capsys.readouterr()
 
 
 class TestPruneBaseline:
-    def test_prune_drops_stale_keeps_used_with_reasons(
-        self, tmp_path, capsys, no_cache_args
-    ):
+    def test_prune_drops_stale_keeps_used_with_reasons(self, tmp_path, capsys):
         tree = _make_tree(tmp_path)
         baseline = tmp_path / "baseline.toml"
         baseline.write_text(
@@ -173,7 +153,7 @@ class TestPruneBaseline:
             'snippet = "return err == 0.0"\n'
             'reason = "stale"\n'
         )
-        args = [tree, "--baseline", str(baseline), *no_cache_args]
+        args = [tree, "--baseline", str(baseline)]
         assert main([*args, "--prune-baseline"]) == 0
         capsys.readouterr()
         text = baseline.read_text(encoding="utf-8")

@@ -88,6 +88,15 @@ class TestDiscovery:
         with pytest.raises(LintError):
             discover([str(tmp_path)])
 
+    def test_exclude_skips_subtree(self, tmp_path):
+        keep = tmp_path / "keep.py"
+        keep.write_text("x = 1\n")
+        sub = tmp_path / "fixtures"
+        sub.mkdir()
+        (sub / "skip.py").write_text("y = 2\n")
+        mods = discover([str(tmp_path)], exclude=[str(sub)])
+        assert [m.module for m in mods] == ["keep"]
+
 
 class TestRuleSelection:
     def test_all_rules_registered(self):
@@ -164,24 +173,3 @@ class TestMultiLineSuppression:
         findings, suppressed = run_rules([mod], resolve_rules(["RL002"]))
         assert findings == []
         assert suppressed == 1
-
-
-class TestLazyDiscovery:
-    def test_lazy_modules_hash_without_parsing(self, tmp_path):
-        f = tmp_path / "m.py"
-        f.write_text("x = 1\n")
-        (mod,) = discover([str(tmp_path)], lazy=True)
-        assert mod._tree is None
-        assert len(mod.content_hash) == 64
-        assert mod._tree is None  # hashing must not force a parse
-        mod.tree
-        assert mod._tree is not None
-
-    def test_exclude_skips_subtree(self, tmp_path):
-        keep = tmp_path / "keep.py"
-        keep.write_text("x = 1\n")
-        sub = tmp_path / "fixtures"
-        sub.mkdir()
-        (sub / "skip.py").write_text("y = 2\n")
-        mods = discover([str(tmp_path)], exclude=[str(sub)])
-        assert [m.module for m in mods] == ["keep"]

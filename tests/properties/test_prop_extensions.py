@@ -15,8 +15,8 @@ from repro.assign.exact import brute_force_assign
 from repro.assign.frontier import tree_frontier
 from repro.assign.ilp_model import build_ilp, check_solution
 from repro.assign.tree_assign import tree_assign
+from repro.io import dumps_text, loads_text
 from repro.sched.force_directed import force_directed_schedule
-from repro.suite.io_formats import dumps, loads
 
 from .strategies import dag_with_table, dags, sp_with_table, tree_with_table
 
@@ -26,7 +26,7 @@ SETTINGS = dict(max_examples=50, deadline=None)
 @given(dags())
 @settings(**SETTINGS)
 def test_exchange_format_roundtrip(dfg):
-    back, _ = loads(dumps(dfg))
+    back, _ = loads_text(dumps_text(dfg))
     assert back == dfg
 
 
@@ -34,7 +34,7 @@ def test_exchange_format_roundtrip(dfg):
 @settings(**SETTINGS)
 def test_exchange_format_roundtrip_with_table(data):
     dfg, table = data
-    back, back_table = loads(dumps(dfg, table))
+    back, back_table = loads_text(dumps_text(dfg, table))
     assert back == dfg
     for n in dfg.nodes():
         assert list(back_table.times(n)) == list(table.times(n))

@@ -7,7 +7,9 @@ from repro.assign.dfg_assign import dfg_assign_repeat
 from repro.fu.random_tables import random_table
 from repro.sched.heft import heft_schedule, upward_ranks
 from repro.sched.lower_bound import lower_bound_configuration
+from repro.suite.registry import get_benchmark
 from repro.suite.synthetic import random_dag
+from repro.synthesis import synthesize
 
 
 class TestUpwardRanks:
@@ -89,3 +91,42 @@ class TestHeftSchedule:
         a = heft_schedule(dfg, table, assignment=assignment, deadline=floor + 3)
         b = heft_schedule(dfg, table, assignment=assignment, deadline=floor + 3)
         assert a.ops == b.ops
+
+
+class TestFir16Row:
+    """The measured row where HEFT beats both other phase-2 schedulers.
+
+    fir16 with ``random_table(seed=2004)`` has floor 38; at
+    ``L = ceil(1.3 * 38) = 50`` HEFT schedules the same assignment on
+    5 FU units where ``min_resource`` and ``force_directed`` need 6.
+    One step either side the three tie, so the win is a property of
+    this deadline, not of the graph.
+    """
+
+    @pytest.fixture(scope="class")
+    def fir16(self):
+        dfg = get_benchmark("fir16")
+        table = random_table(dfg.dag(), seed=2004)
+        assert min_completion_time(dfg.dag(), table) == 38
+        return dfg, table
+
+    @staticmethod
+    def _units(fir16, deadline):
+        dfg, table = fir16
+        return {
+            scheduler: synthesize(
+                dfg, table, deadline, scheduler=scheduler
+            ).configuration.total_units()
+            for scheduler in ("heft", "min_resource", "force_directed")
+        }
+
+    def test_heft_uses_one_unit_fewer_at_ceil_1_3_floor(self, fir16):
+        assert self._units(fir16, 50) == {
+            "heft": 5,
+            "min_resource": 6,
+            "force_directed": 6,
+        }
+
+    @pytest.mark.parametrize("deadline", [49, 51])
+    def test_schedulers_tie_one_step_either_side(self, fir16, deadline):
+        assert set(self._units(fir16, deadline).values()) == {6}

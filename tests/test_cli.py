@@ -124,13 +124,13 @@ class TestCommands:
 
     def test_run_exchange_file(self, capsys, tmp_path):
         from repro.fu.random_tables import random_table
-        from repro.suite.io_formats import dump
+        from repro.io import dumps_text
         from repro.suite.registry import get_benchmark
 
         dfg = get_benchmark("diffeq")
-        path = str(tmp_path / "g.dfg")
-        dump(path, dfg, random_table(dfg.dag(), seed=0))
-        assert main(["run", path]) == 0
+        path = tmp_path / "g.dfg"
+        path.write_text(dumps_text(dfg, random_table(dfg.dag(), seed=0)))
+        assert main(["run", str(path)]) == 0
         out = capsys.readouterr().out
         assert "system cost" in out
 
@@ -170,12 +170,12 @@ class TestCommands:
         assert [r.name for r in roots] == ["synthesize", "verify"]
 
     def test_run_file_without_rows_uses_seeded_table(self, capsys, tmp_path):
-        from repro.suite.io_formats import dump
+        from repro.io import dumps_text
         from repro.suite.registry import get_benchmark
 
-        path = str(tmp_path / "g.dfg")
-        dump(path, get_benchmark("diffeq"))
-        assert main(["run", path, "--seed", "3"]) == 0
+        path = tmp_path / "g.dfg"
+        path.write_text(dumps_text(get_benchmark("diffeq")))
+        assert main(["run", str(path), "--seed", "3"]) == 0
         assert "seeded random table" in capsys.readouterr().out
 
 
@@ -417,63 +417,3 @@ class TestFuzzSubcommand:
     def test_fuzz_replay_round_trips(self, capsys):
         assert main(["fuzz", "--replay", "out_tree", "3"]) == 0
         assert capsys.readouterr().out.startswith("out_tree/3:")
-
-
-class TestBenchSubcommand:
-    """`repro-hls bench` forwards to the BENCH_*.json differ."""
-
-    @staticmethod
-    def _write(path, *, bench="engine", wall_s=1.0, speedup=3.0,
-               timestamp="2026-08-08T00:00:00+00:00"):
-        path.write_text(json.dumps({
-            "bench": bench,
-            "wall_s": wall_s,
-            "speedup": speedup,
-            "config": {},
-            "git_sha": "deadbeef",
-            "timestamp": timestamp,
-        }))
-        return str(path)
-
-    def test_bench_help_forwards_even_when_first(self, capsys):
-        # same bpo-17050 regression class as lint/serve/batch
-        assert main(["bench", "--help"]) == 0
-        assert "repro-hls bench" in capsys.readouterr().out
-
-    def test_bench_compare_clean_exits_zero(self, capsys, tmp_path):
-        base = self._write(tmp_path / "a.json", wall_s=1.0)
-        current = self._write(tmp_path / "b.json", wall_s=1.1)
-        assert main(["bench", "--compare", base, current]) == 0
-        assert "wall_s" in capsys.readouterr().out
-
-    def test_bench_compare_regression_exits_one(self, capsys, tmp_path):
-        base = self._write(tmp_path / "a.json", wall_s=1.0, speedup=4.0)
-        current = self._write(tmp_path / "b.json", wall_s=2.0, speedup=4.0)
-        assert main(["bench", "--compare", base, current]) == 1
-        captured = capsys.readouterr()
-        assert "REGRESSED" in captured.out
-        assert "regression(s) found" in captured.err
-
-    def test_bench_compare_unreadable_exits_two(self, capsys, tmp_path):
-        base = self._write(tmp_path / "a.json")
-        assert main(
-            ["bench", "--compare", base, str(tmp_path / "missing.json")]
-        ) == 2
-        assert "error:" in capsys.readouterr().err
-
-    def test_bench_usage_error_exits_two(self, capsys):
-        assert main(["bench"]) == 2
-        assert "required" in capsys.readouterr().err
-
-    def test_bench_history_diffs_latest_pair(self, capsys, tmp_path):
-        self._write(tmp_path / "engine-1.json", wall_s=1.0,
-                    timestamp="2026-08-01T00:00:00+00:00")
-        self._write(tmp_path / "engine-2.json", wall_s=1.05,
-                    timestamp="2026-08-02T00:00:00+00:00")
-        self._write(tmp_path / "serve-1.json", bench="serve", wall_s=2.0,
-                    timestamp="2026-08-01T00:00:00+00:00")
-        assert main(["bench", "--history", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "engine" in out
-        # a single serve run has nothing to diff against
-        assert "only 1 run" in out or "serve" not in out
