@@ -2,8 +2,8 @@
 
 Four claims, all checked here:
 
-* **Identical results** — `DFG_Assign_Repeat`'s packed engine (the
-  default ``kernel``) reproduces the python reference bit-for-bit on
+* **Identical results** — `DFG_Assign_Repeat`'s incremental engine
+  reproduces the reference loop (`reference_repeat`) bit-for-bit on
   every suite graph, and the batched `dfg_frontier` sweep and `pmap`
   fan-outs return the same results at every worker count.
 * **Batched speed** — the batched multi-instance engine solves the
@@ -16,7 +16,7 @@ Four claims, all checked here:
   where POSIX shared memory exists).
 * **Parallel speed** — the `make_all`-style artifact fan-out at
   ``--workers 4`` is ≥ 2× faster than serial, and the batched sweep's
-  pin fan-out ≥ 1.5×, when ≥ 4 cores exist (skipped with a notice
+  lane fan-out ≥ 1.5×, when ≥ 4 cores exist (skipped with a notice
   otherwise; worker *equivalence* is always checked).
 
 Runs under pytest (``pytest benchmarks/bench_engine.py``) or
@@ -48,6 +48,7 @@ from repro.assign import (
     min_completion_time,
 )
 from repro.assign.dfg_assign import choose_expansion
+from repro.checkkit.oracles import reference_repeat
 from repro.engine import pmap, resolve_workers, shm_available
 from repro.fu.random_tables import random_table
 from repro.graph.classify import is_in_forest, is_out_forest
@@ -70,7 +71,7 @@ MIN_BATCHED_SPEEDUP = 3.0
 #: pmap payload vs shipping the bound tables by value.
 MIN_ARENA_PAYLOAD_RATIO = 10.0
 
-#: Speedup the batched sweep's pin fan-out promises at 4 workers —
+#: Speedup the batched sweep's lane fan-out promises at 4 workers —
 #: gated only on machines that actually have >= 4 cores.
 MIN_BATCHED_PARALLEL_SPEEDUP = 1.5
 
@@ -103,7 +104,7 @@ def largest_dags(k: int = 3) -> List[str]:
 
 
 # ----------------------------------------------------------------------
-# equivalence: packed == python, serial == parallel, on every graph
+# equivalence: engine == reference, serial == parallel, on every graph
 # ----------------------------------------------------------------------
 def check_equivalence(quick: bool, workers: int) -> List[str]:
     lines = []
@@ -116,16 +117,15 @@ def check_equivalence(quick: bool, workers: int) -> List[str]:
         )
         assert swept == fanned, f"{name}: dfg_frontier workers diverged"
         rp = dfg_assign_repeat(dfg, table, max_deadline)
-        rq = dfg_assign_repeat(dfg, table, max_deadline, kernel="python")
-        rw = dfg_assign_repeat(dfg, table, max_deadline, workers=workers)
-        for other, what in ((rq, "kernels"), (rw, "workers")):
-            assert dict(rp.assignment.items()) == dict(other.assignment.items()), (
-                f"{name}: dfg_assign_repeat {what} diverged"
-            )
-            assert rp.cost == other.cost, f"{name}: {what} cost diverged"
+        rq = reference_repeat(dfg, table, max_deadline)
+        assert dict(rp.assignment.items()) == dict(rq.assignment.items()), (
+            f"{name}: dfg_assign_repeat diverged from the reference"
+        )
+        assert rp.cost == rq.cost, f"{name}: reference cost diverged"
         lines.append(
-            f"{name:>14}: packed == python == workers={workers} "
-            f"over deadlines {floor}..{max_deadline} ({len(swept)} knees)"
+            f"{name:>14}: engine == reference, frontier workers={workers} "
+            f"== serial over deadlines {floor}..{max_deadline} "
+            f"({len(swept)} knees)"
         )
     return lines
 
@@ -268,7 +268,7 @@ def _gate_parallel(workers: int) -> bool:
 def measure_batched_parallel(
     quick: bool, workers: int
 ) -> Tuple[List[str], float]:
-    """Batched sweep serial vs its ``workers`` pin fan-out.
+    """Batched sweep serial vs its ``workers`` lane fan-out.
 
     Equivalence always; the >= 1.5x gate binds only under
     :func:`_gate_parallel` (>= 4 workers on >= 4 real cores) — on

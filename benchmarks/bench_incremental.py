@@ -2,10 +2,11 @@
 
 Two claims, both checked here:
 
-* **Identical results** — `dfg_assign_repeat(incremental=True)` and the
+* **Identical results** — the default `dfg_assign_repeat` and the
   swept `dfg_frontier` reproduce the non-incremental reference path's
-  assignments and costs exactly, on every suite graph (the frontier
-  reference is :func:`repro.checkkit.oracles.reference_frontier`).
+  assignments and costs exactly, on every suite graph (the references
+  are :func:`repro.checkkit.oracles.reference_repeat` and
+  :func:`repro.checkkit.oracles.reference_frontier`).
 * **Speed** — the swept frontier is ≥ 5× faster than the per-deadline
   reference on the largest suite graphs (all deadlines run as lanes of
   one batched engine, whose curve cache keeps pin-round refreshes
@@ -34,7 +35,7 @@ from repro.assign import (
     min_completion_time,
 )
 from repro.assign.dfg_assign import choose_expansion
-from repro.checkkit.oracles import reference_frontier
+from repro.checkkit.oracles import reference_frontier, reference_repeat
 from repro.fu.random_tables import random_table
 from repro.graph.classify import is_in_forest, is_out_forest
 from repro.report.experiments import DEFAULT_SEED
@@ -87,12 +88,8 @@ def check_equivalence(quick: bool) -> List[str]:
         span = min(_sweep_cap(len(expansion), quick), floor)
         max_deadline = floor + span
         for deadline in sorted({floor, floor + 1, floor + span // 2, max_deadline}):
-            ref = dfg_assign_repeat(
-                dfg, table, deadline, expansion=expansion, incremental=False
-            )
-            inc = dfg_assign_repeat(
-                dfg, table, deadline, expansion=expansion, incremental=True
-            )
+            ref = reference_repeat(dfg, table, deadline, expansion=expansion)
+            inc = dfg_assign_repeat(dfg, table, deadline, expansion=expansion)
             assert dict(inc.assignment.items()) == dict(ref.assignment.items()), (
                 f"{name}@{deadline}: incremental assignment diverged"
             )

@@ -20,6 +20,7 @@ Public surface:
 * :mod:`~repro.assign.knapsack` — the NP-completeness reduction.
 """
 
+from ..engine import DPStats
 from .assignment import Assignment, min_completion_time
 from .batch import (
     BatchJob,
@@ -36,7 +37,6 @@ from .dfg_expand import ExpandedTree, dfg_expand
 from .downgrade import downgrade_assign
 from .frontier import FrontierPoint, dfg_frontier, frontier_knees, tree_frontier
 from .ilp_model import ILPModel, build_ilp, check_solution, to_lp_format
-from .incremental import DPStats, IncrementalTreeDP
 from .exact import brute_force_assign, cost_lower_bound, exact_assign
 from .greedy import greedy_assign
 from .portfolio import (
@@ -65,7 +65,6 @@ from .tree_assign import tree_assign, tree_assign_sweep, tree_cost_curve
 __all__ = [
     "BatchJob",
     "DPStats",
-    "IncrementalTreeDP",
     "RepeatOutcome",
     "dfg_assign_repeat_batch",
     "marginal_cost_of_time",

@@ -41,7 +41,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..engine import PackedForest, pmap
+from ..engine import DPStats, PackedForest, pmap
 from ..engine.arena import TableArena, payload_refs, resolve_payload
 from ..engine.batch import BatchedTreeDP, ForestShape
 from ..errors import GraphError, InfeasibleError, ReproError
@@ -51,7 +51,6 @@ from ..graph.dfg import DFG, Node
 from ..obs import add_metric, current_tracer
 from .assignment import Assignment
 from .dfg_assign import choose_expansion
-from .incremental import DPStats
 from .result import AssignResult
 
 __all__ = [

@@ -25,10 +25,9 @@ therefore optimal (no node is duplicated).
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Dict, List, Optional, Tuple
 
-from ..engine import pmap
+from ..engine import DPStats, PackedTreeDP
 from ..errors import GraphError
 from ..fu.table import TimeCostTable
 from ..graph.classify import expansion_sizes
@@ -38,7 +37,6 @@ from ..graph.paths import longest_path_time
 from ..obs import add_metric, current_tracer
 from .assignment import Assignment
 from .dfg_expand import ExpandedTree, dfg_expand
-from .incremental import DPStats, TreeEngine, make_tree_engine
 from .result import AssignResult
 from .tree_assign import tree_assign
 
@@ -106,41 +104,19 @@ def choose_expansion(dfg: DFG, node_limit: int = 200_000) -> ExpandedTree:
     return dfg_expand(dfg.transpose(), node_limit=node_limit, transposed=True)
 
 
-def _pin_candidate_key(
-    times: Tuple[int, ...], costs: Tuple[float, ...], k: int
-) -> Tuple[int, float, int]:
-    """Sort key of one copy's candidate pin (picklable for `pmap`)."""
-    return (times[k], costs[k], k)
-
-
 def _min_time_choice(
     expansion: ExpandedTree,
     table: TimeCostTable,
     tree_mapping: Dict[Node, int],
     original: Node,
-    workers: int = 0,
 ) -> int:
     """Fastest type among a duplicated node's copy assignments.
 
     Ties broken toward the cheaper cost, then the smaller type index —
-    all deterministic.  With ``workers`` the independent per-copy
-    candidate evaluations fan out through :func:`~repro.engine.pmap`;
-    ``min`` over the gathered keys picks the same first-minimal tuple
-    the serial scan does, so the result is worker-count independent.
+    all deterministic.
     """
-    copies = expansion.copies[original]
-    if workers and len(copies) > 1:
-        times = tuple(int(t) for t in table.times(original))
-        costs = tuple(float(c) for c in table.costs(original))
-        keys = pmap(
-            partial(_pin_candidate_key, times, costs),
-            [tree_mapping[copy] for copy in copies],
-            workers=workers,
-            label="engine.pin_eval",
-        )
-        return min(keys)[2]
     best: Optional[Tuple[int, float, int]] = None
-    for copy in copies:
+    for copy in expansion.copies[original]:
         k = tree_mapping[copy]
         key = (table.time(original, k), table.cost(original, k), k)
         if best is None or key < best:
@@ -239,28 +215,22 @@ def dfg_assign_once(
 
 def _repeat_rounds(
     dfg: DFG,
-    engine: TreeEngine,
+    engine: PackedTreeDP,
     table: TimeCostTable,
     deadline: int,
     expansion: ExpandedTree,
     order: List[Node],
-    workers: int = 0,
 ) -> Assignment:
     """The Repeat pin loop on the incremental engine.
 
     Runs the initial DP plus one refresh per pin; each refresh only
     recomputes the pinned copies' root-paths (everything else is a
     curve-cache hit), and each deadline query is an O(n) traceback.
-    ``workers`` fans each round's per-copy pin evaluations out through
-    :func:`~repro.engine.pmap` (0 = serial, identical results either
-    way).  Returns the cheapest resolved assignment over all rounds
-    (the latest minimal-cost round on ties) — the round-0 resolution
-    is exactly `DFG_Assign_Once`'s, so Repeat can never end up worse
-    than Once on the shared expansion even when a later pin
-    re-optimization shifts other duplicated nodes onto costlier
-    copies.  The engine may outlive this call (`dfg_frontier` shares
-    one across a whole deadline sweep and the cache carries over,
-    since ``with_fixed`` version tokens are content-stable).
+    Returns the cheapest resolved assignment over all rounds (the
+    latest minimal-cost round on ties) — the round-0 resolution is
+    exactly `DFG_Assign_Once`'s, so Repeat can never end up worse than
+    Once on the shared expansion even when a later pin re-optimization
+    shifts other duplicated nodes onto costlier copies.
     """
     work_table = table
     engine.refresh(work_table)
@@ -269,9 +239,7 @@ def _repeat_rounds(
     best = _resolve(dfg, table, expansion, tree_mapping, pinned)
     best_cost = best.total_cost(dfg, table)
     for v in order:
-        pinned[v] = _min_time_choice(
-            expansion, work_table, tree_mapping, v, workers=workers
-        )
+        pinned[v] = _min_time_choice(expansion, work_table, tree_mapping, v)
         work_table = work_table.with_fixed(v, pinned[v])
         engine.refresh(work_table)
         tree_mapping = engine.traceback_at(deadline)
@@ -293,7 +261,6 @@ def dfg_assign_repeat(
     incremental: bool = True,
     stats: Optional[DPStats] = None,
     kernel: str = "packed",
-    workers: int = 0,
 ) -> AssignResult:
     """Iterative-pinning heuristic for general DAGs (paper Fig. 12).
 
@@ -310,16 +277,14 @@ def dfg_assign_repeat(
     wins on graphs with many duplications.
 
     ``fix_order`` overrides the pinning order for ablation studies
-    (default: most-copied first).  ``incremental=True`` (the default)
-    runs the re-optimizations on an incremental engine, which
-    recomputes only the pinned copies' root-paths per round; the result
-    is identical to the reference path (``incremental=False``), which
-    re-runs the full `Tree_Assign` recurrence every round.  ``kernel``
-    selects the incremental engine's implementation (packed default /
-    python reference, bit-identical); ``workers`` fans each round's pin
-    evaluations out through :func:`~repro.engine.pmap` (0 = serial,
-    same results at any count).  ``stats`` optionally collects the
-    engine's :class:`DPStats`.
+    (default: most-copied first).  The re-optimizations run on the
+    incremental :class:`~repro.engine.PackedTreeDP`, which recomputes
+    only the pinned copies' root-paths per round; ``stats`` optionally
+    collects its :class:`DPStats`.  ``incremental=False`` runs the
+    reference loop instead — a full `Tree_Assign` recurrence every
+    round, with an identical result — which tests reach through
+    :func:`repro.checkkit.oracles.reference_repeat`.  ``kernel`` is
+    accepted and ignored: there is one incremental engine.
     """
     require_acyclic(dfg)
     table.validate_for(dfg)
@@ -346,22 +311,21 @@ def dfg_assign_repeat(
             if run_stats is None and tracer.enabled:
                 run_stats = DPStats()
             before = run_stats.as_dict() if run_stats is not None else {}
-            engine = make_tree_engine(
+            engine = PackedTreeDP(
                 expansion.tree,
                 deadline,
                 node_key=expansion.origin_of,
                 stats=run_stats,
-                kernel=kernel,
             )
             assignment = _repeat_rounds(
-                dfg, engine, table, deadline, expansion, order, workers=workers
+                dfg, engine, table, deadline, expansion, order
             )
             if tracer.enabled and run_stats is not None:
                 _emit_dp_metrics(before, run_stats)
         else:
-            # The non-incremental branch is the historical reference:
-            # a full `Tree_Assign` recurrence every round, so equivalence
-            # tests compare the engines against the original loops.  The
+            # The reference loop (`reference_repeat`): a full
+            # `Tree_Assign` recurrence every round, so equivalence tests
+            # compare the engine against the original loop.  The
             # best-over-rounds tracking mirrors _repeat_rounds exactly.
             work_table = table
             tree_result = tree_assign(

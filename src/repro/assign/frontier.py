@@ -35,6 +35,7 @@ from typing import Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
+from ..engine import DPStats
 from ..errors import InfeasibleError, NotATreeError
 from ..fu.table import TimeCostTable
 from ..graph.classify import is_in_forest, is_out_forest
@@ -44,7 +45,6 @@ from .assignment import Assignment, min_completion_time
 from .batch import BatchJob, dfg_assign_repeat_batch
 from .dfg_assign import _emit_dp_metrics
 from .exact import exact_assign
-from .incremental import DPStats
 from .tree_assign import _infeasible, _pass, _prepare, _traceback
 
 __all__ = [

@@ -12,16 +12,17 @@ error).
 
 :data:`CERTIFY_CHAIN` is the historical `verify.certify` portfolio
 (:mod:`repro.verify` is now a thin facade over it);
-:data:`FUZZ_CHAIN` adds the differential oracles that pin the packed
-kernel, the parallel engine, and the batched sweeps to their reference
-implementations.  :func:`reference_frontier` is the single
-per-deadline reference for `dfg_frontier`.
+:data:`FUZZ_CHAIN` adds the differential oracles that pin the
+incremental engine and the batched sweeps to their reference
+implementations.  :func:`reference_repeat` is the single reference for
+`dfg_assign_repeat`, and :func:`reference_frontier` the per-deadline
+reference for `dfg_frontier`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..assign import (
     brute_force_assign,
@@ -45,7 +46,7 @@ from ..assign.result import AssignResult
 from ..errors import CheckError
 from ..fu.table import TimeCostTable
 from ..graph.classify import is_in_forest, is_out_forest, is_simple_path
-from ..graph.dfg import DFG
+from ..graph.dfg import DFG, Node
 from ..sched import (
     force_directed_schedule,
     lower_bound_configuration,
@@ -63,6 +64,7 @@ __all__ = [
     "oracle_names",
     "get_oracle",
     "reference_frontier",
+    "reference_repeat",
     "run_oracles",
 ]
 
@@ -411,28 +413,48 @@ def _oracle_simulation(ctx: OracleContext) -> List[str]:
 # ----------------------------------------------------------------------
 
 
+def reference_repeat(
+    dfg: DFG,
+    table: TimeCostTable,
+    deadline: int,
+    *,
+    expansion: Optional[ExpandedTree] = None,
+    fix_order: Optional[List[Node]] = None,
+) -> AssignResult:
+    """`dfg_assign_repeat` on the reference loop.
+
+    A full `Tree_Assign` recurrence per pin round instead of the
+    incremental engine's cached refreshes.  The default
+    ``dfg_assign_repeat`` must equal this exactly: same assignment,
+    same cost bit for bit.
+    """
+    return dfg_assign_repeat(
+        dfg,
+        table,
+        deadline,
+        expansion=expansion,
+        fix_order=fix_order,
+        incremental=False,
+    )
+
+
 def reference_frontier(
-    dfg: DFG, table: TimeCostTable, *, max_deadline: int, **repeat_knobs: Any
+    dfg: DFG, table: TimeCostTable, *, max_deadline: int
 ) -> List[FrontierPoint]:
     """`dfg_frontier`'s heuristic sweep as a cold per-deadline loop.
 
-    Runs ``dfg_assign_repeat`` independently at every deadline from the
-    floor to ``max_deadline`` on one shared expansion — by default the
-    ``incremental=False`` path, a full `Tree_Assign` recurrence per pin
-    round — and keeps the running-best knees.  ``repeat_knobs`` go to
-    ``dfg_assign_repeat`` (e.g. ``incremental=True, kernel="packed"``).
-    The batched `dfg_frontier` must equal this exactly.
+    Runs :func:`reference_repeat` independently at every deadline from
+    the floor to ``max_deadline`` on one shared expansion and keeps the
+    running-best knees.  The batched `dfg_frontier` must equal this
+    exactly.
     """
-    repeat_knobs.setdefault("incremental", False)
     floor = min_completion_time(dfg, table)
     expansion = choose_expansion(dfg)
     raw: List[FrontierPoint] = []
     best = float("inf")
     witness: Optional[Assignment] = None
     for deadline in range(floor, max_deadline + 1):
-        result = dfg_assign_repeat(
-            dfg, table, deadline, expansion=expansion, **repeat_knobs
-        )
+        result = reference_repeat(dfg, table, deadline, expansion=expansion)
         if result.cost < best:
             best, witness = result.cost, result.assignment
         raw.append(FrontierPoint(deadline, float(best), witness))
@@ -440,37 +462,33 @@ def reference_frontier(
 
 
 def _require_identical(
-    what: str, packed: AssignResult, python: AssignResult
+    what: str, engine: AssignResult, reference: AssignResult
 ) -> None:
-    """Bit-identity between a packed-path and a reference-path result."""
-    if dict(packed.assignment.items()) != dict(python.assignment.items()):
+    """Bit-identity between an engine result and the reference result."""
+    if dict(engine.assignment.items()) != dict(reference.assignment.items()):
         raise CheckError(
-            f"{what}: packed assignment differs from python reference "
-            f"({dict(packed.assignment.items())} != "
-            f"{dict(python.assignment.items())})"
+            f"{what}: engine assignment differs from the reference "
+            f"({dict(engine.assignment.items())} != "
+            f"{dict(reference.assignment.items())})"
         )
-    if packed.cost != python.cost:
+    if engine.cost != reference.cost:
         raise CheckError(
-            f"{what}: packed cost {packed.cost!r} != python cost "
-            f"{python.cost!r} despite identical assignments"
+            f"{what}: engine cost {engine.cost!r} != reference cost "
+            f"{reference.cost!r} despite identical assignments"
         )
 
 
 @_register(
-    "kernels",
-    "the packed DP kernel is bit-identical to the python reference",
+    "reference",
+    "the incremental DP engine is bit-identical to the reference loop",
 )
-def _oracle_kernels(ctx: OracleContext) -> List[str]:
-    packed = ctx.results["repeat"]
-    python = dfg_assign_repeat(
-        ctx.dag,
-        ctx.table,
-        ctx.deadline,
-        expansion=ctx.expansion,
-        kernel="python",
+def _oracle_reference(ctx: OracleContext) -> List[str]:
+    engine = ctx.results["repeat"]
+    reference = reference_repeat(
+        ctx.dag, ctx.table, ctx.deadline, expansion=ctx.expansion
     )
-    _require_identical("dfg_assign_repeat", packed, python)
-    checks = ["packed kernel == python kernel (dfg_assign_repeat)"]
+    _require_identical("dfg_assign_repeat", engine, reference)
+    checks = ["incremental engine == reference loop (dfg_assign_repeat)"]
     if _is_forest(ctx):
         for point in tree_frontier(ctx.dag, ctx.table, max_deadline=ctx.deadline):
             solo = tree_assign(ctx.dag, ctx.table, point.deadline)
@@ -484,19 +502,6 @@ def _oracle_kernels(ctx: OracleContext) -> List[str]:
                 )
         checks.append("tree_frontier knees == tree_assign point solves")
     return checks
-
-
-@_register(
-    "workers",
-    "the parallel pin fan-out returns the serial result at any worker count",
-)
-def _oracle_workers(ctx: OracleContext) -> List[str]:
-    serial = ctx.results["repeat"]
-    fanned = dfg_assign_repeat(
-        ctx.dag, ctx.table, ctx.deadline, expansion=ctx.expansion, workers=2
-    )
-    _require_identical("dfg_assign_repeat[workers=2]", serial, fanned)
-    return ["pmap fan-out (workers=2) == serial"]
 
 
 @_register(
@@ -573,10 +578,9 @@ CERTIFY_CHAIN: Tuple[str, ...] = (
     "simulation",
 )
 
-#: Everything, including the engine/parallel/incremental differentials.
+#: Everything, including the engine/batched/incremental differentials.
 FUZZ_CHAIN: Tuple[str, ...] = CERTIFY_CHAIN + (
-    "kernels",
-    "workers",
+    "reference",
     "frontier",
     "metaheuristics",
 )

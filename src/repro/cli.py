@@ -112,8 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--workers",
             type=int,
             default=0,
-            help="processes for the DFG_Assign_Repeat pin fan-out "
-            "(0 = serial, -1 = all cores; results are identical)",
+            help="processes for the portfolio race (-a portfolio only; "
+            "0 = serial, -1 = all cores; results are identical)",
         )
         if name == "synth":
             p.add_argument(
@@ -204,8 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=0,
-        help="processes for the DFG_Assign_Repeat pin fan-out "
-        "(0 = serial, -1 = all cores; results are identical)",
+        help="processes for the portfolio race only; run picks a paper "
+        "algorithm, which runs serially (kept for compatibility)",
     )
 
     p_sim = sub.add_parser(
@@ -237,8 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=0,
-        help="processes for the DFG_Assign_Repeat pin fan-out "
-        "(0 = serial, -1 = all cores; results are identical)",
+        help="processes for the portfolio race (-a portfolio only; "
+        "0 = serial, -1 = all cores; results are identical)",
     )
     p_trace.add_argument(
         "--out",

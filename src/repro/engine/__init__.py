@@ -10,10 +10,10 @@ layers.  It has two halves:
   ids) built once and reused across deadline sweeps and pin rounds;
   :mod:`~repro.engine.kernels` provides the curve primitives
   (`zero_curve`, `combine_children`, `node_step`, ...) shared with the
-  python reference path plus :class:`PackedTreeDP`, the packed
-  counterpart of :class:`repro.assign.incremental.IncrementalTreeDP`
-  that is bit-identical to it by construction (same `node_step`, same
-  sequential float summation, same tie-breaks).
+  `Tree_Assign` recurrence plus :class:`PackedTreeDP`, the incremental
+  engine of `dfg_assign_repeat`, bit-identical to the recurrence by
+  construction (same `node_step`, same sequential float summation,
+  same tie-breaks).
 
 * **Deterministic parallelism** — :mod:`~repro.engine.parallel`
   provides :func:`pmap`, a spawn-safe, chunked, order-preserving

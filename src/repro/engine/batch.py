@@ -22,7 +22,7 @@ handful of numpy calls:
   batched refresh that recomputes only dirty cache misses, and a
   level-vectorized traceback over all lanes at once.
 
-**Bit-identity.** Every float op matches the scalar kernels: child
+**Bit-identity.** Every float op matches the scalar engine: child
 curves sum with the same sequential ``+=`` order, the node step adds
 the same two operands (``child_curve[j - t_k] + c_k``) and breaks ties
 toward the smallest type with a strict running minimum (equivalent to
@@ -883,7 +883,7 @@ class BatchedTreeDP:
         return int(down[shape.roots].max()) if shape.roots.size else 0
 
     def infeasible_error(self, lane: int, budget: int) -> InfeasibleError:
-        """The scalar engines' infeasibility error for ``lane``."""
+        """The scalar engine's infeasibility error for ``lane``."""
         min_time = self.min_time(lane)
         return InfeasibleError(
             f"no assignment of {self._names[lane]!r} completes within "

@@ -166,24 +166,29 @@ def window_bounds(occ_asap: np.ndarray, occ_alap: np.ndarray) -> np.ndarray:
 class PackedTreeDP:
     """Packed-kernel `Tree_Assign` DP over a fixed out-forest.
 
-    The drop-in counterpart of
-    :class:`repro.assign.incremental.IncrementalTreeDP` (same
-    constructor, same :meth:`refresh`/:meth:`traceback_at` contract,
-    same error messages, same :class:`DPStats` accounting) with the
-    per-node python loops replaced by array passes over a
+    The incremental engine behind `dfg_assign_repeat`.  The tree is
+    fixed at construction; the *table* varies across :meth:`refresh`
+    calls (typically a base table and its ``with_fixed`` derivatives).
+    After a refresh, :meth:`traceback_at` answers any budget
+    ``j ≤ deadline`` with exactly the assignment `tree_assign` would
+    produce at that deadline, because a curve computed at deadline
+    ``L`` is prefix-identical to the curve of a fresh DP at ``j``.
+    The per-node python loops are array passes over a
     :class:`~repro.engine.pack.PackedForest`:
 
     * ``refresh`` diffs interned row-version ids against the previous
       bind, marks only the changed rows' nodes plus their root-paths
       dirty (unique parents make the walk O(path)), and recomputes just
-      the dirty cache misses — clean nodes keep their dense curve rows
-      and count as cache hits, exactly as the reference's probe loop
-      would classify them;
+      the dirty cache misses; clean nodes keep their dense curve rows
+      and count as cache hits.  The cache is keyed by subtree state
+      (row version + children's state ids), and ``with_fixed`` mints
+      content-stable version tokens, so re-deriving the same pin hits;
     * ``traceback_at`` walks the BFS levels top-down, resolving every
       node of a level with one fancy-indexed gather and scattering the
       remaining budgets to the next level via ``np.repeat``.
 
-    Bit-identity with the reference is pinned by
+    Bit-identity with the `Tree_Assign` recurrence and the
+    ``incremental=False`` reference loop is pinned by
     ``tests/properties/test_prop_engine.py`` and gated in
     ``benchmarks/bench_engine.py``.
     """
@@ -213,7 +218,7 @@ class PackedTreeDP:
         self._curves = np.zeros((n, size), dtype=np.float64)
         self._choices = np.full((n, size), NO_CHOICE, dtype=np.int16)
         # Per node: intern table of subtree-state keys -> small id, and
-        # the curve cache keyed by that id (mirrors the reference).
+        # the curve cache keyed by that id.
         self._sids: List[Dict[Tuple[object, ...], int]] = [{} for _ in range(n)]
         self._cache: List[Dict[int, Tuple[np.ndarray, np.ndarray]]] = [
             {} for _ in range(n)
@@ -421,21 +426,3 @@ class PackedTreeDP:
         mapping: Dict[Node, int] = dict(zip(pack.nodes, ks.tolist()))
         self.stats.seconds_traceback += time.perf_counter() - t0
         return mapping
-
-    def result_fields(self, budget: int) -> Tuple[Dict[Node, int], float, int]:
-        """``(mapping, cost, completion)`` for ``budget``.
-
-        Cost is the same insertion-ordered python float sum the
-        reference computes — summation order matters for bit-identity.
-        The assign layer wraps this into an ``AssignResult``.
-        """
-        from ..graph.paths import longest_path_time
-
-        table = self._require_refreshed()
-        key = self._key
-        mapping = self.traceback_at(budget)
-        cost = float(
-            sum(table.cost(key(n), mapping[n]) for n in self._tree.nodes())
-        )
-        times = {n: table.time(key(n), mapping[n]) for n in self._tree.nodes()}
-        return mapping, cost, longest_path_time(self._tree, times)

@@ -1,10 +1,9 @@
-"""Counters shared by the incremental and packed DP engines.
+"""Counters of the incremental DP engines.
 
-:class:`DPStats` lives in the engine layer so both the python
-reference (:class:`repro.assign.incremental.IncrementalTreeDP`) and
-the packed kernels (:class:`repro.engine.kernels.PackedTreeDP`) can
-accumulate into the same caller-owned object; ``repro.assign``
-re-exports it for backwards compatibility.
+:class:`DPStats` lives in the engine layer so the scalar
+:class:`repro.engine.kernels.PackedTreeDP` and every lane of
+:class:`repro.engine.batch.BatchedTreeDP` can accumulate into the same
+kind of caller-owned object; ``repro.assign`` re-exports it.
 """
 
 from __future__ import annotations
@@ -22,9 +21,9 @@ class DPStats:
     ``nodes_visited`` is the number of per-node cache probes (one per
     tree node per refresh); every probe is either a ``cache_hit`` or a
     ``nodes_recomputed``.  ``seconds_refresh``/``seconds_traceback``
-    split the wall time between the two stages.  The packed engine
-    counts probes identically (nodes it can prove clean are cache
-    hits), so the two kernels report equal counters on equal inputs.
+    split the wall time between the two stages.  Nodes an engine can
+    prove clean count as cache hits, so the scalar engine and a batched
+    lane report equal counters on equal inputs.
     """
 
     refreshes: int = 0

@@ -2,7 +2,7 @@
 
 A :class:`MetricsRegistry` is a named bag of instruments with
 get-or-create semantics, generalizing the ad-hoc ``DPStats`` counters
-of :mod:`repro.assign.incremental`: DP layers publish their stats as
+of :mod:`repro.engine.stats`: DP layers publish their stats as
 ``dp.*`` counter deltas through :func:`repro.obs.add_metric`, and any
 subsystem can add its own instruments without touching this module.
 

@@ -23,8 +23,8 @@ from typing import List, Optional, Sequence
 from ..assign.assignment import min_completion_time
 from ..assign.dfg_assign import choose_expansion
 from ..assign.frontier import dfg_frontier
-from ..assign.incremental import DPStats
 from ..checkkit.oracles import reference_frontier
+from ..engine import DPStats
 from ..fu.random_tables import random_table
 from ..graph.analysis import parallelism_profile, profile
 from ..suite.registry import PAPER_BENCHMARKS, get_benchmark

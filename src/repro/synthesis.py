@@ -211,10 +211,10 @@ def synthesize(
     Paulin–Knight alternative, for comparison studies), or ``"heft"``
     (the THW02-style heterogeneous list scheduler).
 
-    ``workers`` fans the `DFG_Assign_Repeat` pin evaluations out across
-    processes via :func:`repro.engine.pmap` (0 = serial, the default;
-    results are identical at any worker count).  It only affects the
-    ``"repeat"`` algorithm — the others have no per-node fan-out.
+    ``workers`` fans the portfolio race out across processes via
+    :func:`repro.engine.pmap` (0 = serial, the default; results are
+    identical at any worker count).  It only affects the
+    ``"portfolio"`` algorithm; the paper algorithms run serially.
 
     ``budget`` caps the anytime search when the portfolio runs
     (``algorithm="portfolio"`` or ``strategy="portfolio"``): its
@@ -292,10 +292,6 @@ def synthesize(
         with tracer.span("assign", algorithm=name, nodes=len(dag)):
             if assign_result is not None:
                 pass  # phase 1 injected by the caller
-            elif name == "repeat" and workers:
-                assign_result = dfg_assign_repeat(
-                    dag, table, deadline, workers=workers
-                )
             elif name == "portfolio" and (budget is not None or workers):
                 kwargs: Dict[str, Any] = {"workers": workers}
                 if budget is not None and budget.evaluations is not None:

@@ -21,7 +21,7 @@ this module is the thin historical facade over the certify chain:
 * replaying each schedule computes the reference simulation's values.
 
 The fuzz runner (``repro-hls fuzz``) evaluates the same registry plus
-the kernel/parallel/incremental differential oracles on thousands of
+the engine/batched/incremental differential oracles on thousands of
 generated instances — see ``docs/testing.md``.
 """
 

@@ -171,9 +171,7 @@ def test_dfg_frontier_batch_matches_scalar_sweep():
     horizon = floor + 8
     stats = DPStats()
     swept = dfg_frontier(dfg, table, max_deadline=horizon, stats=stats)
-    assert swept == reference_frontier(
-        dfg, table, max_deadline=horizon, incremental=True
-    )
+    assert swept == reference_frontier(dfg, table, max_deadline=horizon)
     assert stats.tracebacks > 0
 
 

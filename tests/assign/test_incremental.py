@@ -1,11 +1,11 @@
-"""Unit tests for the incremental tree-DP engine."""
+"""Unit tests for the incremental tree-DP engine (`PackedTreeDP`)."""
 
 import numpy as np
 import pytest
 
 from repro.assign.dfg_assign import dfg_assign_repeat
-from repro.assign.incremental import DPStats, IncrementalTreeDP, make_tree_engine
 from repro.assign.tree_assign import _normalize, tree_assign, tree_cost_curve
+from repro.engine import DPStats, PackedTreeDP
 from repro.errors import InfeasibleError, NotATreeError, TableError
 from repro.fu.random_tables import random_table
 from repro.fu.table import TimeCostTable
@@ -19,7 +19,8 @@ def make_table(dfg, seed=0, num_types=3):
 
 def tree_dp(dfg, table, deadline):
     """A refreshed engine at ``deadline`` (in-forests transposed)."""
-    return make_tree_engine(_normalize(dfg), deadline).refresh(table)
+    return PackedTreeDP(_normalize(dfg), deadline).refresh(table)
+
 
 @pytest.fixture
 def tree() -> DFG:
@@ -34,19 +35,19 @@ def table(tree) -> TimeCostTable:
 
 class TestRefreshCaching:
     def test_first_refresh_computes_everything(self, tree, table):
-        dp = IncrementalTreeDP(tree, 20)
+        dp = PackedTreeDP(tree, 20)
         dp.refresh(table)
         assert dp.stats.nodes_recomputed == 4
         assert dp.stats.cache_hits == 0
 
     def test_same_table_is_all_hits(self, tree, table):
-        dp = IncrementalTreeDP(tree, 20)
+        dp = PackedTreeDP(tree, 20)
         dp.refresh(table).refresh(table)
         assert dp.stats.nodes_recomputed == 4
         assert dp.stats.cache_hits == 4
 
     def test_pin_recomputes_only_the_root_path(self, tree, table):
-        dp = IncrementalTreeDP(tree, 20)
+        dp = PackedTreeDP(tree, 20)
         dp.refresh(table)
         dp.refresh(table.with_fixed("z", 0))
         # z, y, r change; x is untouched and served from cache.
@@ -56,7 +57,7 @@ class TestRefreshCaching:
     def test_rederived_table_hits_the_cache(self, tree, table):
         # with_fixed version tokens are content-stable: deriving the
         # same pin twice (as a deadline sweep does) reuses every curve.
-        dp = IncrementalTreeDP(tree, 20)
+        dp = PackedTreeDP(tree, 20)
         dp.refresh(table)
         dp.refresh(table.with_fixed("z", 1))
         recomputed = dp.stats.nodes_recomputed
@@ -65,7 +66,7 @@ class TestRefreshCaching:
         assert dp.stats.nodes_recomputed == recomputed
 
     def test_different_pin_is_a_different_state(self, tree, table):
-        dp = IncrementalTreeDP(tree, 20)
+        dp = PackedTreeDP(tree, 20)
         dp.refresh(table)
         dp.refresh(table.with_fixed("z", 0))
         before = dp.stats.nodes_recomputed
@@ -73,7 +74,7 @@ class TestRefreshCaching:
         assert dp.stats.nodes_recomputed == before + 3
 
     def test_clear_cache_forces_recompute(self, tree, table):
-        dp = IncrementalTreeDP(tree, 20)
+        dp = PackedTreeDP(tree, 20)
         dp.refresh(table)
         assert dp.cache_entries() == 4
         dp.clear_cache()
@@ -82,7 +83,7 @@ class TestRefreshCaching:
         assert dp.stats.nodes_recomputed == 8
 
     def test_curves_match_tree_cost_curve(self, tree, table):
-        dp = IncrementalTreeDP(tree, 25).refresh(table)
+        dp = PackedTreeDP(tree, 25).refresh(table)
         np.testing.assert_array_equal(
             dp.total_curve(), tree_cost_curve(tree, table, 25)
         )
@@ -98,17 +99,6 @@ class TestTraceback:
             ref = tree_assign(dfg, table, j)
             assert dp.traceback_at(j) == dict(ref.assignment.items())
 
-    def test_result_at_matches_tree_assign(self):
-        dfg = get_benchmark("volterra").dag()
-        table = random_table(dfg, num_types=3, seed=5)
-        dp = tree_dp(dfg, table, 50)
-        ref = tree_assign(dfg, table, 44)
-        got = dp.result_at(44)
-        assert dict(got.assignment.items()) == dict(ref.assignment.items())
-        assert got.cost == ref.cost
-        assert got.completion_time == ref.completion_time
-        got.verify(dfg, table)
-
     def test_in_forest_is_transposed_like_tree_assign(self):
         dfg = get_benchmark("diffeq").dag()  # an in-forest
         table = random_table(dfg, num_types=3, seed=2)
@@ -117,21 +107,21 @@ class TestTraceback:
         assert dp.traceback_at(30) == dict(ref.assignment.items())
 
     def test_infeasible_budget_raises_with_floor(self, tree, table):
-        dp = IncrementalTreeDP(tree, 40).refresh(table)
+        dp = PackedTreeDP(tree, 40).refresh(table)
         floor = dp.min_feasible()
         with pytest.raises(InfeasibleError) as exc:
             dp.traceback_at(floor - 1)
         assert exc.value.min_feasible == floor
 
     def test_budget_outside_range_raises(self, tree, table):
-        dp = IncrementalTreeDP(tree, 10).refresh(table)
+        dp = PackedTreeDP(tree, 10).refresh(table)
         with pytest.raises(InfeasibleError):
             dp.traceback_at(11)
         with pytest.raises(InfeasibleError):
             dp.traceback_at(-1)
 
     def test_query_before_refresh_raises(self, tree):
-        dp = IncrementalTreeDP(tree, 10)
+        dp = PackedTreeDP(tree, 10)
         with pytest.raises(InfeasibleError, match="refresh"):
             dp.traceback_at(5)
         with pytest.raises(InfeasibleError, match="refresh"):
@@ -141,33 +131,33 @@ class TestTraceback:
 class TestValidation:
     def test_non_forest_rejected(self, diamond):
         with pytest.raises(NotATreeError):
-            IncrementalTreeDP(diamond, 10)
+            PackedTreeDP(diamond, 10)
 
     def test_negative_deadline_rejected(self, tree):
         with pytest.raises(InfeasibleError):
-            IncrementalTreeDP(tree, -1)
+            PackedTreeDP(tree, -1)
 
     def test_missing_row_raises_table_error(self, tree, table):
         incomplete = TimeCostTable(3)
         incomplete.set_row("r", [1, 2, 3], [3.0, 2.0, 1.0])
-        dp = IncrementalTreeDP(tree, 10)
+        dp = PackedTreeDP(tree, 10)
         with pytest.raises(TableError, match="no table row"):
             dp.refresh(incomplete)
 
 
 class TestEmptyForest:
     def test_refresh_and_traceback(self):
-        dp = IncrementalTreeDP(DFG(name="empty"), 5).refresh(TimeCostTable(2))
+        dp = PackedTreeDP(DFG(name="empty"), 5).refresh(TimeCostTable(2))
         np.testing.assert_array_equal(dp.total_curve(), np.zeros(6))
         assert dp.traceback_at(0) == {}
-        assert dp.result_at(5).cost == 0.0
+        assert dp.traceback_at(5) == {}
 
 
 class TestStats:
     def test_external_stats_accumulate(self, tree, table):
         stats = DPStats()
-        IncrementalTreeDP(tree, 20, stats=stats).refresh(table)
-        IncrementalTreeDP(tree, 20, stats=stats).refresh(table)
+        PackedTreeDP(tree, 20, stats=stats).refresh(table)
+        PackedTreeDP(tree, 20, stats=stats).refresh(table)
         assert stats.refreshes == 2
         assert stats.nodes_visited == 8
 

@@ -56,7 +56,7 @@ class TestModes:
         out = capsys.readouterr().out
         assert "generator specs:" in out
         assert "delay_cycle" in out
-        assert "oracles:" in out and "kernels" in out
+        assert "oracles:" in out and "\n  reference\n" in out
         assert "metamorphic relations:" in out and "retiming" in out
 
     def test_replay_prints_the_instance(self, capsys):

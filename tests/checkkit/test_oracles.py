@@ -44,7 +44,7 @@ class TestRunOracles:
         assert cert.deadline == 8
         assert "exact == brute force" in cert.checks
         assert "structure DP == exact" in cert.checks
-        assert any("packed kernel" in c for c in cert.checks)
+        assert any("incremental engine" in c for c in cert.checks)
 
     def test_chain_on_wide_dag(self, wide_dag):
         table = make_table(wide_dag, seed=5)
@@ -59,7 +59,7 @@ class TestRunOracles:
         cert = run_oracles(small_tree, table, 12)
         assert "heuristics optimal on the tree-shaped instance" in cert.checks
         # default chain excludes the fuzz-only differentials
-        assert not any("pmap" in c for c in cert.checks)
+        assert not any("reference loop" in c for c in cert.checks)
 
     def test_brute_force_limit_gates_the_oracle(self, chain3, chain3_table):
         gated = run_oracles(
@@ -81,15 +81,15 @@ class TestInjectedBugs:
 
         def buggy(dag, table, deadline, **kwargs):
             result = real(dag, table, deadline, **kwargs)
-            if kwargs.get("kernel") == "python":
+            if kwargs.get("incremental") is False:
                 return dataclasses.replace(result, cost=result.cost + 1.0)
             return result
 
         monkeypatch.setattr(oracles_mod, "dfg_assign_repeat", buggy)
         inst = generate("dag", 13)
-        with pytest.raises(CheckError, match="packed cost"):
+        with pytest.raises(CheckError, match="engine cost"):
             run_oracles(
-                inst.dfg, inst.table, inst.deadline, names=("kernels",)
+                inst.dfg, inst.table, inst.deadline, names=("reference",)
             )
 
     def test_tree_frontier_point_divergence_is_detected(self, monkeypatch):
@@ -103,23 +103,7 @@ class TestInjectedBugs:
         inst = generate("out_tree", 3)
         with pytest.raises(CheckError, match="tree_frontier knee"):
             run_oracles(
-                inst.dfg, inst.table, inst.deadline, names=("kernels",)
-            )
-
-    def test_worker_divergence_is_detected(self, monkeypatch):
-        real = oracles_mod.dfg_assign_repeat
-
-        def buggy(dag, table, deadline, **kwargs):
-            result = real(dag, table, deadline, **kwargs)
-            if kwargs.get("workers"):
-                return dataclasses.replace(result, cost=result.cost * 2.0)
-            return result
-
-        monkeypatch.setattr(oracles_mod, "dfg_assign_repeat", buggy)
-        inst = generate("layered", 4)
-        with pytest.raises(CheckError, match="workers=2"):
-            run_oracles(
-                inst.dfg, inst.table, inst.deadline, names=("workers",)
+                inst.dfg, inst.table, inst.deadline, names=("reference",)
             )
 
 

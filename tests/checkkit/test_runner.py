@@ -51,7 +51,7 @@ def _install_kernel_bug(monkeypatch):
 
     def buggy(dag, table, deadline, **kwargs):
         result = real(dag, table, deadline, **kwargs)
-        if kwargs.get("kernel") == "python":
+        if kwargs.get("incremental") is False:
             return dataclasses.replace(result, cost=result.cost + 1.0)
         return result
 
@@ -64,18 +64,18 @@ class TestFailingCampaign:
         report = run_fuzz(
             budget=2,
             seed=2004,
-            oracle_chain=("kernels",),
+            oracle_chain=("reference",),
             relation_chain=(),
         )
         assert report.exit_code == 1
         assert len(report.failures) == 2
         for failure in report.failures:
             assert failure.kind == "oracle"
-            assert "packed cost" in failure.message
+            assert "engine cost" in failure.message
             assert failure.shrunk is not None
             assert failure.shrunk.num_nodes <= 8
             doc = json.loads(failure.reproducer)
-            assert doc["oracles"] == ["kernels"]
+            assert doc["oracles"] == ["reference"]
         text = report.describe()
         assert "verdict: FAILURES" in text
         assert "[fail] #0" in text
@@ -85,7 +85,7 @@ class TestFailingCampaign:
         report = run_fuzz(
             budget=10,
             seed=2004,
-            oracle_chain=("kernels",),
+            oracle_chain=("reference",),
             relation_chain=(),
             max_failures=1,
         )
@@ -99,7 +99,7 @@ class TestFailingCampaign:
         report = run_fuzz(
             budget=1,
             seed=2004,
-            oracle_chain=("kernels",),
+            oracle_chain=("reference",),
             relation_chain=(),
             out_dir=tmp_path,
         )

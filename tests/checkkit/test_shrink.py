@@ -69,19 +69,19 @@ class TestInjectedKernelBugShrinks:
 
         def buggy(dag, table, deadline, **kwargs):
             result = real(dag, table, deadline, **kwargs)
-            if kwargs.get("kernel") == "python":
+            if kwargs.get("incremental") is False:
                 return dataclasses.replace(result, cost=result.cost + 1.0)
             return result
 
         monkeypatch.setattr(oracles_mod, "dfg_assign_repeat", buggy)
         dfg = random_dag(12, edge_prob=0.25, seed=8)
         table = random_table(dfg, num_types=3, seed=8)
-        predicate = oracle_predicate(("kernels",), brute_force_limit=0)
+        predicate = oracle_predicate(("reference",), brute_force_limit=0)
         message = predicate(dfg, table, 30)
-        assert message is not None and "packed cost" in message
+        assert message is not None and "engine cost" in message
         outcome = shrink(dfg, table, 30, predicate)
         assert outcome.num_nodes <= 8
-        assert "packed cost" in outcome.message
+        assert "engine cost" in outcome.message
         # the shrunk instance still reproduces
         assert predicate(outcome.dfg, outcome.table, outcome.deadline)
 
@@ -134,14 +134,14 @@ class TestArtifacts:
 
         def buggy(dag, table, deadline, **kwargs):
             result = real(dag, table, deadline, **kwargs)
-            if kwargs.get("kernel") == "python":
+            if kwargs.get("incremental") is False:
                 return dataclasses.replace(result, cost=result.cost + 1.0)
             return result
 
         dfg, table, deadline = self._roundtrip_instance()
-        text = to_json(dfg, table, deadline, oracles=("kernels",))
+        text = to_json(dfg, table, deadline, oracles=("reference",))
         monkeypatch.setattr(oracles_mod, "dfg_assign_repeat", buggy)
-        with pytest.raises(CheckError, match="packed cost"):
+        with pytest.raises(CheckError, match="engine cost"):
             replay_json(text)
 
     def test_to_pytest_emits_runnable_module(self):

@@ -1,18 +1,15 @@
-"""PackedTreeDP vs the python reference engine, plus window_bounds."""
+"""PackedTreeDP vs the `Tree_Assign` recurrence, plus window_bounds."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.assign.incremental import (
-    IncrementalTreeDP,
-    PackedAssignDP,
-    make_tree_engine,
-)
-from repro.engine import DPStats, window_bounds
-from repro.errors import AssignError, InfeasibleError, NotATreeError, TableError
+from repro.assign.tree_assign import tree_assign, tree_cost_curve
+from repro.engine import DPStats, PackedTreeDP, window_bounds
+from repro.errors import InfeasibleError, NotATreeError, TableError
 from repro.fu.random_tables import random_table
+from repro.graph.dag import descendants
 from repro.graph.dfg import DFG
 
 
@@ -26,11 +23,10 @@ def _tree() -> DFG:
     )
 
 
-def _both(tree, deadline, **kw):
-    return (
-        PackedAssignDP(tree, deadline, **kw),
-        IncrementalTreeDP(tree, deadline, **kw),
-    )
+def _subtree_curve(tree, table, node, deadline):
+    """The recurrence's curve of the subtree rooted at ``node``."""
+    subtree = tree.subgraph({node} | descendants(tree, node))
+    return tree_cost_curve(subtree, table, deadline)
 
 
 # ----------------------------------------------------------------------
@@ -70,40 +66,45 @@ def test_window_bounds_zero_horizon_and_shape_check():
 
 
 # ----------------------------------------------------------------------
-# PackedTreeDP vs IncrementalTreeDP
+# PackedTreeDP vs the Tree_Assign recurrence
 # ----------------------------------------------------------------------
 def test_engines_bitwise_identical_on_tree():
     tree = _tree()
     table = make_table(tree, seed=5)
-    packed, python = _both(tree, 25)
-    packed.refresh(table)
-    python.refresh(table)
-    np.testing.assert_array_equal(packed.total_curve(), python.total_curve())
+    packed = PackedTreeDP(tree, 25).refresh(table)
+    np.testing.assert_array_equal(
+        packed.total_curve(), tree_cost_curve(tree, table, 25)
+    )
     floor = packed.min_feasible()
-    assert floor == python.min_feasible()
     for j in range(floor, 26):
-        assert packed.traceback_at(j) == python.traceback_at(j)
+        ref = tree_assign(tree, table, j)
+        assert packed.traceback_at(j) == dict(ref.assignment.items())
     for n in tree.nodes():
-        np.testing.assert_array_equal(packed.curve(n), python.curve(n))
+        np.testing.assert_array_equal(
+            packed.curve(n), _subtree_curve(tree, table, n, 25)
+        )
 
 
 def test_engines_identical_across_pin_rounds():
     tree = _tree()
     table = make_table(tree, seed=5)
-    packed, python = _both(tree, 25, stats=DPStats())
-    python.stats = DPStats()
+    warm = PackedTreeDP(tree, 25, stats=DPStats())
     for t in (table, table.with_fixed("b", 1), table.with_fixed("c", 0), table):
-        packed.refresh(t)
-        python.refresh(t)
+        warm.refresh(t)
+        cold = PackedTreeDP(tree, 25).refresh(t)
+        np.testing.assert_array_equal(warm.total_curve(), cold.total_curve())
         np.testing.assert_array_equal(
-            packed.total_curve(), python.total_curve()
+            warm.total_curve(), tree_cost_curve(tree, t, 25)
         )
-        assert packed.traceback_at(25) == python.traceback_at(25)
-    # identical counters: clean nodes count as hits in both engines
-    assert packed.stats.nodes_visited == python.stats.nodes_visited
-    assert packed.stats.nodes_recomputed == python.stats.nodes_recomputed
-    assert packed.stats.cache_hits == python.stats.cache_hits
-    assert packed.cache_entries() == python.cache_entries()
+        ref = tree_assign(tree, t, 25)
+        assert warm.traceback_at(25) == dict(ref.assignment.items())
+    # round 1 computes all 5 nodes; pinning b dirties b and r; pinning
+    # c (b's pin gone) dirties c, b, r, and b's state is new; the last
+    # revert re-derives round 1's states, so only clean-probes remain
+    assert warm.stats.nodes_visited == 4 * 5
+    assert warm.stats.nodes_recomputed == 5 + 2 + 3
+    assert warm.stats.cache_hits == 20 - 10
+    assert warm.cache_entries() == 10
 
 
 def test_empty_forest():
@@ -111,50 +112,52 @@ def test_empty_forest():
 
     empty = DFG(name="empty")
     table = TimeCostTable(3)
-    packed, python = _both(empty, 4)
-    packed.refresh(table)
-    python.refresh(table)
-    np.testing.assert_array_equal(packed.total_curve(), python.total_curve())
+    packed = PackedTreeDP(empty, 4).refresh(table)
+    np.testing.assert_array_equal(
+        packed.total_curve(), tree_cost_curve(empty, table, 4)
+    )
     assert packed.total_curve().tolist() == [0.0] * 5
-    assert packed.traceback_at(0) == {} == python.traceback_at(0)
+    assert packed.traceback_at(0) == {}
 
 
 def test_single_node():
     one = DFG(name="one")
     one.add_node("x", op="add")
     table = make_table(one, seed=2)
-    packed, python = _both(one, 8)
-    packed.refresh(table)
-    python.refresh(table)
-    np.testing.assert_array_equal(packed.total_curve(), python.total_curve())
-    assert packed.traceback_at(8) == python.traceback_at(8)
+    packed = PackedTreeDP(one, 8).refresh(table)
+    np.testing.assert_array_equal(
+        packed.total_curve(), tree_cost_curve(one, table, 8)
+    )
+    ref = tree_assign(one, table, 8)
+    assert packed.traceback_at(8) == dict(ref.assignment.items())
 
 
 def test_infeasible_deadline_same_error():
     tree = _tree()
     table = make_table(tree, seed=5)
-    packed, python = _both(tree, 1)
+    packed = PackedTreeDP(tree, 1)
     with pytest.raises(InfeasibleError) as from_packed:
         packed.refresh(table).traceback_at(1)
-    with pytest.raises(InfeasibleError) as from_python:
-        python.refresh(table).traceback_at(1)
-    assert str(from_packed.value) == str(from_python.value)
-    assert from_packed.value.min_feasible == from_python.value.min_feasible
+    with pytest.raises(InfeasibleError) as from_recurrence:
+        tree_assign(tree, table, 1)
+    assert str(from_packed.value) == str(from_recurrence.value)
+    assert from_packed.value.min_feasible == from_recurrence.value.min_feasible
 
 
 def test_budget_out_of_range_same_error():
     tree = _tree()
     table = make_table(tree, seed=5)
-    packed, python = _both(tree, 10)
-    with pytest.raises(InfeasibleError) as from_packed:
-        packed.refresh(table).traceback_at(11)
-    with pytest.raises(InfeasibleError) as from_python:
-        python.refresh(table).traceback_at(11)
-    assert str(from_packed.value) == str(from_python.value)
+    packed = PackedTreeDP(tree, 10).refresh(table)
+    for budget in (11, -1):
+        with pytest.raises(InfeasibleError) as exc:
+            packed.traceback_at(budget)
+        assert str(exc.value) == (
+            f"budget {budget} outside the engine's range [0, 10]"
+        )
 
 
 def test_query_before_refresh_raises():
-    packed = PackedAssignDP(_tree(), 10)
+    packed = PackedTreeDP(_tree(), 10)
     with pytest.raises(InfeasibleError, match="refresh"):
         packed.total_curve()
 
@@ -162,15 +165,15 @@ def test_query_before_refresh_raises():
 def test_rejects_non_forest_and_negative_deadline():
     dag = DFG.from_edges([("a", "c"), ("b", "c")], name="vee")
     with pytest.raises(NotATreeError, match="out-forest"):
-        PackedAssignDP(dag, 5)
+        PackedTreeDP(dag, 5)
     with pytest.raises(InfeasibleError, match=">= 0"):
-        PackedAssignDP(_tree(), -1)
+        PackedTreeDP(_tree(), -1)
 
 
 def test_clear_cache_recomputes_identically():
     tree = _tree()
     table = make_table(tree, seed=5)
-    packed = PackedAssignDP(tree, 20)
+    packed = PackedTreeDP(tree, 20)
     packed.refresh(table)
     before = packed.total_curve().copy()
     assert packed.cache_entries() > 0
@@ -178,25 +181,3 @@ def test_clear_cache_recomputes_identically():
     assert packed.cache_entries() == 0
     packed.refresh(table)
     np.testing.assert_array_equal(packed.total_curve(), before)
-
-
-def test_make_tree_engine_dispatch():
-    tree = _tree()
-    assert isinstance(make_tree_engine(tree, 5), PackedAssignDP)
-    assert isinstance(
-        make_tree_engine(tree, 5, kernel="python"), IncrementalTreeDP
-    )
-    with pytest.raises(AssignError, match="unknown kernel"):
-        make_tree_engine(tree, 5, kernel="numba")
-
-
-def test_result_at_matches_between_engines():
-    tree = _tree()
-    table = make_table(tree, seed=9)
-    packed, python = _both(tree, 22)
-    rp = packed.refresh(table).result_at(22)
-    rq = python.refresh(table).result_at(22)
-    assert dict(rp.assignment.items()) == dict(rq.assignment.items())
-    assert rp.cost == rq.cost
-    assert rp.completion_time == rq.completion_time
-    assert rp.algorithm == rq.algorithm

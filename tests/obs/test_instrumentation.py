@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.assign import DPStats
 from repro.assign.assignment import min_completion_time
 from repro.assign.frontier import dfg_frontier, tree_frontier
-from repro.assign.incremental import DPStats
 from repro.fu.random_tables import random_table
 from repro.obs import Tracer, use_tracer
 from repro.suite.registry import get_benchmark

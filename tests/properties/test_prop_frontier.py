@@ -7,18 +7,18 @@ pinned here on every *registered* benchmark with the seed of record:
   deadline (relaxing the constraint can only help);
 * every path that computes a frontier agrees exactly: the batched
   `dfg_frontier` equals the cold per-deadline reference loop, and each
-  `tree_frontier` knee equals the packed engine's curve, the
-  `tree_cost_curve`, and a `tree_assign` point solve at its deadline,
-  with a witness that verifies.
+  `tree_frontier` knee equals the packed engine's curve and traceback,
+  the `tree_cost_curve`, and a `tree_assign` point solve at its
+  deadline, with a witness that verifies.
 """
 
 import pytest
 
 from repro.assign.assignment import min_completion_time
 from repro.assign.frontier import dfg_frontier, frontier_knees, tree_frontier
-from repro.assign.incremental import make_tree_engine
 from repro.assign.tree_assign import _normalize, tree_assign, tree_cost_curve
 from repro.checkkit.oracles import reference_frontier
+from repro.engine import PackedTreeDP
 from repro.fu.random_tables import random_table
 from repro.graph.classify import is_in_forest, is_out_forest
 from repro.suite.registry import benchmark_names, get_benchmark
@@ -55,7 +55,7 @@ def test_tree_frontier_kernels_identical_and_monotone(name):
     if not (is_out_forest(dag) or is_in_forest(dag)):
         pytest.skip(f"{name} is not a forest")
     frontier = tree_frontier(dag, table, max_deadline=horizon)
-    packed = make_tree_engine(_normalize(dag), horizon).refresh(table)
+    packed = PackedTreeDP(_normalize(dag), horizon).refresh(table)
     curve = tree_cost_curve(dag, table, horizon)
     assert (packed.total_curve() == curve).all()
     finite = [(j, float(c)) for j, c in enumerate(curve) if c != float("inf")]
@@ -63,7 +63,7 @@ def test_tree_frontier_kernels_identical_and_monotone(name):
     for point in frontier:
         solo = tree_assign(dag, table, point.deadline)
         assert point.assignment == solo.assignment
-        assert point.assignment == packed.result_at(point.deadline).assignment
+        assert dict(point.assignment.items()) == packed.traceback_at(point.deadline)
         assert point.cost == pytest.approx(solo.cost, rel=1e-12)
         assert point.assignment.is_feasible(dag, table, point.deadline)
         assert point.assignment.total_cost(dag, table) == pytest.approx(point.cost)

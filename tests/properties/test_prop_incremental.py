@@ -1,7 +1,8 @@
 """Equivalence properties of the incremental DP engine.
 
-The engine promises *identical* results to the non-incremental seed
-implementations — same assignments, same costs, same knees — across
+The engine promises *identical* results to the non-incremental
+references (`reference_repeat`, `reference_frontier`, `tree_assign`)
+— same assignments, same costs, same knees — across
 arbitrary tables (hypothesis) and the full suite registry (fixed
 seeds).  Any divergence is a bug in the cache keying or the traceback,
 so these properties compare exactly, not approximately.
@@ -14,9 +15,9 @@ from hypothesis import strategies as st
 from repro.assign.assignment import min_completion_time
 from repro.assign.dfg_assign import choose_expansion, dfg_assign_repeat
 from repro.assign.frontier import dfg_frontier
-from repro.assign.incremental import make_tree_engine
 from repro.assign.tree_assign import _normalize, tree_assign
-from repro.checkkit.oracles import reference_frontier
+from repro.checkkit.oracles import reference_frontier, reference_repeat
+from repro.engine import PackedTreeDP
 from repro.fu.random_tables import random_table
 from repro.suite.registry import benchmark_names, get_benchmark
 
@@ -28,8 +29,8 @@ from .strategies import dag_with_table, tree_with_table
 def test_incremental_repeat_matches_reference(pair, slack):
     dfg, table = pair
     deadline = min_completion_time(dfg, table) + slack
-    ref = dfg_assign_repeat(dfg, table, deadline, incremental=False)
-    inc = dfg_assign_repeat(dfg, table, deadline, incremental=True)
+    ref = reference_repeat(dfg, table, deadline)
+    inc = dfg_assign_repeat(dfg, table, deadline)
     assert dict(inc.assignment.items()) == dict(ref.assignment.items())
     assert inc.cost == ref.cost
     assert inc.completion_time == ref.completion_time
@@ -55,11 +56,14 @@ def test_swept_frontier_matches_reference(pair, span):
 def test_tree_dp_answers_every_budget(pair, span):
     tree, table = pair
     floor = min_completion_time(tree, table)
-    dp = make_tree_engine(_normalize(tree), floor + span).refresh(table)
+    forest = _normalize(tree)
+    dp = PackedTreeDP(forest, floor + span).refresh(table)
     for j in range(floor, floor + span + 1):
         ref = tree_assign(tree, table, j)
-        assert dp.traceback_at(j) == dict(ref.assignment.items())
-        assert dp.result_at(j).cost == ref.cost
+        mapping = dp.traceback_at(j)
+        assert mapping == dict(ref.assignment.items())
+        cost = float(sum(table.cost(n, mapping[n]) for n in forest.nodes()))
+        assert cost == ref.cost
 
 
 def _spans(name: str):
@@ -78,12 +82,8 @@ def test_registry_equivalence(name, seed):
     floor = min_completion_time(dfg, table)
     span = _spans(name)
     for deadline in (floor, floor + span):
-        ref = dfg_assign_repeat(
-            dfg, table, deadline, expansion=expansion, incremental=False
-        )
-        inc = dfg_assign_repeat(
-            dfg, table, deadline, expansion=expansion, incremental=True
-        )
+        ref = reference_repeat(dfg, table, deadline, expansion=expansion)
+        inc = dfg_assign_repeat(dfg, table, deadline, expansion=expansion)
         assert dict(inc.assignment.items()) == dict(ref.assignment.items())
         assert inc.cost == ref.cost
     ref_frontier = reference_frontier(dfg, table, max_deadline=floor + span)

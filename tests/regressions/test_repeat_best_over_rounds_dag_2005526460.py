@@ -74,7 +74,7 @@ REPRODUCER = r'''
   "oracles": [
     "portfolio",
     "ordering",
-    "kernels"
+    "reference"
   ],
   "relations": [],
   "rows": {

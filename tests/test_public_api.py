@@ -157,11 +157,32 @@ class TestFacadeKeywordOnly:
         for fn in entry_points:
             params = set(inspect.signature(fn).parameters)
             assert not params & {"kernel", "batch", "incremental"}, fn
-        for gone in ("tree_dp", "tree_frontier_batch", "dfg_frontier_batch"):
+        for gone in (
+            "tree_dp",
+            "tree_frontier_batch",
+            "dfg_frontier_batch",
+            "IncrementalTreeDP",
+            "PackedAssignDP",
+            "make_tree_engine",
+        ):
             assert not hasattr(assign, gone), gone
-        for module in ("repro.apiutil", "repro.assign.dpkernel"):
+        for module in (
+            "repro.apiutil",
+            "repro.assign.dpkernel",
+            "repro.assign.incremental",
+        ):
             with pytest.raises(ImportError):
                 importlib.import_module(module)
+
+    def test_repeat_runs_serially(self):
+        """The pin fan-out is gone: `workers` only races the portfolio."""
+        import inspect
+
+        from repro import assign
+        from repro.assign.dfg_assign import _min_time_choice
+
+        for fn in (assign.dfg_assign_repeat, _min_time_choice):
+            assert "workers" not in inspect.signature(fn).parameters, fn
 
 
 class TestResultSchema:
@@ -227,8 +248,8 @@ class TestDpMetricsTable:
     """The RL009 literal metric table stays in sync with DPStats."""
 
     def test_keys_mirror_dpstats_counters(self):
+        from repro.assign import DPStats
         from repro.assign.dfg_assign import _DP_METRICS
-        from repro.assign.incremental import DPStats
 
         assert set(_DP_METRICS) == set(DPStats().as_dict())
 
