@@ -1,6 +1,6 @@
 """Batched multi-instance + parallel engine bench.
 
-Four claims, all checked here:
+Three claims, all checked here:
 
 * **Identical results** — `DFG_Assign_Repeat`'s incremental engine
   reproduces the reference loop (`reference_repeat`) bit-for-bit on
@@ -10,10 +10,6 @@ Four claims, all checked here:
   largest frontier sweep ≥ 3× faster than one per-instance
   `DFG_Assign_Repeat` call per deadline (serial, interleaved
   best-of-2 to shrug off shared-box timing noise).
-* **Arena payload** — binding job tables through the shared-memory
-  arena cuts the bytes pickled across the `pmap` boundary by ≥ 10×
-  (measured via the ``engine.pmap.payload_bytes`` counter; gated only
-  where POSIX shared memory exists).
 * **Parallel speed** — the `make_all`-style artifact fan-out at
   ``--workers 4`` is ≥ 2× faster than serial, and the batched sweep's
   lane fan-out ≥ 1.5×, when ≥ 4 cores exist (skipped with a notice
@@ -41,18 +37,15 @@ sys.path.insert(0, str(_HERE))
 from conftest import write_bench_json  # noqa: E402
 
 from repro.assign import (
-    BatchJob,
     dfg_assign_repeat,
-    dfg_assign_repeat_batch,
     dfg_frontier,
     min_completion_time,
 )
 from repro.assign.dfg_assign import choose_expansion
 from repro.checkkit.oracles import reference_repeat
-from repro.engine import pmap, resolve_workers, shm_available
+from repro.engine import pmap, resolve_workers
 from repro.fu.random_tables import random_table
 from repro.graph.classify import is_in_forest, is_out_forest
-from repro.obs import Tracer, use_tracer
 from repro.report.experiments import DEFAULT_SEED
 from repro.report.robustness import robustness_study
 from repro.suite.registry import benchmark_names, get_benchmark
@@ -66,10 +59,6 @@ MIN_PARALLEL_SPEEDUP = 2.0
 #: Speedup the batched multi-instance engine promises over one
 #: per-instance DFG_Assign_Repeat call per deadline (serial).
 MIN_BATCHED_SPEEDUP = 3.0
-
-#: Factor by which the shared-memory arena must shrink the pickled
-#: pmap payload vs shipping the bound tables by value.
-MIN_ARENA_PAYLOAD_RATIO = 10.0
 
 #: Speedup the batched sweep's lane fan-out promises at 4 workers —
 #: gated only on machines that actually have >= 4 cores.
@@ -176,62 +165,6 @@ def measure_batched(quick: bool) -> Tuple[List[str], float]:
 
 
 # ----------------------------------------------------------------------
-# arena payload: bytes across the pmap boundary, by-value vs by-ref
-# ----------------------------------------------------------------------
-def measure_arena(quick: bool) -> Tuple[List[str], float]:
-    """Pickled pmap payload with the shared-memory arena on vs off.
-
-    Same batched fan-out twice at ``workers=2``; the only difference is
-    whether bound tables cross the process boundary by value or as
-    :class:`~repro.engine.ArenaRef` descriptors.  The ratio comes from
-    the ``engine.pmap.payload_bytes`` counter, not timing, so it is
-    exact and machine-independent; results must match either way.
-    """
-    del quick  # the job set is small either way; payloads, not wall time
-    jobs = []
-    for name in largest_dags(2):
-        dfg, table, floor = _setup(name)
-        jobs.extend(BatchJob(dfg, table, floor + i) for i in range(4))
-    payload_bytes: Dict[bool, float] = {}
-    outcomes = {}
-    for arena in (False, True):
-        tracer = Tracer()
-        with use_tracer(tracer):
-            outcomes[arena] = dfg_assign_repeat_batch(jobs, workers=2, arena=arena)
-        counter = tracer.metrics.counters.get("engine.pmap.payload_bytes")
-        payload_bytes[arena] = counter.value if counter is not None else 0.0
-    for by_value, by_ref in zip(outcomes[False], outcomes[True]):
-        assert (by_value.error is None) == (by_ref.error is None), (
-            "arena changed a job's feasibility"
-        )
-        if by_value.result is not None and by_ref.result is not None:
-            assert by_value.result.cost == by_ref.result.cost and dict(
-                by_value.result.assignment.items()
-            ) == dict(by_ref.result.assignment.items()), (
-                "arena changed a job's solution"
-            )
-    assert payload_bytes[False] > 0, "by-value fan-out shipped no payload?"
-    ratio = (
-        payload_bytes[False] / payload_bytes[True]
-        if payload_bytes[True]
-        else float("inf")
-    )
-    gated = shm_available()
-    lines = [
-        f"pmap payload: {len(jobs)} jobs  "
-        f"by-value={payload_bytes[False] / 1e6:7.2f}MB "
-        f"arena={payload_bytes[True] / 1e6:7.2f}MB "
-        f"ratio={ratio:6.1f}x "
-        + (
-            f"(gate >= {MIN_ARENA_PAYLOAD_RATIO}x)"
-            if gated
-            else "(gate skipped: no POSIX shared memory)"
-        )
-    ]
-    return lines, ratio
-
-
-# ----------------------------------------------------------------------
 # parallel speed: the make_all-style multi-seed fan-out
 # ----------------------------------------------------------------------
 def measure_parallel(
@@ -312,15 +245,12 @@ def _run(quick: bool, workers: int) -> List[str]:
     t_all = time.perf_counter()
     eq_lines = check_equivalence(quick, workers=resolved)
     bt_lines, batched_speedup = measure_batched(quick)
-    ar_lines, arena_ratio = measure_arena(quick)
     bp_lines, batched_parallel = measure_batched_parallel(quick, workers=resolved)
     par_lines, par = measure_parallel(quick, workers=resolved)
     lines = (
         [f"mode: {'quick' if quick else 'full'}  workers: {resolved}"]
         + ["", "== batched speedup (multi-instance vs per-instance, serial) =="]
         + bt_lines
-        + ["", "== arena payload (pmap pickle bytes, by-value vs by-ref) =="]
-        + ar_lines
         + ["", "== parallel fan-out =="]
         + bp_lines
         + par_lines
@@ -337,7 +267,6 @@ def _run(quick: bool, workers: int) -> List[str]:
             "workers": resolved,
             "cores": os.cpu_count(),
             "batched_speedup": round(batched_speedup, 2),
-            "arena_payload_ratio": round(arena_ratio, 1),
             "batched_parallel_speedup": round(batched_parallel, 2),
             "parallel_speedup": round(par["parallel"], 2),
             "parallel_gated": _gate_parallel(resolved),
@@ -347,11 +276,6 @@ def _run(quick: bool, workers: int) -> List[str]:
         f"batched engine only {batched_speedup:.1f}x faster than "
         f"per-instance solves (expected >= {MIN_BATCHED_SPEEDUP}x)"
     )
-    if shm_available():
-        assert arena_ratio >= MIN_ARENA_PAYLOAD_RATIO, (
-            f"arena only cut pmap payload {arena_ratio:.1f}x "
-            f"(expected >= {MIN_ARENA_PAYLOAD_RATIO}x)"
-        )
     if _gate_parallel(resolved):
         assert par["parallel"] >= MIN_PARALLEL_SPEEDUP, (
             f"workers={resolved} fan-out only {par['parallel']:.1f}x faster "

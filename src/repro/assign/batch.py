@@ -23,10 +23,9 @@ to the scalar path:
   contract), and error strings match the scalar ones.
 
 ``workers`` fans lane chunks out through :func:`~repro.engine.pmap`;
-bundles being plain arrays, the payload ships through a
-:class:`~repro.engine.arena.TableArena` (shared memory, degrade to
-pickle) and no graph or table object ever crosses the process
-boundary.  Results are independent of ``workers`` and of ``arena``.
+bundles being plain arrays, they are pickled by value and no graph or
+table object ever crosses the process boundary.  Results are
+independent of ``workers``.
 
 Entry point: :func:`dfg_assign_repeat_batch` (independent jobs,
 per-job error capture).  Every many-lane caller goes through it:
@@ -42,7 +41,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..engine import DPStats, PackedForest, pmap
-from ..engine.arena import TableArena, payload_refs, resolve_payload
 from ..engine.batch import BatchedTreeDP, ForestShape
 from ..errors import GraphError, InfeasibleError, ReproError
 from ..fu.table import TimeCostTable
@@ -256,7 +254,7 @@ def _solve_group(
     order_rows = arrays["order_rows"]
     nodes_perm = arrays["nodes_perm"]
     # Stacked per-lane base matrices for vectorized gathers; per-lane
-    # views above stay the bind payload (arena-deduped when shared).
+    # views above stay the bind payload.
     bt = np.stack(base_t) if nl else np.empty((0, nr, 1), dtype=np.int64)
     bc = np.stack(base_c) if nl else np.empty((0, nr, 1), dtype=np.float64)
 
@@ -399,9 +397,8 @@ def _solve_group(
 
 
 def _solve_group_payload(item: Dict[str, Any]) -> Dict[str, Any]:
-    """`pmap` worker body: resolve arena refs, then solve the chunk."""
-    arrays = resolve_payload(item["refs"], item["arrays"])
-    return _solve_group(arrays, item["meta"])
+    """`pmap` worker body: solve one group chunk."""
+    return _solve_group(item["arrays"], item["meta"])
 
 
 # ---------------------------------------------------------------------------
@@ -451,42 +448,17 @@ def _chunk_lanes(n: int, workers: int) -> List[Tuple[int, int]]:
 
 
 def _dispatch_groups(
-    items: List[Dict[str, Any]], *, workers: int, arena: bool
+    items: List[Dict[str, Any]], *, workers: int
 ) -> List[Dict[str, Any]]:
-    """Run group chunks serially or via ``pmap`` + shared-memory arena.
+    """Run group chunks in-process, or fan them out through ``pmap``.
 
-    Every item's arrays are pooled into one arena (duplicates stored
-    once); the arena is closed after the fan-out returns.  With
-    ``workers=0`` the chunks run in-process on the same code path.
+    With ``workers>0`` each chunk's arrays are pickled by value.
     """
     if workers == 0:
-        return [_solve_group(item["arrays"], item["meta"]) for item in items]
-    pool: Dict[str, np.ndarray] = {}
-    for i, item in enumerate(items):
-        for k, v in item["arrays"].items():
-            pool[f"{i}/{k}"] = v
-    shared = TableArena.create(pool) if arena else None
-    try:
-        payloads: List[Dict[str, Any]] = []
-        for i, item in enumerate(items):
-            named = {f"{i}/{k}": v for k, v in item["arrays"].items()}
-            refs, raw = payload_refs(shared, named)
-            payloads.append(
-                {
-                    "refs": {k.split("/", 1)[1]: r for k, r in refs.items()},
-                    "arrays": {k.split("/", 1)[1]: v for k, v in raw.items()},
-                    "meta": item["meta"],
-                }
-            )
-        return pmap(
-            _solve_group_payload,
-            payloads,
-            workers=workers,
-            label="engine.batch",
-        )
-    finally:
-        if shared is not None:
-            shared.close()
+        return [_solve_group_payload(item) for item in items]
+    return pmap(
+        _solve_group_payload, items, workers=workers, label="engine.batch"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +469,6 @@ def dfg_assign_repeat_batch(
     jobs: Sequence[Union[BatchJob, Tuple[DFG, TimeCostTable, int]]],
     *,
     workers: int = 0,
-    arena: bool = True,
     node_limit: int = 200_000,
 ) -> List[RepeatOutcome]:
     """`DFG_Assign_Repeat` over many independent jobs in one batch.
@@ -573,7 +544,7 @@ def dfg_assign_repeat_batch(
                     }
                 )
 
-        results = _dispatch_groups(items, workers=workers, arena=arena)
+        results = _dispatch_groups(items, workers=workers)
         for res in results:
             rounds = res.get("rounds", 0)
             if rounds:

@@ -200,13 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_SEED,
         help="table seed when the file carries no row lines",
     )
-    p_run.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="processes for the portfolio race only; run picks a paper "
-        "algorithm, which runs serially (kept for compatibility)",
-    )
 
     p_sim = sub.add_parser(
         "simulate",
@@ -471,7 +464,7 @@ def _cmd_run(args) -> int:
         table = random_table(dag, num_types=3, seed=args.seed)
         print(f"(no rows in {args.file}; using seeded random table)")
     deadline = _resolve_deadline(dag, table, args.deadline)
-    result = synthesize(dfg, table, deadline, workers=args.workers)
+    result = synthesize(dfg, table, deadline)
     print(f"file        : {args.file} ({dfg.name}, {len(dfg)} nodes)")
     print(f"deadline    : {deadline} (minimum {min_completion_time(dag, table)})")
     print(f"algorithm   : {result.assign_result.algorithm}")

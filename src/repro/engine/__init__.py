@@ -20,11 +20,7 @@ layers.  It has two halves:
   process map with a serial fallback at ``workers=0`` whose results
   are independent of the worker count; :mod:`~repro.engine.budget`
   adds :class:`Budget`, the pre-split evaluation/wall-clock allowance
-  that anytime solvers consult when raced through ``pmap``;
-  :mod:`~repro.engine.arena` adds :class:`TableArena`, the
-  shared-memory block that ships large read-only arrays to workers as
-  tiny :class:`ArenaRef` descriptors instead of pickled copies (with a
-  degrade-to-pickle fallback when shm is unavailable).
+  that anytime solvers consult when raced through ``pmap``.
 
 A third half joined in between: **batched kernels** —
 :mod:`~repro.engine.batch` stacks many packed forests into
@@ -39,7 +35,6 @@ Layering: the engine sits beside ``fu`` (layer 2) — it may import
 RL004).  See ``docs/performance.md``.
 """
 
-from .arena import ArenaRef, TableArena, resolve_ref, shm_available
 from .batch import BatchedForest, BatchedTreeDP, ForestShape, batched_sweep
 from .budget import Budget
 from .kernels import (
@@ -57,7 +52,6 @@ from .parallel import pmap, resolve_workers, shutdown_pools
 from .stats import DPStats
 
 __all__ = [
-    "ArenaRef",
     "BatchedForest",
     "BatchedTreeDP",
     "Budget",
@@ -66,10 +60,7 @@ __all__ = [
     "PackedForest",
     "PackedTreeDP",
     "RowBinding",
-    "TableArena",
     "batched_sweep",
-    "resolve_ref",
-    "shm_available",
     "shutdown_pools",
     "NO_CHOICE",
     "zero_curve",

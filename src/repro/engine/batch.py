@@ -11,9 +11,9 @@ handful of numpy calls:
   (parent/child arrays, BFS levels, per-node heights, a padded
   children matrix) reconstructible from five arrays, so shapes travel
   to ``pmap`` workers without pickling graph objects;
-* :class:`BatchedForest` — stacks many :class:`PackedForest`/shapes
-  into group-blocked super-forest arrays (lanes sharing a forest share
-  one shape and one tensor block);
+* :class:`BatchedForest` — groups many :class:`PackedForest`/shapes
+  by forest object (lanes sharing a forest share one shape and one
+  tensor block);
 * :func:`batched_sweep` — the kernel: children-first combine plus the
   running-min node step for a set of (lane, node) targets, processed
   by height so every pass is one gather/add/where per type;
@@ -184,14 +184,12 @@ class ForestShape:
 
 
 class BatchedForest:
-    """Many packed forests stacked into group-blocked CSR arrays.
+    """Many packed forests grouped into one shape per distinct forest.
 
     Lanes handing in the *same* forest object (a deadline sweep over
     one tree, same-structure serve requests sharing an expansion) are
     grouped: one :class:`ForestShape` and, in :class:`BatchedTreeDP`,
-    one tensor block per group.  :meth:`stacked_arrays` concatenates
-    the groups into a single CSR super-forest (node/row/root offsets
-    applied) — the wire format batched jobs ship to workers.
+    one tensor block per group.
     """
 
     def __init__(
@@ -226,87 +224,6 @@ class BatchedForest:
     @property
     def n_groups(self) -> int:
         return len(self.shapes)
-
-    def stacked_arrays(self) -> Dict[str, np.ndarray]:
-        """One CSR super-forest: group blocks concatenated with offsets.
-
-        ``node_off``/``row_off``/``root_off`` delimit the blocks;
-        ``parent``/``child_idx``/``roots`` carry global node indices
-        (parents of roots stay ``-1``), ``row_of`` global row indices.
-        :meth:`shapes_from_stacked` inverts this exactly.
-        """
-        node_off = np.zeros(len(self.shapes) + 1, dtype=np.int64)
-        row_off = np.zeros(len(self.shapes) + 1, dtype=np.int64)
-        root_off = np.zeros(len(self.shapes) + 1, dtype=np.int64)
-        child_off_parts: List[np.ndarray] = [np.zeros(1, dtype=np.int64)]
-        parent_parts: List[np.ndarray] = []
-        child_parts: List[np.ndarray] = []
-        row_parts: List[np.ndarray] = []
-        root_parts: List[np.ndarray] = []
-        edge_base = 0
-        for g, shape in enumerate(self.shapes):
-            base = int(node_off[g])
-            node_off[g + 1] = base + shape.n
-            row_off[g + 1] = row_off[g] + shape.n_rows
-            root_off[g + 1] = root_off[g] + shape.roots.size
-            shifted_parent = shape.parent.copy()
-            shifted_parent[shifted_parent >= 0] += base
-            parent_parts.append(shifted_parent)
-            child_parts.append(shape.child_idx + base)
-            child_off_parts.append(shape.child_off[1:] + edge_base)
-            edge_base += int(shape.child_idx.size)
-            row_parts.append(shape.row_of + int(row_off[g]))
-            root_parts.append(shape.roots + base)
-
-        def _cat(parts: List[np.ndarray]) -> np.ndarray:
-            return (
-                np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-            )
-
-        return {
-            "node_off": node_off,
-            "row_off": row_off,
-            "root_off": root_off,
-            "parent": _cat(parent_parts),
-            "child_off": np.concatenate(child_off_parts),
-            "child_idx": _cat(child_parts),
-            "row_of": _cat(row_parts),
-            "roots": _cat(root_parts),
-        }
-
-    @staticmethod
-    def shapes_from_stacked(
-        arrays: Dict[str, np.ndarray],
-    ) -> List[ForestShape]:
-        """Rebuild the per-group shapes from :meth:`stacked_arrays`."""
-        node_off = np.asarray(arrays["node_off"], dtype=np.int64)
-        row_off = np.asarray(arrays["row_off"], dtype=np.int64)
-        root_off = np.asarray(arrays["root_off"], dtype=np.int64)
-        shapes: List[ForestShape] = []
-        for g in range(node_off.size - 1):
-            lo, hi = int(node_off[g]), int(node_off[g + 1])
-            child_off = np.asarray(arrays["child_off"], dtype=np.int64)[
-                lo : hi + 1
-            ]
-            edge_lo = int(child_off[0])
-            parent = np.asarray(arrays["parent"], dtype=np.int64)[lo:hi].copy()
-            parent[parent >= 0] -= lo
-            rlo, rhi = int(root_off[g]), int(root_off[g + 1])
-            shapes.append(
-                ForestShape(
-                    parent=parent,
-                    child_off=child_off - edge_lo,
-                    child_idx=np.asarray(arrays["child_idx"], dtype=np.int64)[
-                        edge_lo : int(child_off[-1])
-                    ]
-                    - lo,
-                    row_of=np.asarray(arrays["row_of"], dtype=np.int64)[lo:hi]
-                    - int(row_off[g]),
-                    roots=np.asarray(arrays["roots"], dtype=np.int64)[rlo:rhi]
-                    - lo,
-                )
-            )
-        return shapes
 
 
 #: Cap on the elements of one ``(targets, types or children, budgets)``

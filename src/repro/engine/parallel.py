@@ -18,13 +18,7 @@ first use is pickling only; :func:`shutdown_pools` tears them down
 
 Obs integration: every call opens an ``engine.pmap`` span (callers
 override the label) and publishes ``engine.pmap.items`` /
-``engine.pmap.chunks`` counters to the ambient tracer; when tracing is
-enabled, ``engine.pmap.payload_bytes`` additionally records the exact
-pickled size of every dispatched chunk — the counter the shared-memory
-arena's ≥10x payload-reduction gate reads (see
-:mod:`repro.engine.arena`).  Payloads are measured only under an
-enabled tracer because the extra ``pickle.dumps`` is pure overhead
-otherwise.
+``engine.pmap.chunks`` counters to the ambient tracer.
 """
 
 from __future__ import annotations
@@ -32,7 +26,6 @@ from __future__ import annotations
 import atexit
 import math
 import os
-import pickle
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context
 from typing import Any, Callable, Dict, Iterable, List, Tuple, TypeVar
@@ -120,11 +113,6 @@ def pmap(
         chunks = [seq[i : i + size] for i in range(0, len(seq), size)]
         add_metric("engine.pmap.chunks", float(len(chunks)))
         payloads = [(fn, chunk) for chunk in chunks]
-        if tracer.enabled:
-            add_metric(
-                "engine.pmap.payload_bytes",
-                float(sum(len(pickle.dumps(p)) for p in payloads)),
-            )
         pool = _pool(n_workers)
         try:
             nested = list(pool.map(_run_chunk, payloads))

@@ -355,7 +355,7 @@ def _rows_key(instance: Dict[str, Any]) -> Tuple[Any, ...]:
 
 
 def solve_canonical_batch(
-    job_jsons: Sequence[str], *, workers: int = 0, arena: bool = True
+    job_jsons: Sequence[str], *, workers: int = 0
 ) -> List[str]:
     """Solve many canonical jobs, sharing phase 1 across them.
 
@@ -366,8 +366,7 @@ def solve_canonical_batch(
     * jobs whose phase 1 resolves to `DFG_Assign_Repeat` (the
       general-DAG default) are grouped by structure and solved in
       **one** :func:`repro.assign.dfg_assign_repeat_batch` call,
-      optionally fanned out over ``workers`` processes with the
-      shared-memory table arena;
+      optionally fanned out over ``workers`` processes;
     * jobs whose phase 1 is `Tree_Assign` (trees and forests) are
       grouped by structure and table, and each group is answered by
       one :func:`repro.assign.tree_assign_sweep`: one Fig. 7 pass at
@@ -441,7 +440,6 @@ def solve_canonical_batch(
                     for i in repeat_items
                 ],
                 workers=workers,
-                arena=arena,
             )
         except Exception as exc:
             crash = _finish(Tracer(), _crash_payload(exc))

@@ -143,14 +143,12 @@ def test_mixed_structures_in_one_batch():
 
 
 @pytest.mark.parametrize("workers", [0, 2])
-@pytest.mark.parametrize("arena", [False, True])
-def test_repeat_batch_invariant_to_workers_and_arena(workers, arena):
+def test_repeat_batch_invariant_to_workers(workers):
     dfg, table, floor = _instance("diffeq")
     deadlines = [floor, floor - 1, floor + 3, floor + 5]
     outcomes = dfg_assign_repeat_batch(
         [BatchJob(dfg, table, d) for d in deadlines],
         workers=workers,
-        arena=arena,
     )
     baseline = dfg_assign_repeat_batch(
         [BatchJob(dfg, table, d) for d in deadlines]

@@ -5,8 +5,8 @@ is total: for *every* registered benchmark and for arbitrary random
 instances, the batched paths must reproduce the scalar paths — the
 packed engine and the reference loop — bit for bit: assignments,
 costs, frontier knees, ``DPStats`` work counters, and the exact error
-strings of infeasible lanes.  Shared-memory arenas and
-process pools must be invisible at this level too.
+strings of infeasible lanes.  Process pools must be invisible at this
+level too.
 """
 
 from __future__ import annotations
@@ -131,17 +131,16 @@ def test_batched_tree_frontier_matches_scalar_on_random_trees(data):
     assert batched == tree_frontier(tree, table, max_deadline=horizon)
 
 
-@pytest.mark.parametrize("arena", [False, True])
-def test_workers_and_arena_are_invisible(arena):
-    # One pool spin-up keeps the property affordable; per-knob coverage
-    # of workers x arena lives in tests/assign/test_batch.py.
+def test_workers_are_invisible():
+    # One pool spin-up keeps the property affordable; per-count
+    # coverage of workers lives in tests/assign/test_batch.py.
     jobs, baseline = [], []
     for name in ("diffeq", "elliptic"):
         dag, table, floor = _instance(name)
         for d in (floor - 1, floor + 2):
             jobs.append(BatchJob(dag, table, d))
     baseline = dfg_assign_repeat_batch(jobs)
-    parallel = dfg_assign_repeat_batch(jobs, workers=2, arena=arena)
+    parallel = dfg_assign_repeat_batch(jobs, workers=2)
     for got, want in zip(parallel, baseline):
         if want.error is not None:
             assert type(got.error) is type(want.error)

@@ -178,6 +178,14 @@ class TestCommands:
         assert main(["run", str(path), "--seed", "3"]) == 0
         assert "seeded random table" in capsys.readouterr().out
 
+    def test_run_has_no_workers_flag(self, capsys):
+        # `run` picks a paper algorithm, never the portfolio race, so a
+        # worker count would be accepted and ignored.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["run", "g.dfg", "--workers", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers" in capsys.readouterr().err
+
 
 class TestForwardingAudit:
     """Every REMAINDER subcommand must be dispatched before parse_args.

@@ -184,6 +184,18 @@ class TestFacadeKeywordOnly:
         for fn in (assign.dfg_assign_repeat, _min_time_choice):
             assert "workers" not in inspect.signature(fn).parameters, fn
 
+    def test_batched_lanes_ship_by_value(self):
+        """The shared-memory table arena and its `arena=` knob are gone."""
+        import inspect
+
+        from repro import assign
+        from repro.serve.jobs import solve_canonical_batch
+
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.engine.arena")
+        for fn in (assign.dfg_assign_repeat_batch, solve_canonical_batch):
+            assert "arena" not in inspect.signature(fn).parameters, fn
+
 
 class TestResultSchema:
     """The versioned SynthesisResult JSON document is a pinned surface.
