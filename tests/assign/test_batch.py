@@ -11,6 +11,8 @@ exhaustive every-benchmark sweep is in
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
 from repro.assign import (
@@ -143,11 +145,18 @@ def test_mixed_structures_in_one_batch():
 
 
 @pytest.mark.parametrize("workers", [0, 2])
-def test_repeat_batch_invariant_to_workers(workers):
+@pytest.mark.parametrize("shared_table", [False, True])
+def test_repeat_batch_invariant_to_workers_and_arena(workers, shared_table):
+    # The "arena" axis is how lane tables travel: one table object shared
+    # by every lane (bound once per chunk, the deduplication the removed
+    # shared-memory arena also did) or an equal copy per lane.
     dfg, table, floor = _instance("diffeq")
     deadlines = [floor, floor - 1, floor + 3, floor + 5]
     outcomes = dfg_assign_repeat_batch(
-        [BatchJob(dfg, table, d) for d in deadlines],
+        [
+            BatchJob(dfg, table if shared_table else copy.deepcopy(table), d)
+            for d in deadlines
+        ],
         workers=workers,
     )
     baseline = dfg_assign_repeat_batch(

@@ -11,6 +11,8 @@ level too.
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 from hypothesis import given, settings
 
@@ -131,15 +133,22 @@ def test_batched_tree_frontier_matches_scalar_on_random_trees(data):
     assert batched == tree_frontier(tree, table, max_deadline=horizon)
 
 
-def test_workers_are_invisible():
+@pytest.mark.parametrize("shared_table", [False, True])
+def test_workers_and_arena_are_invisible(shared_table):
     # One pool spin-up keeps the property affordable; per-count
-    # coverage of workers lives in tests/assign/test_batch.py.
+    # coverage of workers lives in tests/assign/test_batch.py.  The
+    # "arena" axis ships one shared table per graph or a copy per lane.
     jobs, baseline = [], []
     for name in ("diffeq", "elliptic"):
         dag, table, floor = _instance(name)
         for d in (floor - 1, floor + 2):
             jobs.append(BatchJob(dag, table, d))
     baseline = dfg_assign_repeat_batch(jobs)
+    if not shared_table:
+        jobs = [
+            BatchJob(job.dfg, copy.deepcopy(job.table), job.deadline)
+            for job in jobs
+        ]
     parallel = dfg_assign_repeat_batch(jobs, workers=2)
     for got, want in zip(parallel, baseline):
         if want.error is not None:
