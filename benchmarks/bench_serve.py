@@ -184,7 +184,7 @@ def solve_per_job(requests: List[Request]) -> List[Tuple[Any, Any]]:
     for request in requests:
         job = prepare(request, default_evaluations=DEFAULT_BUDGET_EVALUATIONS)
         payload = relabel_payload(
-            json.loads(solve_canonical_job(job.job_json)), job.order
+            json.loads(solve_canonical_job(json.dumps(job.job))), job.order
         )
         out.append((payload.get("result"), payload.get("error")))
     return out

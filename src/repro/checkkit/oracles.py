@@ -13,16 +13,20 @@ error).
 :data:`CERTIFY_CHAIN` is the historical `verify.certify` portfolio
 (:mod:`repro.verify` is now a thin facade over it);
 :data:`FUZZ_CHAIN` adds the differential oracles that pin the
-incremental engine and the batched sweeps to their reference
-implementations.  :func:`reference_repeat` is the single reference for
-`dfg_assign_repeat`, and :func:`reference_frontier` the per-deadline
-reference for `dfg_frontier`.
+incremental engine, the batched sweeps and the indexed phase 2 to their
+reference implementations.  :func:`reference_repeat` is the single
+reference for `dfg_assign_repeat`, :func:`reference_frontier` the
+per-deadline reference for `dfg_frontier`, and :func:`reference_phase2`
+the node-keyed reference for :func:`repro.synthesis.run_phase2`.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..assign import (
     brute_force_assign,
@@ -43,16 +47,19 @@ from ..assign.dfg_expand import ExpandedTree
 from ..assign.frontier import FrontierPoint, _knee_points
 from ..assign.ilp_model import build_ilp, check_solution
 from ..assign.result import AssignResult
-from ..errors import CheckError
+from ..engine import window_bounds
+from ..errors import CheckError, ReproError, ScheduleError
 from ..fu.table import TimeCostTable
 from ..graph.classify import is_in_forest, is_out_forest, is_simple_path
+from ..graph.dag import topological_order
 from ..graph.dfg import DFG, Node
 from ..sched import (
     force_directed_schedule,
     lower_bound_configuration,
     min_resource_schedule,
 )
-from ..sched.schedule import Schedule
+from ..sched.schedule import Configuration, Schedule, ScheduledOp
+from ..synthesis import run_phase2
 
 __all__ = [
     "BRUTE_FORCE_LIMIT",
@@ -63,7 +70,9 @@ __all__ = [
     "OracleContext",
     "oracle_names",
     "get_oracle",
+    "phase2_outcome",
     "reference_frontier",
+    "reference_phase2",
     "reference_repeat",
     "run_oracles",
 ]
@@ -438,6 +447,171 @@ def reference_repeat(
     )
 
 
+class _ReferencePool:
+    """FU instances with per-instance free times (reference scheduler)."""
+
+    def __init__(self, counts: Sequence[int]):
+        self.free_at: List[List[int]] = [[0] * c for c in counts]
+
+    def acquire(self, fu_type: int, step: int, duration: int) -> Optional[int]:
+        units = self.free_at[fu_type]
+        for i, free in enumerate(units):
+            if free <= step:
+                units[i] = step + duration
+                return i
+        return None
+
+    def grow(self, fu_type: int, step: int, duration: int) -> int:
+        self.free_at[fu_type].append(step + duration)
+        return len(self.free_at[fu_type]) - 1
+
+
+def _reference_asap(dfg: DFG, times: Dict[Node, int]) -> Dict[Node, int]:
+    start: Dict[Node, int] = {}
+    for node in topological_order(dfg):
+        parents = dfg.parents(node)
+        start[node] = max(start[p] + times[p] for p in parents) if parents else 0
+    return start
+
+
+def _reference_alap(
+    dfg: DFG, times: Dict[Node, int], deadline: int
+) -> Dict[Node, int]:
+    if deadline < 0:
+        raise ScheduleError(f"deadline must be >= 0, got {deadline}")
+    start: Dict[Node, int] = {}
+    for node in reversed(topological_order(dfg)):
+        latest_end = min((start[c] for c in dfg.children(node)), default=deadline)
+        start[node] = latest_end - times[node]
+        if start[node] < 0:
+            raise ScheduleError(
+                f"deadline {deadline} infeasible: {node!r} would need to "
+                f"start at {start[node]}"
+            )
+    return start
+
+
+def _reference_occupancy(
+    dfg: DFG,
+    times: Dict[Node, int],
+    type_of: Dict[Node, int],
+    starts: Dict[Node, int],
+    num_types: int,
+    horizon: int,
+) -> np.ndarray:
+    occ = np.zeros((num_types, horizon), dtype=np.int64)
+    for node in dfg.nodes():
+        s, t = starts[node], times[node]
+        if s < 0 or s + t > horizon:
+            raise ScheduleError(
+                f"{node!r} occupies [{s}, {s + t}) outside horizon {horizon}"
+            )
+        occ[type_of[node], s : s + t] += 1
+    return occ
+
+
+def reference_phase2(
+    dfg: DFG, table: TimeCostTable, assignment: Assignment, deadline: int
+) -> Tuple[Configuration, Schedule]:
+    """`Lower_Bound_R` then `Min_R_Scheduling` on node-keyed dicts.
+
+    The paper's phase 2 as first written: each step validates the
+    assignment and derives times and ALAP on its own, occupancy is one
+    slice-add per node, and the list scheduler keys its heap by node.
+    :func:`repro.synthesis.run_phase2` (the indexed implementation)
+    must equal this exactly: the same lower bound, the same ops in the
+    same order, the same configuration, or the same error type and
+    message.
+    """
+    assignment.validate_for(dfg, table)
+    times = assignment.execution_times(dfg, table)
+    type_of = {n: assignment[n] for n in dfg.nodes()}
+    asap = _reference_asap(dfg, times)
+    alap = _reference_alap(dfg, times, deadline)
+    bounds = window_bounds(
+        _reference_occupancy(dfg, times, type_of, asap, table.num_types, deadline),
+        _reference_occupancy(dfg, times, type_of, alap, table.num_types, deadline),
+    )
+    lower = Configuration.of(bounds)
+
+    pool = _ReferencePool(lower.counts)
+    order = topological_order(dfg)
+    tie = {n: i for i, n in enumerate(order)}
+    unscheduled_parents = {n: len(dfg.parents(n)) for n in order}
+    ready_at = {n: 0 for n in order}
+    ready: List[Tuple[int, int, Node]] = []
+    pending: Dict[int, List[Node]] = {}
+    for n in order:
+        if unscheduled_parents[n] == 0:
+            heapq.heappush(ready, (alap[n], tie[n], n))
+    ops: Dict[Node, ScheduledOp] = {}
+
+    def place(node: Node, step: int, force: bool) -> bool:
+        j, t = type_of[node], times[node]
+        idx = pool.acquire(j, step, t)
+        if idx is None:
+            if not force:
+                return False
+            idx = pool.grow(j, step, t)
+        ops[node] = ScheduledOp(start=step, fu_type=j, fu_index=idx)
+        for c in dfg.children(node):
+            ready_at[c] = max(ready_at[c], step + t)
+            unscheduled_parents[c] -= 1
+            if unscheduled_parents[c] == 0:
+                if ready_at[c] <= step:
+                    heapq.heappush(ready, (alap[c], tie[c], c))
+                else:
+                    pending.setdefault(ready_at[c], []).append(c)
+        return True
+
+    for step in range(deadline + 1):
+        for node in sorted(pending.pop(step, []), key=lambda n: (alap[n], tie[n])):
+            heapq.heappush(ready, (alap[node], tie[node], node))
+        if len(ops) == len(order):
+            break
+        while True:
+            deferred: List[Tuple[int, int, Node]] = []
+            while ready:
+                a, t_, node = heapq.heappop(ready)
+                if a <= step:
+                    place(node, step, force=True)
+                else:
+                    deferred.append((a, t_, node))
+            deferred.sort()
+            for a, t_, node in deferred:
+                if not place(node, step, force=False):
+                    heapq.heappush(ready, (a, t_, node))
+            if not ready or ready[0][0] > step:
+                break
+    if len(ops) != len(order):
+        raise CheckError(f"reference scheduler stalled at deadline {deadline}")
+    counts = [len(units) for units in pool.free_at]
+    return lower, Schedule(
+        ops=ops, configuration=Configuration.of(counts), deadline=deadline
+    )
+
+
+def phase2_outcome(
+    fn: Callable[[], Tuple[Configuration, Schedule]]
+) -> Tuple[object, ...]:
+    """What a phase-2 call produced, comparable with ``==``.
+
+    ``("ok", lower bound, ops in insertion order, configuration)`` or
+    ``("error", exception type name, message)`` for a
+    :class:`~repro.errors.ReproError`.
+    """
+    try:
+        lower, schedule = fn()
+    except ReproError as exc:
+        return ("error", type(exc).__name__, str(exc))
+    return (
+        "ok",
+        lower.counts,
+        list(schedule.ops.items()),
+        schedule.configuration.counts,
+    )
+
+
 def reference_frontier(
     dfg: DFG, table: TimeCostTable, *, max_deadline: int
 ) -> List[FrontierPoint]:
@@ -502,6 +676,30 @@ def _oracle_reference(ctx: OracleContext) -> List[str]:
                 )
         checks.append("tree_frontier knees == tree_assign point solves")
     return checks
+
+
+@_register(
+    "phase2",
+    "the indexed phase 2 equals the dict-based reference, errors included",
+)
+def _oracle_phase2(ctx: OracleContext) -> List[str]:
+    assignment = ctx.results["repeat"].assignment
+    completion = assignment.completion_time(ctx.dag, ctx.table)
+    # the request's deadline, the tightest feasible one, and one step
+    # short of it (an ALAP error, or the negative-deadline error)
+    for deadline in sorted({ctx.deadline, completion, completion - 1}):
+        got = phase2_outcome(
+            lambda: run_phase2(ctx.dag, ctx.table, assignment, deadline)
+        )
+        want = phase2_outcome(
+            lambda: reference_phase2(ctx.dag, ctx.table, assignment, deadline)
+        )
+        if got != want:
+            raise CheckError(
+                f"phase 2 at deadline {deadline}: indexed {got!r} != "
+                f"reference {want!r}"
+            )
+    return ["indexed phase 2 == dict-based reference (tight and infeasible too)"]
 
 
 @_register(
@@ -581,6 +779,7 @@ CERTIFY_CHAIN: Tuple[str, ...] = (
 #: Everything, including the engine/batched/incremental differentials.
 FUZZ_CHAIN: Tuple[str, ...] = CERTIFY_CHAIN + (
     "reference",
+    "phase2",
     "frontier",
     "metaheuristics",
 )

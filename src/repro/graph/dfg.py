@@ -53,16 +53,20 @@ class DFG:
     into ``v``, parallel edges as added.  Kahn's order is computed once
     and kept until the next structural change (a new node, an added or
     removed edge): the assignment and scheduling passes ask for it many
-    times per solve.
+    times per solve.  The scheduling passes' integer-indexed view
+    (:func:`repro.sched.phase2.indexed_dag`) is cached and dropped the
+    same way.
     """
 
-    __slots__ = ("_attrs", "_succ", "_pred", "_kahn", "name")
+    __slots__ = ("_attrs", "_succ", "_pred", "_kahn", "_index", "name")
 
     def __init__(self, name: str = "dfg"):
         self._attrs: Dict[Node, Dict[str, Any]] = {}
         self._succ: Dict[Node, Dict[Node, List[int]]] = {}
         self._pred: Dict[Node, Dict[Node, List[int]]] = {}
         self._kahn: Optional[List[Node]] = None
+        #: :class:`repro.sched.phase2.IndexedDAG` of this graph, if built.
+        self._index: Optional[Any] = None
         self.name = name
 
     # ------------------------------------------------------------------
@@ -82,7 +86,7 @@ class DFG:
             data = self._attrs[node] = {}
             self._succ[node] = {}
             self._pred[node] = {}
-            self._kahn = None
+            self._kahn = self._index = None
         data["op"] = op
         data.update(attrs)
 
@@ -105,14 +109,14 @@ class DFG:
         delays = self._succ[u].get(v)
         if delays is None:
             delays = self._succ[u][v] = self._pred[v][u] = []
-            self._kahn = None
+            self._kahn = self._index = None
         delays.append(int(delay))
 
     def remove_edges(self, u: Node, v: Node) -> None:
         """Remove every (possibly parallel) edge ``u -> v``; none is fine."""
         if self._succ.get(u, {}).pop(v, None) is not None:
             del self._pred[v][u]
-            self._kahn = None
+            self._kahn = self._index = None
 
     @classmethod
     def from_edges(

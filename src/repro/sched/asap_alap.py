@@ -5,7 +5,8 @@ node at the earliest step its zero-delay predecessors allow; *as late
 as possible* places it at the latest step that still lets every
 descendant finish by the deadline.  Both ignore resource limits —
 they exist to bound where a node may go, and `Lower_Bound_R` and
-`Min_R_Scheduling` are built directly on them.
+`Min_R_Scheduling` are built directly on them.  These are the
+node-keyed forms of the index passes in :mod:`repro.sched.phase2`.
 
 The *mobility* (slack) of a node is ``alap_start − asap_start``; nodes
 with zero mobility form the schedule-critical spine.
@@ -16,8 +17,8 @@ from __future__ import annotations
 from typing import Dict, Mapping
 
 from ..errors import ScheduleError
-from ..graph.dag import reverse_topological_order, topological_order
 from ..graph.dfg import DFG, Node
+from .phase2 import alap_list, asap_list, check_deadline, indexed_dag
 
 __all__ = ["asap_starts", "alap_starts", "mobility"]
 
@@ -32,15 +33,14 @@ def _check(dfg: DFG, times: Mapping[Node, int]) -> None:
 
 
 def asap_starts(dfg: DFG, times: Mapping[Node, int]) -> Dict[Node, int]:
-    """Earliest start step per node: ``max(end of parents)``, roots at 0."""
+    """Earliest start step per node: ``max(end of parents)``, roots at 0.
+
+    Keyed in topological order.
+    """
     _check(dfg, times)
-    start: Dict[Node, int] = {}
-    for node in topological_order(dfg):
-        parents = dfg.parents(node)
-        start[node] = (
-            max(start[p] + times[p] for p in parents) if parents else 0
-        )
-    return start
+    view = indexed_dag(dfg)
+    start = asap_list(view, [times[n] for n in view.nodes])
+    return dict(zip(view.nodes, start))
 
 
 def alap_starts(
@@ -52,22 +52,13 @@ def alap_starts(
     ``deadline − t(v)``.  Raises :class:`ScheduleError` when the
     deadline is shorter than the critical path (some start would go
     negative) — callers should have checked assignment feasibility
-    first.
+    first.  Keyed in reverse topological order.
     """
     _check(dfg, times)
-    if deadline < 0:
-        raise ScheduleError(f"deadline must be >= 0, got {deadline}")
-    start: Dict[Node, int] = {}
-    for node in reverse_topological_order(dfg):
-        children = dfg.children(node)
-        latest_end = min((start[c] for c in children), default=deadline)
-        start[node] = latest_end - times[node]
-        if start[node] < 0:
-            raise ScheduleError(
-                f"deadline {deadline} infeasible: {node!r} would need to "
-                f"start at {start[node]}"
-            )
-    return start
+    check_deadline(deadline)
+    view = indexed_dag(dfg)
+    start = alap_list(view, [times[n] for n in view.nodes], deadline)
+    return {view.nodes[i]: start[i] for i in range(len(view) - 1, -1, -1)}
 
 
 def mobility(

@@ -27,14 +27,11 @@ from typing import Mapping
 
 import numpy as np
 
-from ..engine import window_bounds
-from ..errors import ScheduleError
 from ..fu.table import TimeCostTable
 from ..graph.dfg import DFG, Node
-from ..obs import annotate, current_tracer
 
 from ..assign.assignment import Assignment
-from .asap_alap import alap_starts, asap_starts
+from .phase2 import Phase2Frame, occupancy_matrix
 from .schedule import Configuration
 
 __all__ = ["occupancy", "lower_bound_configuration"]
@@ -51,18 +48,19 @@ def occupancy(
     """``occ[j, s]`` = type-``j`` operations executing during step ``s``.
 
     The paper's ``Num[step][type]`` matrix, generalized to multi-cycle
-    operations by counting every occupied step.
+    operations by counting every occupied step.  A node occupying a
+    step outside ``[0, horizon)`` raises
+    :class:`~repro.errors.ScheduleError` (the first in node order).
     """
-    occ = np.zeros((num_types, horizon), dtype=np.int64)
-    for node in dfg.nodes():
-        j = type_of[node]
-        s, t = starts[node], times[node]
-        if s < 0 or s + t > horizon:
-            raise ScheduleError(
-                f"{node!r} occupies [{s}, {s + t}) outside horizon {horizon}"
-            )
-        occ[j, s : s + t] += 1
-    return occ
+    nodes = dfg.nodes()
+    return occupancy_matrix(
+        nodes,
+        [type_of[n] for n in nodes],
+        [times[n] for n in nodes],
+        [[starts[n] for n in nodes]],
+        num_types,
+        horizon,
+    )[0]
 
 
 def lower_bound_configuration(
@@ -74,24 +72,7 @@ def lower_bound_configuration(
     """Per-type FU lower bounds for any schedule within ``deadline``.
 
     Requires a feasible assignment (ALAP must exist).  Types that the
-    assignment never uses get a bound of 0.
+    assignment never uses get a bound of 0.  See
+    :meth:`repro.sched.phase2.Phase2Frame.lower_bound`.
     """
-    assignment.validate_for(dfg, table)
-    with current_tracer().span(
-        "lower_bound_configuration", nodes=len(dfg), deadline=deadline
-    ):
-        times = assignment.execution_times(dfg, table)
-        type_of = {n: assignment[n] for n in dfg.nodes()}
-        m = table.num_types
-
-        asap = asap_starts(dfg, times)
-        alap = alap_starts(dfg, times, deadline)
-        occ_asap = occupancy(dfg, times, type_of, asap, m, deadline)
-        occ_alap = occupancy(dfg, times, type_of, alap, m, deadline)
-
-        # All m types at once: ALAP prefixes (work forced into the first
-        # w steps) and ASAP suffixes (work forced into the last w steps),
-        # each averaged over every window length — see engine.kernels.
-        bounds = [int(b) for b in window_bounds(occ_asap, occ_alap)]
-        annotate(bound_total=sum(bounds))
-        return Configuration.of(bounds)
+    return Phase2Frame(dfg, table, assignment, deadline).lower_bound()

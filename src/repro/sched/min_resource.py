@@ -11,8 +11,10 @@ provably meets the deadline together with a configuration that only
 ever grew out of necessity.
 
 Priority among non-urgent ready nodes is least-ALAP-first (least
-slack), the classical list-scheduling heuristic; ties fall back to DFG
-insertion order, keeping the whole pipeline deterministic.
+slack), the classical list-scheduling heuristic; ties fall back to
+topological order, keeping the whole pipeline deterministic.  The
+scheduler itself lives in :mod:`repro.sched.phase2`, next to
+`Lower_Bound_R`, with which it shares its ALAP starts.
 
 This module also provides :func:`list_schedule`, a plain
 fixed-configuration list scheduler used by the comparison benches
@@ -23,17 +25,17 @@ own?") and by the schedule-quality ablations.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import ScheduleError
 from ..fu.table import TimeCostTable
 from ..graph.dag import topological_order
 from ..graph.dfg import DFG, Node
-from ..obs import annotate, current_tracer
+from ..obs import current_tracer
 
 from ..assign.assignment import Assignment
 from .asap_alap import alap_starts
-from .lower_bound import lower_bound_configuration
+from .phase2 import Phase2Frame
 from .schedule import Configuration, Schedule, ScheduledOp
 
 __all__ = ["min_resource_schedule", "list_schedule"]
@@ -46,9 +48,6 @@ class _FUPool:
         #: free_at[j][i] = first step instance i of type j is idle.
         self.free_at: List[List[int]] = [[0] * c for c in counts]
 
-    def counts(self) -> List[int]:
-        return [len(units) for units in self.free_at]
-
     def acquire(self, fu_type: int, step: int, duration: int) -> Optional[int]:
         """Book the lowest-index free instance; None when all are busy."""
         units = self.free_at[fu_type]
@@ -57,11 +56,6 @@ class _FUPool:
                 units[i] = step + duration
                 return i
         return None
-
-    def grow(self, fu_type: int, step: int, duration: int) -> int:
-        """Add one instance of ``fu_type`` and book it immediately."""
-        self.free_at[fu_type].append(step + duration)
-        return len(self.free_at[fu_type]) - 1
 
 
 def min_resource_schedule(
@@ -80,113 +74,12 @@ def min_resource_schedule(
 
     Always succeeds for a feasible assignment: a node is forced onto a
     (possibly new) instance no later than its ALAP step, and ALAP
-    guarantees its parents have finished by then.
+    guarantees its parents have finished by then.  See
+    :meth:`repro.sched.phase2.Phase2Frame.schedule`.
 
     Everything after ``table`` is keyword-only.
     """
-    assignment.validate_for(dfg, table)
-    with current_tracer().span(
-        "min_resource_schedule", nodes=len(dfg), deadline=deadline
-    ):
-        return _min_resource_schedule(dfg, table, assignment, deadline, initial)
-
-
-def _min_resource_schedule(
-    dfg: DFG,
-    table: TimeCostTable,
-    assignment: Assignment,
-    deadline: int,
-    initial: Optional[Configuration],
-) -> Schedule:
-    """`min_resource_schedule` body (span-wrapped by the public entry)."""
-    times = assignment.execution_times(dfg, table)
-    type_of = {n: assignment[n] for n in dfg.nodes()}
-    alap = alap_starts(dfg, times, deadline)  # raises if infeasible
-
-    if initial is None:
-        initial = lower_bound_configuration(dfg, table, assignment, deadline)
-    if initial.num_types != table.num_types:
-        raise ScheduleError(
-            f"initial configuration has {initial.num_types} types, "
-            f"table has {table.num_types}"
-        )
-    pool = _FUPool(list(initial.counts))
-
-    order = topological_order(dfg)
-    tie = {n: i for i, n in enumerate(order)}
-    unscheduled_parents: Dict[Node, int] = {
-        n: len(dfg.parents(n)) for n in order
-    }
-    #: per-node max end over already-placed parents (data-ready step)
-    ready_at: Dict[Node, int] = {n: 0 for n in order}
-    #: min-heap of (alap, tie, node) currently ready
-    ready: List[Tuple[int, int, Node]] = []
-    #: nodes becoming ready at a future step: step -> [node]
-    pending: Dict[int, List[Node]] = {}
-
-    for n in order:
-        if unscheduled_parents[n] == 0:
-            heapq.heappush(ready, (alap[n], tie[n], n))
-
-    ops: Dict[Node, ScheduledOp] = {}
-
-    def place(node: Node, step: int, force: bool) -> bool:
-        j = type_of[node]
-        t = times[node]
-        idx = pool.acquire(j, step, t)
-        if idx is None:
-            if not force:
-                return False
-            idx = pool.grow(j, step, t)
-        ops[node] = ScheduledOp(start=step, fu_type=j, fu_index=idx)
-        done = step + t
-        for c in dfg.children(node):
-            ready_at[c] = max(ready_at[c], done)
-            unscheduled_parents[c] -= 1
-            if unscheduled_parents[c] == 0:
-                if ready_at[c] <= step:  # zero-time producer: ready now
-                    heapq.heappush(ready, (alap[c], tie[c], c))
-                else:
-                    pending.setdefault(ready_at[c], []).append(c)
-        return True
-
-    for step in range(deadline + 1):
-        for node in sorted(pending.pop(step, []), key=lambda n: (alap[n], tie[n])):
-            heapq.heappush(ready, (alap[node], tie[node], node))
-        if len(ops) == len(order):
-            break
-        # Alternate the two passes until the step stabilizes: placing a
-        # zero-time node can make an urgent successor ready within the
-        # same step, which must still be force-placed now.
-        while True:
-            # Pass 1: urgent nodes (ALAP reached) may grow the pool.
-            deferred: List[Tuple[int, int, Node]] = []
-            while ready:
-                a, t_, node = heapq.heappop(ready)
-                if a <= step:
-                    placed = place(node, step, force=True)
-                    assert placed
-                else:
-                    deferred.append((a, t_, node))
-            # Pass 2: non-urgent nodes fill free instances only.
-            deferred.sort()
-            for a, t_, node in deferred:
-                if not place(node, step, force=False):
-                    heapq.heappush(ready, (a, t_, node))
-            if not ready or ready[0][0] > step:
-                break
-
-    if len(ops) != len(order):  # pragma: no cover - guarded by ALAP proof
-        missing = [n for n in order if n not in ops]
-        raise ScheduleError(f"scheduler stalled; unplaced: {missing[:5]!r}")
-
-    schedule = Schedule(
-        ops=ops,
-        configuration=Configuration.of(pool.counts()),
-        deadline=deadline,
-    )
-    annotate(fu_instances=sum(pool.counts()))
-    return schedule
+    return Phase2Frame(dfg, table, assignment, deadline).schedule(initial)
 
 
 def list_schedule(

@@ -27,8 +27,10 @@ measured with.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import tempfile
 from collections import OrderedDict
 from typing import Any, Dict, Iterator, Optional
 
@@ -87,11 +89,20 @@ class ResultCache:
         self._remember(key, payload)
         if self._path is not None:
             target = self._file(key)
-            tmp = target + ".tmp"
             try:
-                with open(tmp, "w", encoding="utf-8") as fh:
-                    json.dump(payload, fh, sort_keys=True)
-                os.replace(tmp, target)  # atomic: readers never see partials
+                # A temp file of this writer's own: another process
+                # storing the same key must not rename it away first.
+                fd, tmp = tempfile.mkstemp(
+                    dir=self._path, prefix=f"{key}.", suffix=".tmp"
+                )
+                try:
+                    with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                        json.dump(payload, fh, sort_keys=True)
+                    os.replace(tmp, target)  # atomic: no partial reads
+                except BaseException:
+                    with contextlib.suppress(OSError):
+                        os.unlink(tmp)
+                    raise
             except OSError as exc:
                 raise ServeError(
                     f"cannot persist cache entry to {target!r}: {exc}"

@@ -35,7 +35,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from ..errors import ReproError
 from ..synthesis import RESULT_SCHEMA_VERSION
-from .loader import requests_from_doc
+from .loader import load_json, requests_from_doc
 from .service import SynthesisService
 
 __all__ = ["ServeHTTPServer", "make_server"]
@@ -115,9 +115,7 @@ class _Handler(BaseHTTPRequestHandler):
             return 400, {"error": f"body length {length} out of range"}
         raw = self.rfile.read(length)
         try:
-            requests = requests_from_doc(json.loads(raw))
-        except json.JSONDecodeError as exc:
-            return 400, {"error": f"body is not valid JSON: {exc}"}
+            requests = requests_from_doc(load_json(raw, "body"))
         except ReproError as exc:
             return 400, {"error": str(exc)}
         responses = self.server.service.solve_batch(requests)

@@ -10,12 +10,15 @@ requests produce byte-identical job payloads, share one cache entry,
 and receive structurally identical answers translated back through
 each request's own node order.
 
-:func:`solve_canonical_job` is the :func:`repro.engine.pmap` payload:
-a module-level function over JSON strings (spawn-safe, no shared
-state — lintkit rules RL007/RL008 verify this statically).  It runs
-the solve under a private tracer and returns the canonical result
-together with the counters it collected, so the coordinating service
-can merge ``dp.*``/``engine.*`` telemetry regardless of worker count.
+The service hands :func:`solve_canonical_batch` the job dicts and gets
+payload dicts back: inside one process nothing is serialized.  JSON is
+the wire format of :func:`solve_canonical_job` only, the
+:func:`repro.engine.pmap` payload for the jobs the batch cannot share
+work across: a module-level function over JSON strings (spawn-safe, no
+shared state — lintkit rules RL007/RL008 verify this statically).
+Every job runs under a private tracer, and its payload carries the
+counters it collected, so the coordinating service can merge
+``dp.*``/``engine.*`` telemetry regardless of worker count.
 """
 
 from __future__ import annotations
@@ -35,7 +38,13 @@ from ..fu.table import TimeCostTable
 from ..graph.dfg import DFG, Node
 from ..io import canonical_instance_dict, canonical_order
 from ..obs import Tracer, add_metric, current_tracer, use_tracer
-from ..synthesis import RESULT_SCHEMA_VERSION, auto_algorithm, synthesize
+from ..synthesis import (
+    RESULT_SCHEMA_VERSION,
+    SynthesisResult,
+    auto_algorithm,
+    run_phase2,
+    synthesize,
+)
 
 __all__ = [
     "Request",
@@ -132,18 +141,26 @@ class PreparedJob:
     #: Caller nodes in canonical order: ``order[i]`` is the caller's
     #: name for canonical index ``i``.
     order: List[Node] = field(hash=False)
-    #: sha256 over the canonical instance JSON + solver knobs + versions.
+    #: sha256 over the canonical job JSON: instance, solver knobs and
+    #: versions, keys sorted, compact separators.
     key: str = ""
-    #: JSON payload handed to :func:`solve_canonical_job` on a miss.
-    job_json: str = ""
+    #: The canonical job (``instance``, ``knobs``, ``version``) handed
+    #: to :func:`solve_canonical_batch` on a miss.
+    job: Dict[str, Any] = field(default_factory=dict, hash=False)
 
 
 #: One batch's canonical forms: ``(id(dfg), id(table))`` -> the pair
-#: (kept alive, so the ids stay unique), its canonical order, and its
-#: canonical instance dict without a deadline.
+#: (kept alive, so the ids stay unique), its canonical order, its
+#: canonical instance dict without a deadline, and that dict's JSON
+#: without the deadline key and its opening brace.
 CanonicalMemo = Dict[
-    Tuple[int, int], Tuple[DFG, TimeCostTable, List[Node], Dict[str, Any]]
+    Tuple[int, int], Tuple[DFG, TimeCostTable, List[Node], Dict[str, Any], str]
 ]
+
+
+def _compact(doc: Any) -> str:
+    """The key's JSON form: sorted keys, no whitespace."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def prepare(
@@ -161,7 +178,9 @@ def prepare(
     cache entry.  ``memo`` (one batch's, see :data:`CanonicalMemo`)
     canonicalizes each distinct ``(dfg, table)`` object pair once: the
     requests of a deadline sweep share their loader-built objects and
-    differ in the deadline only.
+    differ in the deadline only.  The instance JSON is written once per
+    pair, too: ``"deadline"`` sorts before every other instance key, so
+    each request splices its deadline in front of the shared text.
     """
     evaluations = request.budget_evaluations
     wall_s = request.budget_wall_s
@@ -175,22 +194,26 @@ def prepare(
     if known is None:
         order = canonical_order(request.dfg, request.table)
         base = canonical_instance_dict(request.dfg, request.table, order=order)
-        known = (request.dfg, request.table, order, base)
+        rest = {name: value for name, value in base.items() if name != "deadline"}
+        assert min(rest) > "deadline"  # the splice below keeps keys sorted
+        known = (request.dfg, request.table, order, base, _compact(rest)[1:])
         if memo is not None:
             memo[pair] = known
-    order, base = known[2], known[3]
+    order, base, tail = known[2], known[3], known[4]
+    deadline = None if request.deadline is None else int(request.deadline)
     instance = dict(base)
-    instance["deadline"] = (
-        None if request.deadline is None else int(request.deadline)
-    )
+    instance["deadline"] = deadline
     version = {
         "result_schema": RESULT_SCHEMA_VERSION,
         "solver": SOLVER_VERSION,
     }
     job = {"instance": instance, "knobs": knobs, "version": version}
-    job_json = json.dumps(job, sort_keys=True, separators=(",", ":"))
+    job_json = (
+        f'{{"instance":{{"deadline":{_compact(deadline)},{tail},'
+        f'"knobs":{_compact(knobs)},"version":{_compact(version)}}}'
+    )
     key = hashlib.sha256(job_json.encode("utf-8")).hexdigest()
-    return PreparedJob(request=request, order=order, key=key, job_json=job_json)
+    return PreparedJob(request=request, order=order, key=key, job=job)
 
 
 def _instance_from_canonical(doc: Dict[str, Any]) -> tuple:
@@ -230,13 +253,13 @@ def _crash_payload(exc: Exception) -> Dict[str, Any]:
     return payload
 
 
-def _finish(tracer: Tracer, payload: Dict[str, Any]) -> str:
-    """Attach the job tracer's counters and serialize the payload."""
+def _finish(tracer: Tracer, payload: Dict[str, Any]) -> Dict[str, Any]:
+    """Attach the job tracer's counters to the payload."""
     payload["counters"] = {
         name: counter.value
         for name, counter in sorted(tracer.metrics.counters.items())
     }
-    return json.dumps(payload, sort_keys=True)
+    return payload
 
 
 def solve_canonical_job(job_json: str) -> str:
@@ -281,23 +304,25 @@ def solve_canonical_job(job_json: str) -> str:
         payload = _error_payload(exc)
     except Exception as exc:
         payload = _crash_payload(exc)
-    return _finish(tracer, payload)
+    return json.dumps(_finish(tracer, payload), sort_keys=True)
 
 
 def _phase2(
-    dfg: DFG,
+    dag: DFG,
     table: TimeCostTable,
     deadline: int,
     knobs: Dict[str, Any],
     outcome: Union[AssignResult, ReproError],
     stats: Optional[DPStats] = None,
-) -> str:
+) -> Dict[str, Any]:
     """The payload of a job whose phase 1 was solved in bulk.
 
-    Phase 2 runs per job through ``synthesize(assign_result=...)``
-    under a private tracer; ``stats`` are the job's lane counters,
-    published as ``dp.*`` the way a scalar solve publishes them (a
-    failed phase 1 publishes none, like a scalar solve that raised).
+    Phase 2 runs per job through :func:`repro.synthesis.run_phase2` on
+    the sweep's shared ``dag`` (its indexed view is built once for all
+    of them), under a private tracer; ``stats`` are the job's lane
+    counters, published as ``dp.*`` the way a scalar solve publishes
+    them (a failed phase 1 publishes none, like a scalar solve that
+    raised).
     """
     tracer = Tracer()
     if isinstance(outcome, ReproError):
@@ -307,14 +332,21 @@ def _phase2(
         with use_tracer(tracer):
             if stats is not None:
                 _emit_dp_metrics({}, stats)
-            result = synthesize(
-                dfg,
+            lower, schedule = run_phase2(
+                dag,
                 table,
+                outcome.assignment,
                 deadline,
                 scheduler=knobs.get("scheduler", "min_resource"),
-                assign_result=outcome,
             )
-        payload = _result_payload(result)
+        payload = _result_payload(
+            SynthesisResult(
+                assign_result=outcome,
+                schedule=schedule,
+                configuration=schedule.configuration,
+                lower_bound=lower,
+            )
+        )
     except ReproError as exc:
         payload = _error_payload(exc)
     except Exception as exc:
@@ -355,13 +387,15 @@ def _rows_key(instance: Dict[str, Any]) -> Tuple[Any, ...]:
 
 
 def solve_canonical_batch(
-    job_jsons: Sequence[str], *, workers: int = 0
-) -> List[str]:
+    jobs: Sequence[Dict[str, Any]], *, workers: int = 0
+) -> List[Dict[str, Any]]:
     """Solve many canonical jobs, sharing phase 1 across them.
 
-    Each distinct graph structure gets one DAG and one
-    :func:`~repro.synthesis.auto_algorithm` verdict.  Two kinds of jobs
-    share their phase 1:
+    ``jobs`` are :attr:`PreparedJob.job` dicts; the answer is one
+    payload dict per job, in order, shaped like the JSON
+    :func:`solve_canonical_job` returns.  Each distinct graph structure
+    gets one DAG and one :func:`~repro.synthesis.auto_algorithm`
+    verdict.  Two kinds of jobs share their phase 1:
 
     * jobs whose phase 1 resolves to `DFG_Assign_Repeat` (the
       general-DAG default) are grouped by structure and solved in
@@ -373,29 +407,29 @@ def solve_canonical_batch(
       the group's largest deadline, one traceback per deadline.
 
     Phase 2 (lower bound + schedule) then runs per job via
-    ``synthesize(assign_result=...)``.  Every returned payload's
-    ``result``/``error`` parts are byte-identical to
+    :func:`repro.synthesis.run_phase2` on the structure's shared DAG.
+    Every returned payload's ``result``/``error`` parts equal
     :func:`solve_canonical_job` on the same job — phase-1 outcomes are
-    bit-identical lane by lane, including the ``dp.*`` integer counters
-    — so cache entries are interchangeable between the two paths.  The
-    remaining jobs (paths, other algorithms, the portfolio strategy,
-    cyclic zero-delay parts) run :func:`solve_canonical_job` each,
-    sharded over ``workers`` processes by :func:`repro.engine.pmap`.
-    An unexpected exception becomes the error entry of the jobs it hit
+    bit-identical lane by lane, including the ``dp.*`` integer
+    counters — so cache entries are interchangeable between the two
+    paths.  The remaining jobs (paths, other algorithms, the portfolio
+    strategy, cyclic zero-delay parts) run :func:`solve_canonical_job`
+    each, sharded over ``workers`` processes by
+    :func:`repro.engine.pmap`; only they cross a JSON boundary.  An
+    unexpected exception becomes the error entry of the jobs it hit
     (all lanes of a shared phase 1), marked ``transient``.
     """
     from ..assign.batch import BatchJob, dfg_assign_repeat_batch
 
-    docs = [json.loads(text) for text in job_jsons]
-    #: structure key -> (dfg, dag, auto algorithm), or None when the
+    #: structure key -> (dag, auto algorithm), or None when the
     #: zero-delay part is cyclic (the scalar path reproduces the error).
-    structures: Dict[Tuple[Any, ...], Optional[Tuple[DFG, DFG, str]]] = {}
+    structures: Dict[Tuple[Any, ...], Optional[Tuple[DFG, str]]] = {}
     #: (structure key, rows key) -> the one table of those jobs.
     tables: Dict[Tuple[Any, ...], TimeCostTable] = {}
     repeat_items: List[int] = []
     sweeps: Dict[Tuple[Any, ...], List[int]] = {}
-    shared: Dict[int, Tuple[DFG, DFG, TimeCostTable]] = {}
-    for idx, doc in enumerate(docs):
+    shared: Dict[int, Tuple[DFG, TimeCostTable]] = {}
+    for idx, doc in enumerate(jobs):
         knobs = doc["knobs"]
         algorithm = knobs.get("algorithm")
         if algorithm not in (None, "repeat", "tree"):
@@ -410,78 +444,80 @@ def solve_canonical_batch(
             except CyclicDependencyError:
                 structures[key] = None
             else:
-                structures[key] = (dfg, dag, auto_algorithm(dag))
+                structures[key] = (dag, auto_algorithm(dag))
         entry = structures[key]
         if entry is None:
             continue
-        dfg, dag, auto = entry
+        dag, auto = entry
         name = algorithm or auto
         if name != "repeat" and not (name == "tree" and auto != "repeat"):
             continue
         pair = (key, _rows_key(doc["instance"]))
         if pair not in tables:
             tables[pair] = _table_from_canonical(doc["instance"])
-        shared[idx] = (dfg, dag, tables[pair])
+        shared[idx] = (dag, tables[pair])
         if name == "repeat":
             repeat_items.append(idx)
         else:
             sweeps.setdefault(pair, []).append(idx)
 
-    def deadline_of(idx: int) -> int:
-        return int(docs[idx]["instance"]["deadline"])
+    out: List[Optional[Dict[str, Any]]] = [None] * len(jobs)
 
-    out: List[Optional[str]] = [None] * len(docs)
+    def deadline_of(idx: int) -> int:
+        return int(jobs[idx]["instance"]["deadline"])
+
+    def crash(exc: Exception, group: List[int]) -> None:
+        entry = _finish(Tracer(), _crash_payload(exc))
+        for idx in group:
+            out[idx] = dict(entry)
+
     if repeat_items:
         add_metric("serve.batched", float(len(repeat_items)))
         try:
             outcomes = dfg_assign_repeat_batch(
                 [
-                    BatchJob(shared[i][1], shared[i][2], deadline_of(i))
+                    BatchJob(shared[i][0], shared[i][1], deadline_of(i))
                     for i in repeat_items
                 ],
                 workers=workers,
             )
         except Exception as exc:
-            crash = _finish(Tracer(), _crash_payload(exc))
-            for idx in repeat_items:
-                out[idx] = crash
+            crash(exc, repeat_items)
         else:
             for idx, outcome in zip(repeat_items, outcomes):
-                dfg, _, table = shared[idx]
+                dag, table = shared[idx]
                 phase1 = outcome.error or outcome.result
                 assert phase1 is not None  # exactly one of the two is set
                 out[idx] = _phase2(
-                    dfg,
+                    dag,
                     table,
                     deadline_of(idx),
-                    docs[idx]["knobs"],
+                    jobs[idx]["knobs"],
                     phase1,
                     outcome.stats,
                 )
     tracer = current_tracer()
     for group in sweeps.values():
-        dfg, dag, table = shared[group[0]]
+        dag, table = shared[group[0]]
         deadlines = [deadline_of(idx) for idx in group]
         try:
             with tracer.span("assign", algorithm="tree", jobs=len(group)):
                 results = tree_assign_sweep(dag, table, deadlines)
         except Exception as exc:
-            crash = _finish(Tracer(), _crash_payload(exc))
-            for idx in group:
-                out[idx] = crash
+            crash(exc, group)
             continue
         for idx, deadline, outcome in zip(group, deadlines, results):
-            out[idx] = _phase2(dfg, table, deadline, docs[idx]["knobs"], outcome)
-    rest = [idx for idx, text in enumerate(out) if text is None]
+            out[idx] = _phase2(dag, table, deadline, jobs[idx]["knobs"], outcome)
+    rest = [idx for idx, payload in enumerate(out) if payload is None]
     if rest:
         solved = pmap(
             solve_canonical_job,
-            [job_jsons[idx] for idx in rest],
+            [_compact(jobs[idx]) for idx in rest],
             workers=workers,
         )
         for idx, text in zip(rest, solved):
-            out[idx] = text
-    return [text for text in out if text is not None]
+            out[idx] = json.loads(text)
+    return [payload for payload in out if payload is not None]
 
 
 def relabel_payload(

@@ -57,6 +57,7 @@ __all__ = [
     "MAX_EXPANSION",
     "MAX_NODES",
     "MAX_TYPES",
+    "load_json",
     "request_from_dict",
     "requests_from_doc",
     "requests_from_file",
@@ -252,13 +253,30 @@ def requests_from_doc(doc: Any) -> List[Request]:
     return requests
 
 
+def load_json(data: bytes, what: str) -> Any:
+    """Parse ``data`` as one JSON document in strict UTF-8.
+
+    Every way the bytes can fail to be JSON is a
+    :class:`~repro.errors.ServeError` naming ``what``: invalid UTF-8
+    (``json.loads`` on bytes would sniff UTF-16/32 from the first bytes
+    instead), a syntax error, or nesting deep enough to exhaust the
+    parser's recursion.
+    """
+    try:
+        return json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ServeError(f"{what} is not valid UTF-8: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ServeError(f"{what} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ServeError(f"{what} nests too deeply to parse") from None
+
+
 def requests_from_file(path: str) -> List[Request]:
     """Load a batch request file (see module docstring for the format)."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ServeError(f"cannot read batch file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ServeError(f"batch file {path!r} is not valid JSON: {exc}") from exc
-    return requests_from_doc(doc)
+    return requests_from_doc(load_json(data, f"batch file {path!r}"))

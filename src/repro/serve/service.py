@@ -37,7 +37,6 @@ gate reads.
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import Future
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -156,13 +155,17 @@ class SynthesisService:
             with tracer.span(
                 "serve.solve", items=len(misses), workers=self.workers
             ):
-                raw = solve_canonical_batch(
-                    [job.job_json for job in misses], workers=self.workers
+                solved = solve_canonical_batch(
+                    [job.job for job in misses], workers=self.workers
                 )
-            for job, text in zip(misses, raw):
-                payload = json.loads(text)
-                self._merge_counters(payload.pop("counters", {}))
-                transient = payload.pop("transient", False)
+            for job, raw in zip(misses, solved):
+                self._merge_counters(raw.get("counters", {}))
+                transient = raw.get("transient", False)
+                payload = {
+                    name: value
+                    for name, value in raw.items()
+                    if name not in ("counters", "transient")
+                }
                 if payload.get("error") is not None:
                     tracer.add_metric("serve.errors")
                 # A crash entry says nothing about the job, and a result

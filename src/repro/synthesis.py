@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Callable, Dict, Mapping, Optional
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from .assign import (
     AssignResult,
@@ -38,16 +38,19 @@ from .assign import (
     tree_assign,
 )
 from .engine import Budget
-from .errors import CyclicDependencyError, ReproError
+from .assign.assignment import Assignment
+from .errors import ReproError
 from .fu.table import TimeCostTable
 from .graph.classify import is_in_forest, is_out_forest, is_simple_path
 from .graph.dfg import DFG
 from .obs import MetricsRegistry, Span, current_tracer
-from .sched import Configuration, Schedule, lower_bound_configuration, min_resource_schedule
+from .sched import Configuration, Schedule
+from .sched.phase2 import Phase2Frame
 
 __all__ = [
     "RESULT_SCHEMA_VERSION",
     "SynthesisResult",
+    "run_phase2",
     "synthesize",
     "ALGORITHMS",
     "auto_algorithm",
@@ -179,6 +182,57 @@ class SynthesisResult:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
 
+def run_phase2(
+    dag: DFG,
+    table: TimeCostTable,
+    assignment: Assignment,
+    deadline: int,
+    *,
+    scheduler: str = "min_resource",
+    timings: Optional[Dict[str, float]] = None,
+) -> Tuple[Configuration, Schedule]:
+    """Phase 2 of the flow: `Lower_Bound_R`, then ``scheduler``.
+
+    Returns ``(lower_bound, schedule)`` for ``assignment`` on the
+    acyclic ``dag``.  The paper's pair runs on one
+    :class:`~repro.sched.phase2.Phase2Frame`: the assignment is
+    validated, its times looked up and its ALAP starts computed once
+    for both steps.  The steps run in the ``lower_bound`` and
+    ``schedule`` spans, and their wall times land in ``timings`` under
+    the same names.  :func:`synthesize` calls this after phase 1, and
+    the serve layer's batched path calls it with the shared DAG of a
+    whole sweep.
+    """
+    tracer = current_tracer()
+    t0 = perf_counter()
+    with tracer.span("lower_bound"):
+        frame = Phase2Frame(dag, table, assignment, deadline)
+        lower = frame.lower_bound()
+    t1 = perf_counter()
+    with tracer.span("schedule", scheduler=scheduler):
+        if scheduler == "min_resource":
+            schedule = frame.schedule(lower)
+        elif scheduler == "force_directed":
+            from .sched import force_directed_schedule
+
+            schedule = force_directed_schedule(dag, table, assignment, deadline)
+        elif scheduler == "heft":
+            from .sched import heft_schedule
+
+            schedule = heft_schedule(
+                dag, table, assignment=assignment, deadline=deadline, initial=lower
+            )
+        else:
+            raise ReproError(
+                f"unknown scheduler {scheduler!r}; choose 'min_resource', "
+                "'force_directed', or 'heft'"
+            )
+    if timings is not None:
+        timings["lower_bound"] = t1 - t0
+        timings["schedule"] = perf_counter() - t1
+    return lower, schedule
+
+
 def synthesize(
     dfg: DFG,
     table: TimeCostTable,
@@ -189,7 +243,6 @@ def synthesize(
     workers: int = 0,
     strategy: str = "paper",
     budget: Optional[Budget] = None,
-    assign_result: Optional[AssignResult] = None,
 ) -> SynthesisResult:
     """Run the full two-phase flow on the DAG part of ``dfg``.
 
@@ -225,14 +278,6 @@ def synthesize(
     ignored there; the serve layer attaches one per request regardless,
     which then binds exactly when the portfolio is selected.
 
-    ``assign_result`` injects a precomputed phase-1 outcome: phase 1 is
-    skipped entirely (``algorithm``/``strategy``/``budget`` are ignored)
-    and phase 2 schedules the given assignment.  This is how the
-    batched serve path reuses assignments solved in bulk by
-    :func:`repro.assign.dfg_assign_repeat_batch` — the result is
-    identical to a full run because the phase-1 outputs are
-    bit-identical.  The injected result's ``deadline`` must match.
-
     Per-phase wall times are always recorded in the result's
     ``timings``; under an enabled ambient :class:`~repro.obs.Tracer`
     the result additionally carries the run's root span (``trace``) and
@@ -245,10 +290,7 @@ def synthesize(
     ReproError
         On an unknown ``algorithm`` or ``scheduler`` name.
     """
-    try:
-        dag = dfg.dag()
-    except CyclicDependencyError:
-        raise
+    dag = dfg.dag()
     if strategy not in ("paper", "portfolio"):
         raise ReproError(
             f"unknown strategy {strategy!r}; choose 'paper' or 'portfolio'"
@@ -260,23 +302,13 @@ def synthesize(
                 f"algorithm={algorithm!r}; pass one or the other"
             )
         algorithm = "portfolio"
-    if assign_result is not None and assign_result.deadline != deadline:
+    name = algorithm or auto_algorithm(dag)
+    try:
+        algo = ALGORITHMS[name]
+    except KeyError:
         raise ReproError(
-            f"assign_result was solved for deadline "
-            f"{assign_result.deadline}, not {deadline}"
-        )
-    name = (
-        assign_result.algorithm
-        if assign_result is not None
-        else algorithm or auto_algorithm(dag)
-    )
-    if assign_result is None:
-        try:
-            algo = ALGORITHMS[name]
-        except KeyError:
-            raise ReproError(
-                f"unknown algorithm {name!r}; choose from {sorted(ALGORITHMS)}"
-            ) from None
+            f"unknown algorithm {name!r}; choose from {sorted(ALGORITHMS)}"
+        ) from None
 
     tracer = current_tracer()
     timings: Dict[str, float] = {}
@@ -290,9 +322,7 @@ def synthesize(
     ) as root:
         t0 = perf_counter()
         with tracer.span("assign", algorithm=name, nodes=len(dag)):
-            if assign_result is not None:
-                pass  # phase 1 injected by the caller
-            elif name == "portfolio" and (budget is not None or workers):
+            if name == "portfolio" and (budget is not None or workers):
                 kwargs: Dict[str, Any] = {"workers": workers}
                 if budget is not None and budget.evaluations is not None:
                     kwargs["evaluations"] = budget.evaluations
@@ -304,46 +334,14 @@ def synthesize(
             else:
                 assign_result = algo(dag, table, deadline)
         timings["assign"] = perf_counter() - t0
-
-        t0 = perf_counter()
-        with tracer.span("lower_bound"):
-            lower = lower_bound_configuration(
-                dag, table, assign_result.assignment, deadline
-            )
-        timings["lower_bound"] = perf_counter() - t0
-
-        t0 = perf_counter()
-        with tracer.span("schedule", scheduler=scheduler):
-            if scheduler == "min_resource":
-                schedule = min_resource_schedule(
-                    dag,
-                    table,
-                    assignment=assign_result.assignment,
-                    deadline=deadline,
-                    initial=lower,
-                )
-            elif scheduler == "force_directed":
-                from .sched import force_directed_schedule
-
-                schedule = force_directed_schedule(
-                    dag, table, assign_result.assignment, deadline
-                )
-            elif scheduler == "heft":
-                from .sched import heft_schedule
-
-                schedule = heft_schedule(
-                    dag,
-                    table,
-                    assignment=assign_result.assignment,
-                    deadline=deadline,
-                    initial=lower,
-                )
-            else:
-                raise ReproError(
-                    f"unknown scheduler {scheduler!r}; choose 'min_resource', "
-                    "'force_directed', or 'heft'"
-                )
-        timings["schedule"] = perf_counter() - t0
+        lower, schedule = run_phase2(
+            dag,
+            table,
+            assign_result.assignment,
+            deadline,
+            scheduler=scheduler,
+            timings=timings,
+        )
         if tracer.enabled:
             root.attributes["cost"] = assign_result.cost
     timings["total"] = perf_counter() - t_total

@@ -37,7 +37,7 @@ def request_():
 def _legacy_key(request):
     """The cache key of ``request`` as the unversioned format wrote it."""
     prepared = prepare(request, default_evaluations=DEFAULT_BUDGET_EVALUATIONS)
-    job = json.loads(prepared.job_json)
+    job = prepared.job
     legacy = {"instance": job["instance"], "knobs": job["knobs"]}
     text = json.dumps(legacy, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()

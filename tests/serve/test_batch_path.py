@@ -36,19 +36,22 @@ def _instance(name: str):
     return dfg, table, min_completion_time(dfg, table)
 
 
-def _job_jsons(requests):
-    return [
-        prepare(request, default_evaluations=400).job_json
-        for request in requests
-    ]
+def _jobs(requests):
+    return [prepare(request, default_evaluations=400).job for request in requests]
 
 
-def _assert_payload_parity(batched_texts, job_jsons):
-    per_job_texts = [solve_canonical_job(text) for text in job_jsons]
-    for batched_text, per_job_text in zip(batched_texts, per_job_texts):
-        batched = json.loads(batched_text)
-        per_job = json.loads(per_job_text)
-        assert batched.get("result") == per_job.get("result")
+def _solve_one(job):
+    """``solve_canonical_job`` on a job dict, through its JSON form."""
+    return json.loads(solve_canonical_job(json.dumps(job)))
+
+
+def _assert_payload_parity(batched_payloads, jobs):
+    per_job_payloads = [_solve_one(job) for job in jobs]
+    assert len(batched_payloads) == len(per_job_payloads)
+    for batched, per_job in zip(batched_payloads, per_job_payloads):
+        assert json.dumps(batched.get("result"), sort_keys=True) == json.dumps(
+            per_job.get("result"), sort_keys=True
+        )
         assert batched.get("error") == per_job.get("error")
         b_counters = batched["counters"]
         p_counters = per_job["counters"]
@@ -61,7 +64,7 @@ def _assert_payload_parity(batched_texts, job_jsons):
 
 def test_sweep_batch_payloads_match_per_job():
     dfg, table, floor = _instance("elliptic")
-    jobs = _job_jsons(
+    jobs = _jobs(
         Request(dfg, table, deadline=floor + i) for i in range(4)
     )
     _assert_payload_parity(solve_canonical_batch(jobs), jobs)
@@ -70,7 +73,7 @@ def test_sweep_batch_payloads_match_per_job():
 def test_mixed_batch_falls_back_per_lane():
     elliptic, e_table, e_floor = _instance("elliptic")  # batchable repeat
     tree, t_table, t_floor = _instance("fir8")  # tree: one-lane sweep
-    jobs = _job_jsons(
+    jobs = _jobs(
         [
             Request(elliptic, e_table, deadline=e_floor + 2),
             Request(tree, t_table, deadline=t_floor + 2),
@@ -83,29 +86,26 @@ def test_mixed_batch_falls_back_per_lane():
     )
     batched = solve_canonical_batch(jobs)
     _assert_payload_parity(batched, jobs)
-    infeasible = json.loads(batched[2])
+    infeasible = batched[2]
     assert infeasible["error"]["type"] == "InfeasibleError"
-    assert json.loads(batched[3])["result"]["algorithm"] != json.loads(
-        batched[0]
-    )["result"]["algorithm"]
+    assert batched[3]["result"]["algorithm"] != batched[0]["result"]["algorithm"]
 
 
 def test_batch_is_empty_safe_and_order_preserving():
     assert solve_canonical_batch([]) == []
     dfg, table, floor = _instance("diffeq")
-    jobs = _job_jsons(
+    jobs = _jobs(
         Request(dfg, table, deadline=floor + i) for i in (3, 0, 1)
     )
     batched = solve_canonical_batch(jobs)
-    per_job = [solve_canonical_job(text) for text in jobs]
-    costs = [json.loads(t)["result"]["cost"] for t in batched]
-    want = [json.loads(t)["result"]["cost"] for t in per_job]
+    costs = [payload["result"]["cost"] for payload in batched]
+    want = [_solve_one(job)["result"]["cost"] for job in jobs]
     assert costs == want
 
 
-def _cacheable(text):
+def _cacheable(payload):
     """A payload as the service caches it: wall-clock counters dropped."""
-    payload = json.loads(text)
+    payload = dict(payload)
     payload.pop("counters")
     return json.dumps(payload, sort_keys=True)
 
@@ -114,7 +114,7 @@ def test_fallback_jobs_fan_out_with_identical_payloads():
     elliptic, e_table, e_floor = _instance("elliptic")  # batched lane
     tree, t_table, t_floor = _instance("fir8")
     diffeq, d_table, d_floor = _instance("diffeq")
-    jobs = _job_jsons(
+    jobs = _jobs(
         [
             # explicit non-paper algorithm: per-job fallback
             Request(tree, t_table, deadline=t_floor + 2, algorithm="greedy"),

@@ -16,6 +16,8 @@ pin what the service shares across such a POST and that nobody can tell:
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import importlib
 import json
 
@@ -62,9 +64,9 @@ def _sweep_docs(name, seed=2004, schedulers=("min_resource",)):
     ]
 
 
-def _content(text):
+def _content(payload):
     """A payload as the service caches it (counters dropped)."""
-    payload = json.loads(text)
+    payload = dict(payload)
     payload.pop("counters")
     return json.dumps(payload, sort_keys=True)
 
@@ -152,17 +154,28 @@ def test_memoized_keys_equal_fresh_keys():
         for r in requests
     ]
     assert [j.key for j in shared] == [j.key for j in fresh]
-    assert [j.job_json for j in shared] == [j.job_json for j in fresh]
+    assert [j.job for j in shared] == [j.job for j in fresh]
     assert [j.order for j in shared] == [j.order for j in fresh]
+
+
+def test_spliced_key_is_the_hash_of_the_sorted_job():
+    # prepare() writes each instance once and splices the deadline in;
+    # the key must still be sha256 over the whole job, keys sorted.
+    requests = requests_from_doc(_sweep_docs("lattice4"))
+    requests.append(dataclasses.replace(requests[0], deadline=None))
+    for request in requests:
+        job = prepare(request, default_evaluations=DEFAULT_BUDGET_EVALUATIONS)
+        text = json.dumps(job.job, sort_keys=True, separators=(",", ":"))
+        assert job.key == hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 # ----------------------------------------------------------------------
 # payload parity
 
 
-def _job_jsons(docs):
+def _jobs(docs):
     return [
-        prepare(r, default_evaluations=DEFAULT_BUDGET_EVALUATIONS).job_json
+        prepare(r, default_evaluations=DEFAULT_BUDGET_EVALUATIONS).job
         for r in requests_from_doc(docs)
     ]
 
@@ -177,11 +190,11 @@ SWEEPS = [
 
 @pytest.mark.parametrize("name,schedulers", SWEEPS)
 def test_sweep_payloads_byte_identical_to_per_job(name, schedulers):
-    texts = _job_jsons(_sweep_docs(name, schedulers=schedulers))
-    batched = solve_canonical_batch(texts)
-    per_job = [solve_canonical_job(text) for text in texts]
-    assert [_content(t) for t in batched] == [_content(t) for t in per_job]
-    first = json.loads(batched[0])
+    jobs = _jobs(_sweep_docs(name, schedulers=schedulers))
+    batched = solve_canonical_batch(jobs)
+    per_job = [json.loads(solve_canonical_job(json.dumps(job))) for job in jobs]
+    assert [_content(p) for p in batched] == [_content(p) for p in per_job]
+    first = batched[0]
     assert first["error"]["type"] == "InfeasibleError"
     if name == "lattice4":
         assert ".T'" in first["error"]["message"]
@@ -199,7 +212,7 @@ def test_mixed_post_byte_identical_through_the_service():
     responses = SynthesisService().solve_batch(requests)
     for request, response in zip(requests, responses):
         job = prepare(request, default_evaluations=DEFAULT_BUDGET_EVALUATIONS)
-        want = json.loads(solve_canonical_job(job.job_json))
+        want = json.loads(solve_canonical_job(json.dumps(job.job)))
         want.pop("counters")
         want = relabel_payload(want, job.order)
         assert response.key == job.key
@@ -234,14 +247,14 @@ def test_a_crashing_job_fails_alone_and_is_not_cached(monkeypatch):
     doomed = requests[3].deadline
     healthy = SynthesisService().solve_batch(requests)
 
-    original = jobs.synthesize
+    original = jobs.run_phase2  # the sweep's per-job step
 
-    def flaky(dfg, table, deadline, **kwargs):
-        if len(dfg) == len(requests[3].dfg) and deadline == doomed:
+    def flaky(dag, table, assignment, deadline, **kwargs):
+        if len(dag) == len(requests[3].dfg) and deadline == doomed:
             raise RuntimeError("solver fell over")  # lint: ignore[RL001]
-        return original(dfg, table, deadline, **kwargs)
+        return original(dag, table, assignment, deadline, **kwargs)
 
-    monkeypatch.setattr(jobs, "synthesize", flaky)
+    monkeypatch.setattr(jobs, "run_phase2", flaky)
     service = SynthesisService()
     responses = service.solve_batch(requests)
     assert responses[3].error == {
@@ -253,7 +266,7 @@ def test_a_crashing_job_fails_alone_and_is_not_cached(monkeypatch):
             assert got.to_dict() == want.to_dict()
     assert service.cache.get(responses[3].key) is None
 
-    monkeypatch.setattr(jobs, "synthesize", original)
+    monkeypatch.setattr(jobs, "run_phase2", original)
     solves = service.metrics()["serve.solves"]
     (retry,) = service.solve_batch([requests[3]])
     assert service.metrics()["serve.solves"] == solves + 1
