@@ -287,8 +287,6 @@ class Phase2Frame:
         heapq.heapify(ready)
         #: step -> nodes whose last parent finishes at that step
         pending: Dict[int, List[int]] = {}
-        #: nodes made ready within the current step by zero-time parents
-        fresh: List[int] = []
         placed: List[int] = []
         start = [0] * n
         unit = [0] * n
@@ -316,36 +314,30 @@ class Phase2Frame:
                 if not waiting[c]:
                     if ready_at[c] <= step:  # zero-time producer: ready now
                         push(ready, (alap[c], c))
-                        fresh.append(c)
                     else:
                         pending.setdefault(ready_at[c], []).append(c)
             return True
 
-        step = 0
-        while step <= self.deadline and len(placed) < n:
+        for step in range(self.deadline + 1):
             for i in pending.pop(step, ()):
                 push(ready, (alap[i], i))
+            if len(placed) == n:
+                break
             while True:
                 # Pass 1: urgent nodes (ALAP reached) may grow the pool.
                 while ready and ready[0][0] <= step:
                     place(pop(ready)[1], step, True)
                 if not ready:
                     break
-                # Pass 2: the others fill free instances only, least ALAP
-                # first.  Placements never free an instance, so once one
-                # node of a type finds none, the rest of that type fail.
+                # Pass 2: the others fill free instances only, least
+                # ALAP first.
                 deferred = sorted(ready)
                 ready.clear()
-                fresh.clear()
-                full = set()
                 for item in deferred:
-                    j = types[item[1]]
-                    if j in full or not place(item[1], step, False):
-                        full.add(j)
+                    if not place(item[1], step, False):
                         push(ready, item)
-                if ready[0][0] > step if ready else True:
+                if not ready or ready[0][0] > step:
                     break
-            step = self._next_step(step, ready, pending, free_at, bool(fresh))
 
         if len(placed) != n:  # pragma: no cover - guarded by the ALAP proof
             done = set(placed)
@@ -360,33 +352,3 @@ class Phase2Frame:
             configuration=Configuration.of([len(units) for units in free_at]),
             deadline=self.deadline,
         )
-
-    def _next_step(
-        self,
-        step: int,
-        ready: List[Tuple[int, int]],
-        pending: Dict[int, List[int]],
-        free_at: List[List[int]],
-        fresh: bool,
-    ) -> int:
-        """The next step at which the schedule can change.
-
-        Every ready node has either failed to find a free instance of
-        its type at ``step`` or just become ready (``fresh``, not yet
-        tried: then the next step is ``step + 1``).  Until a parent's
-        result arrives, a ready node's ALAP start comes, or a busy
-        instance frees up, each step would retry the same nodes and
-        place none of them, so those steps are skipped.
-        """
-        if fresh:
-            return step + 1
-        nxt = self.deadline + 1
-        if pending:
-            nxt = min(nxt, min(pending))
-        if ready:
-            nxt = min(nxt, ready[0][0])
-        for units in free_at:
-            for free in units:
-                if step < free < nxt:
-                    nxt = free
-        return nxt

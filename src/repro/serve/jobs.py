@@ -158,9 +158,14 @@ CanonicalMemo = Dict[
 ]
 
 
+#: The key's JSON form: sorted keys, no whitespace.  One encoder for
+#: every call: ``json.dumps`` with these options builds a new one.
+_KEY_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _compact(doc: Any) -> str:
-    """The key's JSON form: sorted keys, no whitespace."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    """``json.dumps(doc, sort_keys=True, separators=(",", ":"))``."""
+    return _KEY_ENCODER.encode(doc)
 
 
 def prepare(
