@@ -97,6 +97,8 @@ class ResultCache:
                 )
                 try:
                     with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                        # mkstemp's 0600 would hide the entry from other users
+                        os.fchmod(fh.fileno(), 0o644)
                         json.dump(payload, fh, sort_keys=True)
                     os.replace(tmp, target)  # atomic: no partial reads
                 except BaseException:
