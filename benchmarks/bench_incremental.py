@@ -9,8 +9,8 @@ Two claims, both checked here:
   :func:`repro.checkkit.oracles.reference_frontier`).
 * **Speed** — the swept frontier is ≥ 5× faster than the per-deadline
   reference on the largest suite graphs (all deadlines run as lanes of
-  one batched engine, whose curve cache keeps pin-round refreshes
-  near-all-hit).
+  one batched engine, and a pin-round refresh recomputes only the
+  pinned copies and their ancestors).
 
 Runs under pytest (``pytest benchmarks/bench_incremental.py``) or
 standalone (``python benchmarks/bench_incremental.py [--quick]``);

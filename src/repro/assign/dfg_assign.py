@@ -224,8 +224,8 @@ def _repeat_rounds(
     """The Repeat pin loop on the incremental engine.
 
     Runs the initial DP plus one refresh per pin; each refresh only
-    recomputes the pinned copies' root-paths (everything else is a
-    curve-cache hit), and each deadline query is an O(n) traceback.
+    recomputes the pinned copies' root-paths (every other curve carries
+    over), and each deadline query is an O(n) traceback.
     Returns the cheapest resolved assignment over all rounds (the
     latest minimal-cost round on ties) — the round-0 resolution is
     exactly `DFG_Assign_Once`'s, so Repeat can never end up worse than

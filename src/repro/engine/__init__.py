@@ -6,12 +6,13 @@ layers.  It has two halves:
 * **Packed kernels** — :mod:`~repro.engine.pack` compiles an out-forest
   plus a :class:`~repro.fu.table.TimeCostTable` into CSR-style numpy
   arrays (reverse-topological node index, child offset/index arrays,
-  dense per-row ``(type → time, cost)`` matrices, interned row-version
-  ids) built once and reused across deadline sweeps and pin rounds;
+  dense per-row ``(type → time, cost)`` matrices and their row-version
+  tokens) built once and reused across deadline sweeps and pin rounds;
   :mod:`~repro.engine.kernels` provides the curve primitives
   (`zero_curve`, `combine_children`, `node_step`, ...) shared with the
   `Tree_Assign` recurrence plus :class:`PackedTreeDP`, the incremental
-  engine of `dfg_assign_repeat`, bit-identical to the recurrence by
+  engine of `dfg_assign_repeat`, which recomputes only the dirty nodes
+  of each refresh and is bit-identical to the recurrence by
   construction (same `node_step`, same sequential float summation,
   same tie-breaks).
 

@@ -18,9 +18,10 @@ handful of numpy calls:
   running-min node step for a set of (lane, node) targets, processed
   by height so every pass is one gather/add/where per type;
 * :class:`BatchedTreeDP` — the engine: per-lane row bindings (3-D
-  time/cost tensors), per-lane curve caches and :class:`DPStats`, a
-  batched refresh that recomputes only dirty cache misses, and a
-  level-vectorized traceback over all lanes at once.
+  time/cost tensors) and :class:`DPStats`, a batched refresh that
+  recomputes exactly each lane's dirty nodes in one
+  :func:`batched_sweep`, and a level-vectorized traceback over all
+  lanes at once.
 
 **Bit-identity.** Every float op matches the scalar engine: child
 curves sum with the same sequential ``+=`` order, the node step adds
@@ -30,10 +31,10 @@ toward the smallest type with a strict running minimum (equivalent to
 cost inf`` which can never win, and padded budgets rely on curves
 being prefix-identical across deadlines.  Per-lane ``DPStats`` equal a
 dedicated :class:`PackedTreeDP` driven through the same
-refresh/pin/traceback sequence — the cache probe logic is the same
-``(row version, child state)`` interning, lane by lane.  Pinned rows
-mint the same content-stable ``("fixed", base, k)`` version tokens
-``TimeCostTable.with_fixed`` produces, so cache behavior matches the
+refresh/pin/traceback sequence: both recompute the same dirty set (the
+rows whose version token changed, plus their ancestor chains), lane by
+lane.  Pinned rows mint the same ``("fixed", base, k)`` version tokens
+``TimeCostTable.with_fixed`` produces, so the changed rows match the
 scalar pin rounds exactly.
 
 See ``docs/performance.md`` (Batched kernels) for the architecture and
@@ -50,7 +51,7 @@ import numpy as np
 
 from ..errors import EngineError, InfeasibleError, TableError
 from ..fu.table import TimeCostTable
-from .kernels import NO_CHOICE
+from .kernels import NO_CHOICE, dirty_nodes
 from .pack import PackedForest
 from .stats import DPStats
 
@@ -93,8 +94,6 @@ class ForestShape:
         "roots",
         "kid_counts",
         "kids_mat",
-        "kids_tuples",
-        "row_list",
         "heights",
         "by_height",
         "levels",
@@ -122,19 +121,11 @@ class ForestShape:
         self.kid_counts = np.diff(self.child_off)
         max_kids = int(self.kid_counts.max()) if self.n else 0
         kids_mat = np.full((self.n, max_kids), -1, dtype=np.int64)
-        child_list = self.child_idx.tolist()
         off_list = self.child_off.tolist()
-        kids_tuples: List[Tuple[int, ...]] = []
         for i in range(self.n):
             lo, hi = off_list[i], off_list[i + 1]
             kids_mat[i, : hi - lo] = self.child_idx[lo:hi]
-            kids_tuples.append(tuple(child_list[lo:hi]))
         self.kids_mat = kids_mat
-        #: Python-native mirrors of ``child_idx``/``row_of`` — the cache
-        #: probe loop is pure-python and numpy scalar indexing would
-        #: dominate it.
-        self.kids_tuples = kids_tuples
-        self.row_list: List[int] = self.row_of.tolist()
 
         heights = np.zeros(self.n, dtype=np.int64)
         for i in range(self.n):  # ascending index = children first
@@ -308,7 +299,7 @@ def batched_sweep(
 
 
 class _Group:
-    """Per-group tensors plus per-slot cache/binding bookkeeping."""
+    """Per-group tensors plus per-slot binding bookkeeping."""
 
     __slots__ = (
         "shape",
@@ -319,19 +310,13 @@ class _Group:
         "lane_m",
         "times",
         "costs",
-        "rv",
-        "rv_list",
         "tokens",
-        "intern",
         "pending",
         "staged",
         "curves",
         "choices",
         "totals",
         "has_total",
-        "cur_sid",
-        "sids",
-        "cache",
         "dirty_memo",
     )
 
@@ -345,30 +330,19 @@ class _Group:
         self.lane_m: List[int] = [0] * nl
         self.times: Optional[np.ndarray] = None
         self.costs: Optional[np.ndarray] = None
-        self.rv: Optional[np.ndarray] = None
-        #: Python-list mirror of ``rv`` rows, kept in sync by the bind
-        #: paths so the probe loop never pays a per-refresh ``tolist``.
-        self.rv_list: List[Optional[List[int]]] = [None] * nl
         #: Current version token per (slot, row) — pins derive from these.
         self.tokens: List[List[Hashable]] = [[] for _ in range(nl)]
-        self.intern: List[Dict[Hashable, int]] = [{} for _ in range(nl)]
+        #: Rows changed since the slot's last refresh; None = never refreshed.
         self.pending: List[Optional[List[int]]] = [None] * nl
-        #: Pre-materialization staging: slot -> (times, costs, rv ids).
-        self.staged: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        #: Pre-materialization staging: slot -> (times, costs).
+        self.staged: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self.curves: Optional[np.ndarray] = None
         self.choices: Optional[np.ndarray] = None
         self.totals: Optional[np.ndarray] = None
         self.has_total = [False] * nl
-        self.cur_sid: List[Optional[List[int]]] = [None] * nl
-        n = shape.n
-        self.sids: List[List[Dict[Hashable, int]]] = [
-            [{} for _ in range(n)] for _ in range(nl)
-        ]
-        self.cache: List[List[Dict[int, Tuple[np.ndarray, np.ndarray]]]] = [
-            [{} for _ in range(n)] for _ in range(nl)
-        ]
-        #: Structural dirty sets shared across slots with equal pending keys.
-        self.dirty_memo: Dict[Tuple[object, ...], List[int]] = {}
+        #: Dirty node sets keyed by changed rows (None = every node),
+        #: shared across slots that pin the same rows in lockstep.
+        self.dirty_memo: Dict[Optional[Tuple[int, ...]], np.ndarray] = {}
 
     def materialize(self) -> None:
         """Allocate the 3-D tensors once every staged lane has bound."""
@@ -386,21 +360,18 @@ class _Group:
             )
         nl, nr = len(self.lanes), self.shape.n_rows
         self.m = max(
-            (int(t.shape[1]) for t, _, _ in self.staged.values()), default=1
+            (int(t.shape[1]) for t, _ in self.staged.values()), default=1
         )
         self.m = max(self.m, 1)
         # time 0 / cost inf padding: a padded type's candidate is always
         # inf, so it can never strictly beat a real one.
         self.times = np.zeros((nl, nr, self.m), dtype=np.int64)
         self.costs = np.full((nl, nr, self.m), np.inf, dtype=np.float64)
-        self.rv = np.zeros((nl, nr), dtype=np.int64)
-        for s, (t, c, rv) in sorted(self.staged.items()):
+        for s, (t, c) in sorted(self.staged.items()):
             mm = int(t.shape[1])
             self.lane_m[s] = mm
             self.times[s, :, :mm] = t
             self.costs[s, :, :mm] = c
-            self.rv[s] = rv
-            self.rv_list[s] = rv.tolist()
         self.staged.clear()
         n = self.shape.n
         self.curves = np.zeros((nl, n, self.size), dtype=np.float64)
@@ -414,10 +385,9 @@ class BatchedTreeDP:
     Each *lane* is one (forest, table, deadline) instance; lanes
     sharing a forest object share a group block.  The per-lane contract
     mirrors :class:`~repro.engine.kernels.PackedTreeDP` bit for bit —
-    same curves, choices, version-token interning, cache probes and
-    :class:`DPStats` counters for the same bind/refresh/traceback
-    sequence — while the compute runs batched across lanes via
-    :func:`batched_sweep`.
+    same curves, choices, dirty sets and :class:`DPStats` counters for
+    the same bind/refresh/traceback sequence — while the compute runs
+    batched across lanes via :func:`batched_sweep`.
 
     Binding comes in three forms: :meth:`bind_table` (a
     :class:`~repro.fu.table.TimeCostTable` plus its row keys),
@@ -521,11 +491,10 @@ class BatchedTreeDP:
     ) -> None:
         """Bind pre-extracted row matrices + version tokens to ``lane``.
 
-        Token interning mirrors :class:`~repro.engine.pack.RowBinding`:
-        tokens are interned per lane to small ids, and only rows whose
-        id changed since the previous bind are marked pending for the
-        next refresh.  Any injective token scheme is equivalent — the
-        worker path uses plain row indices.
+        Like :class:`~repro.engine.pack.RowBinding`, only rows whose
+        token changed since the previous bind are updated and marked
+        pending for the next refresh.  Any injective token scheme is
+        equivalent — the worker path uses plain row indices.
         """
         grp, slot = self._slot(lane)
         nr = grp.shape.n_rows
@@ -543,17 +512,9 @@ class BatchedTreeDP:
         if times.size and int(times.min()) < 0:
             raise TableError(f"negative execution time in lane {lane} bind")
         m = int(times.shape[1])
-        intern = grp.intern[slot]
-        rv_new = np.empty(nr, dtype=np.int64)
-        for r in range(nr):
-            token = tokens[r]
-            rid = intern.get(token)
-            if rid is None:
-                rid = intern[token] = len(intern)
-            rv_new[r] = rid
-        grp.tokens[slot] = list(tokens)
         if grp.times is None:
-            grp.staged[slot] = (times, costs, rv_new)
+            grp.tokens[slot] = list(tokens)
+            grp.staged[slot] = (times, costs)
             grp.pending[slot] = None  # full first bind
             return
         if m != grp.lane_m[slot]:
@@ -561,15 +522,15 @@ class BatchedTreeDP:
                 f"table has {m} FU types but this binding was built for "
                 f"{grp.lane_m[slot]}"
             )
-        assert grp.rv is not None
-        changed = np.flatnonzero(rv_new != grp.rv[slot])
+        assert grp.costs is not None
+        old = grp.tokens[slot]
+        changed = [r for r in range(nr) if tokens[r] != old[r]]
+        grp.tokens[slot] = list(tokens)
         grp.times[slot, :, :m][changed] = times[changed]
         grp.costs[slot, :, :m][changed] = costs[changed]
-        grp.rv[slot] = rv_new
-        grp.rv_list[slot] = rv_new.tolist()
         pend = grp.pending[slot]
         if pend is not None:
-            pend.extend(int(r) for r in changed)
+            pend.extend(changed)
 
     def bind_pinned(self, lane: int, row: int, fu_type: int) -> None:
         """Pin ``row`` of ``lane`` to ``fu_type`` — the ``with_fixed``
@@ -587,19 +548,8 @@ class BatchedTreeDP:
             raise EngineError(
                 f"fu_type {fu_type} out of range [0, {m}) for lane {lane}"
             )
-        token: Hashable = ("fixed", grp.tokens[slot][row], int(fu_type))
-        grp.tokens[slot][row] = token
-        intern = grp.intern[slot]
-        rid = intern.get(token)
-        if rid is None:
-            rid = intern[token] = len(intern)
-        assert grp.rv is not None
-        if rid == int(grp.rv[slot, row]):
-            return
-        grp.rv[slot, row] = rid
-        rv_list = grp.rv_list[slot]
-        if rv_list is not None:
-            rv_list[row] = rid
+        grp.tokens[slot][row] = ("fixed", grp.tokens[slot][row], int(fu_type))
+        assert grp.costs is not None
         grp.times[slot, row, :m] = grp.times[slot, row, fu_type]
         grp.costs[slot, row, :m] = grp.costs[slot, row, fu_type]
         pend = grp.pending[slot]
@@ -607,42 +557,34 @@ class BatchedTreeDP:
             pend.append(int(row))
 
     # ------------------------------------------------------------------
-    def _dirty(self, grp: _Group, slot: int) -> List[int]:
-        """Dirty node list for ``slot`` (structurally memoized).
+    def _dirty(self, grp: _Group, slot: int) -> np.ndarray:
+        """Dirty nodes of ``slot`` (memoized by changed-row set).
 
-        Same rule as ``PackedTreeDP._dirty_nodes``: everything on the
-        first refresh, else the changed rows' nodes plus their ancestor
-        chains.  The result depends only on the changed-row set, so
-        lanes pinning the same row in lockstep share one computation.
+        Same rule as ``PackedTreeDP.refresh``: every node on the first
+        refresh, else :func:`~repro.engine.kernels.dirty_nodes` of the
+        rows changed since.  The result depends only on the changed-row
+        set, so lanes pinning the same row in lockstep share one array.
         """
         pend = grp.pending[slot]
-        if grp.cur_sid[slot] is None or pend is None:
-            return list(range(grp.shape.n))
-        if not pend:
-            return []
-        key: Tuple[object, ...] = tuple(sorted(set(pend)))
+        key = None if pend is None else tuple(sorted(set(pend)))
         memo = grp.dirty_memo.get(key)
-        if memo is not None:
-            return memo
-        shape = grp.shape
-        mark = np.isin(shape.row_of, np.asarray(key, dtype=np.int64))
-        parent = shape.parent
-        for i in np.flatnonzero(mark).tolist():
-            p = int(parent[i])
-            while p >= 0 and not mark[p]:
-                mark[p] = True
-                p = int(parent[p])
-        memo = np.flatnonzero(mark).tolist()
-        grp.dirty_memo[key] = memo
+        if memo is None:
+            shape = grp.shape
+            memo = (
+                np.arange(shape.n)
+                if key is None
+                else dirty_nodes(shape.row_of, shape.parent, key)
+            )
+            grp.dirty_memo[key] = memo
         return memo
 
     def refresh(self, lanes: Optional[Sequence[int]] = None) -> "BatchedTreeDP":
         """(Re)compute the DP for ``lanes`` (default: every lane).
 
-        Per lane this is exactly one ``PackedTreeDP.refresh``: probe the
-        dirty nodes' caches, copy hits into the dense tensors, compute
-        the misses — batched across lanes via :func:`batched_sweep` —
-        and rebuild the root totals.  Returns ``self`` for chaining.
+        Per lane this is exactly one ``PackedTreeDP.refresh``: recompute
+        the lane's dirty nodes — every lane of a group in one
+        :func:`batched_sweep` — and rebuild the root totals.  Returns
+        ``self`` for chaining.
         """
         t0 = time.perf_counter()
         wanted = set(range(self.n_lanes)) if lanes is None else set(lanes)
@@ -654,88 +596,34 @@ class BatchedTreeDP:
             if not active:
                 continue
             grp.materialize()
-            assert grp.rv is not None and grp.curves is not None
-            assert grp.choices is not None and grp.totals is not None
+            assert grp.curves is not None and grp.choices is not None
+            assert grp.times is not None and grp.costs is not None
+            assert grp.totals is not None
             shape = grp.shape
             n = shape.n
-            kids_tuples = shape.kids_tuples
-            row_list = shape.row_list
-            slot_targets: List[int] = []
-            node_targets: List[int] = []
+            targets: List[np.ndarray] = []
             for s in active:
                 lane = grp.lanes[s]
-                st = self.stats[lane]
-                st.refreshes += 1
                 dirty = self._dirty(grp, s)
                 grp.pending[s] = []
-                if grp.cur_sid[s] is None:
-                    grp.cur_sid[s] = [-1] * n
-                cur_sid = grp.cur_sid[s]
-                assert cur_sid is not None
-                rv_row = grp.rv_list[s]
-                assert rv_row is not None  # set at materialization
-                sids_all = grp.sids[s]
-                cache_all = grp.cache[s]
-                curves_s = grp.curves[s]
-                choices_s = grp.choices[s]
-                recomputed = 0
-                slot_append = slot_targets.append
-                node_append = node_targets.append
-                # Key shape is free per node (each node owns its dict):
-                # a flat (rv, *child sids) tuple — or the bare rv for a
-                # leaf — is injective because the arity is fixed, and
-                # skips a nested tuple build per probe.  A new sid is
-                # always a recompute and a known sid always has a cache
-                # entry (every current sid was stored when computed),
-                # exactly like the scalar engine — so the counters and
-                # the numerics are untouched by the single-lookup form.
-                for i in dirty:
-                    kids = kids_tuples[i]
-                    state: object = (
-                        (rv_row[row_list[i]], *[cur_sid[c] for c in kids])
-                        if kids
-                        else rv_row[row_list[i]]
-                    )
-                    sids = sids_all[i]
-                    sid = sids.get(state)
-                    if sid is None:
-                        sids[state] = sid = len(sids)
-                        cur_sid[i] = sid
-                        recomputed += 1
-                        slot_append(s)
-                        node_append(i)
-                    elif sid != cur_sid[i]:
-                        cur_sid[i] = sid
-                        entry = cache_all[i][sid]
-                        curves_s[i] = entry[0]
-                        choices_s[i] = entry[1]
+                st = self.stats[lane]
+                st.refreshes += 1
                 st.nodes_visited += n
-                st.nodes_recomputed += recomputed
-                st.cache_hits += n - recomputed
-                if dirty or not grp.has_total[s]:
+                st.nodes_recomputed += int(dirty.size)
+                st.cache_hits += n - int(dirty.size)
+                if dirty.size:
                     grp.has_total[s] = False  # rebuilt below
+                targets.append(dirty)
                 refreshed.append(lane)
-            slots_arr = np.asarray(slot_targets, dtype=np.int64)
-            nodes_arr = np.asarray(node_targets, dtype=np.int64)
-            assert grp.times is not None and grp.costs is not None
             batched_sweep(
                 shape,
                 grp.curves,
                 grp.choices,
                 grp.times,
                 grp.costs,
-                slots_arr,
-                nodes_arr,
+                np.repeat(active, [d.size for d in targets]),
+                np.concatenate(targets),
             )
-            if slot_targets:
-                # One fancy-indexed snapshot instead of two .copy() calls
-                # per recomputed node; each cache entry is a row view of
-                # the snapshot, which nothing else ever writes.
-                curves_snap = grp.curves[slots_arr, nodes_arr]
-                choices_snap = grp.choices[slots_arr, nodes_arr]
-                for j, (s, i) in enumerate(zip(slot_targets, node_targets)):
-                    sid = grp.cur_sid[s][i]  # type: ignore[index]
-                    grp.cache[s][i][sid] = (curves_snap[j], choices_snap[j])
             roots = shape.roots
             for s in active:
                 if grp.has_total[s]:

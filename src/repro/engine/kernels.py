@@ -22,7 +22,7 @@ non-increasing in ``j`` by construction.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,6 +41,7 @@ __all__ = [
     "node_step",
     "first_feasible_budget",
     "window_bounds",
+    "dirty_nodes",
     "PackedTreeDP",
 ]
 
@@ -163,6 +164,24 @@ def window_bounds(occ_asap: np.ndarray, occ_alap: np.ndarray) -> np.ndarray:
     return np.maximum(lb_alap, lb_asap).astype(np.int64)
 
 
+def dirty_nodes(
+    row_of: np.ndarray, parent: np.ndarray, changed_rows: Sequence[int]
+) -> np.ndarray:
+    """Nodes of ``changed_rows`` plus their ancestor chains, ascending.
+
+    These are exactly the nodes whose subtree curve a row change can
+    move; every other curve carries over.  Unique parents make each
+    walk O(path), and it stops at the first node already marked.
+    """
+    mark = np.isin(row_of, np.asarray(changed_rows, dtype=np.int64))
+    for i in np.flatnonzero(mark).tolist():
+        p = int(parent[i])
+        while p >= 0 and not mark[p]:
+            mark[p] = True
+            p = int(parent[p])
+    return np.flatnonzero(mark)
+
+
 class PackedTreeDP:
     """Packed-kernel `Tree_Assign` DP over a fixed out-forest.
 
@@ -176,13 +195,11 @@ class PackedTreeDP:
     The per-node python loops are array passes over a
     :class:`~repro.engine.pack.PackedForest`:
 
-    * ``refresh`` diffs interned row-version ids against the previous
-      bind, marks only the changed rows' nodes plus their root-paths
-      dirty (unique parents make the walk O(path)), and recomputes just
-      the dirty cache misses; clean nodes keep their dense curve rows
-      and count as cache hits.  The cache is keyed by subtree state
-      (row version + children's state ids), and ``with_fixed`` mints
-      content-stable version tokens, so re-deriving the same pin hits;
+    * ``refresh`` diffs row-version tokens against the previous bind
+      and recomputes exactly the dirty set: the changed rows' nodes
+      plus their root-paths (:func:`dirty_nodes`).  Every other node
+      keeps its dense curve row and counts as a cache hit in
+      :class:`DPStats`;
     * ``traceback_at`` walks the BFS levels top-down, resolving every
       node of a level with one fancy-indexed gather and scattering the
       remaining budgets to the next level via ``np.repeat``.
@@ -217,14 +234,6 @@ class PackedTreeDP:
         size = self._deadline + 1
         self._curves = np.zeros((n, size), dtype=np.float64)
         self._choices = np.full((n, size), NO_CHOICE, dtype=np.int16)
-        # Per node: intern table of subtree-state keys -> small id, and
-        # the curve cache keyed by that id.
-        self._sids: List[Dict[Tuple[object, ...], int]] = [{} for _ in range(n)]
-        self._cache: List[Dict[int, Tuple[np.ndarray, np.ndarray]]] = [
-            {} for _ in range(n)
-        ]
-        #: sid currently materialized in the dense rows; None = invalid.
-        self._cur_sid: Optional[List[int]] = None
         self._table: Optional[TimeCostTable] = None
         self._total: Optional[np.ndarray] = None
 
@@ -242,93 +251,35 @@ class PackedTreeDP:
         """The compiled CSR view (shared, read-only by convention)."""
         return self._pack
 
-    def cache_entries(self) -> int:
-        """Total cached (node, subtree-state) curve entries."""
-        return sum(len(c) for c in self._cache)
-
-    def clear_cache(self) -> None:
-        """Drop every cached curve (the next refresh recomputes all)."""
-        for sids in self._sids:
-            sids.clear()
-        for cache in self._cache:
-            cache.clear()
-        self._cur_sid = None
-        self._binding.reset()
-
     # ------------------------------------------------------------------
-    def _dirty_nodes(self, changed_rows: np.ndarray) -> List[int]:
-        """Changed rows' nodes plus their ancestor chains, ascending."""
-        pack = self._pack
-        if self._cur_sid is None:
-            return list(range(pack.n))
-        if changed_rows.size == 0:
-            return []
-        mark = np.isin(pack.row_of, changed_rows)
-        parent = pack.parent
-        for i in np.flatnonzero(mark).tolist():
-            p = int(parent[i])
-            while p >= 0 and not mark[p]:
-                mark[p] = True
-                p = int(parent[p])
-        return np.flatnonzero(mark).tolist()
-
     def refresh(self, table: TimeCostTable) -> "PackedTreeDP":
-        """(Re)compute the DP under ``table``, reusing cached subtrees.
+        """(Re)compute the DP under ``table``.
 
-        A node is recomputed only when its own row version or any
-        descendant's changed since the state was last seen — for a
-        ``with_fixed`` pin this is the pinned copies plus their
-        root-paths.  Returns ``self`` for chaining.
+        Recomputes everything on the first call; afterwards exactly the
+        nodes of the rows whose version token changed plus their
+        root-paths — for a ``with_fixed`` pin, the pinned copies and
+        their ancestors.  Returns ``self`` for chaining.
         """
         t0 = time.perf_counter()
         self.stats.refreshes += 1
         pack = self._pack
-        changed = self._binding.bind(table)
-        dirty = self._dirty_nodes(changed)
-        rv = self._binding.rv
+        # the first bind reports every row changed, so every node is dirty
+        dirty = dirty_nodes(pack.row_of, pack.parent, self._binding.bind(table))
         times = self._binding.times
         costs = self._binding.costs
-        assert rv is not None and times is not None and costs is not None
-        if self._cur_sid is None:
-            self._cur_sid = [-1] * pack.n
-        cur_sid = self._cur_sid
+        assert times is not None and costs is not None
         curves, choices = self._curves, self._choices
         children = pack.children_tuples
-        # Hoisted python-side lookups: one vectorized rv gather plus
-        # plain-int row ids beat per-node numpy scalar indexing in what
-        # is the engine's hottest python loop.
-        row_list = pack.row_of.tolist()
-        rv_node = rv[pack.row_of].tolist()
-        sids_all, cache_all = self._sids, self._cache
-        recomputed = 0
-        for i in dirty:
+        for i, ri in zip(dirty.tolist(), pack.row_of[dirty].tolist()):
             kids = children[i]
-            state: Tuple[object, ...] = (
-                rv_node[i],
-                tuple([cur_sid[c] for c in kids]),
-            )
-            sids = sids_all[i]
-            sid = sids.get(state)
-            if sid is None:
-                sid = sids[state] = len(sids)
-            if sid == cur_sid[i]:
-                continue  # dense row already holds this state's curve
-            cur_sid[i] = sid
-            entry = cache_all[i].get(sid)
-            if entry is None:
-                if kids:
-                    base = curves[kids[0]].copy()
-                    for c in kids[1:]:
-                        base += curves[c]
-                else:
-                    base = zero_curve(self._deadline)
-                ri = row_list[i]
-                entry = node_step(base, times[ri], costs[ri])
-                cache_all[i][sid] = entry
-                recomputed += 1
-            curves[i] = entry[0]
-            choices[i] = entry[1]
-        if dirty or self._total is None:
+            if kids:
+                base = curves[kids[0]].copy()
+                for c in kids[1:]:
+                    base += curves[c]
+            else:
+                base = zero_curve(self._deadline)
+            curves[i], choices[i] = node_step(base, times[ri], costs[ri])
+        if dirty.size or self._total is None:
             roots = pack.roots
             if roots.size:
                 total = curves[roots[0]].copy()
@@ -339,8 +290,8 @@ class PackedTreeDP:
             self._total = total
         self._table = table
         self.stats.nodes_visited += pack.n
-        self.stats.nodes_recomputed += recomputed
-        self.stats.cache_hits += pack.n - recomputed
+        self.stats.nodes_recomputed += int(dirty.size)
+        self.stats.cache_hits += pack.n - int(dirty.size)
         self.stats.seconds_refresh += time.perf_counter() - t0
         return self
 
@@ -384,7 +335,7 @@ class PackedTreeDP:
     def traceback_at(self, budget: int) -> Dict[Node, int]:
         """Optimal tree assignment for any ``budget ≤ deadline``.
 
-        Level-vectorized top-down pass over the cached dense curves;
+        Level-vectorized top-down pass over the dense curves;
         the result is identical to a fresh ``tree_assign`` run at
         ``budget`` (curves are prefix-identical across deadlines).
 

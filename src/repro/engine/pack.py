@@ -4,9 +4,9 @@
 reverse-topological node order, parent/child CSR arrays, BFS levels for
 the vectorized traceback, and the mapping from nodes to distinct table
 rows.  :class:`RowBinding` compiles the *table*: dense ``(row, type)``
-time/cost matrices plus interned row-version ids, updated in place when
-a refresh binds a table whose rows mostly match the previous one (the
-``with_fixed`` pin pattern).
+time/cost matrices plus the row-version tokens they hold, updated in
+place when a refresh binds a table whose rows mostly match the previous
+one (the ``with_fixed`` pin pattern).
 
 Both are pure data carriers; the DP itself lives in
 :mod:`repro.engine.kernels`.
@@ -138,32 +138,24 @@ class RowBinding:
     table and returns the indices of rows whose
     :meth:`~repro.fu.table.TimeCostTable.row_version` changed since the
     previous bind — for a ``with_fixed`` pin that is the single pinned
-    row.  Version tokens are interned to small ids (``rv``) so the DP
-    can compare them with integer equality; interning is injective, so
-    equal ids guarantee structurally identical rows.
+    row.  Equal tokens guarantee structurally identical rows, so a row
+    whose token is unchanged keeps its matrix entries.
     """
 
-    __slots__ = ("_pack", "_intern", "times", "costs", "rv")
+    __slots__ = ("_pack", "times", "costs", "tokens")
 
     def __init__(self, pack: PackedForest):
         self._pack = pack
-        self._intern: Dict[Hashable, int] = {}
         self.times: Optional[np.ndarray] = None
         self.costs: Optional[np.ndarray] = None
-        self.rv: Optional[np.ndarray] = None
+        self.tokens: Optional[List[Hashable]] = None
 
     def bind(self, table: TimeCostTable) -> np.ndarray:
         """Update the matrices for ``table``; return changed row indices."""
         rows = self._pack.rows
         nr = len(rows)
-        rv_new = np.empty(nr, dtype=np.int64)
-        for r in range(nr):
-            token = table.row_version(rows[r])
-            rid = self._intern.get(token)
-            if rid is None:
-                rid = self._intern[token] = len(self._intern)
-            rv_new[r] = rid
-        if self.times is None or self.costs is None or self.rv is None:
+        tokens = [table.row_version(key) for key in rows]
+        if self.times is None or self.costs is None or self.tokens is None:
             m = table.num_types
             self.times = np.empty((nr, m), dtype=np.int64)
             self.costs = np.empty((nr, m), dtype=np.float64)
@@ -174,15 +166,18 @@ class RowBinding:
                     f"table has {table.num_types} FU types but this "
                     f"binding was built for {self.times.shape[1]}"
                 )
-            changed = np.flatnonzero(rv_new != self.rv)
+            old = self.tokens
+            changed = np.asarray(
+                [r for r in range(nr) if tokens[r] != old[r]], dtype=np.int64
+            )
         for r in changed.tolist():
             self.times[r] = table.times(rows[r])
             self.costs[r] = table.costs(rows[r])
-        self.rv = rv_new
+        self.tokens = tokens
         return changed
 
     def reset(self) -> None:
         """Forget the bound table (the next bind repopulates every row)."""
         self.times = None
         self.costs = None
-        self.rv = None
+        self.tokens = None

@@ -18,12 +18,13 @@ __all__ = ["DPStats"]
 class DPStats:
     """Counters for the incremental engine (cumulative across refreshes).
 
-    ``nodes_visited`` is the number of per-node cache probes (one per
-    tree node per refresh); every probe is either a ``cache_hit`` or a
-    ``nodes_recomputed``.  ``seconds_refresh``/``seconds_traceback``
-    split the wall time between the two stages.  Nodes an engine can
-    prove clean count as cache hits, so the scalar engine and a batched
-    lane report equal counters on equal inputs.
+    ``nodes_visited`` counts every tree node once per refresh; each
+    visit is either a ``nodes_recomputed`` (the node is in the
+    refresh's dirty set: a changed row's node or one of its ancestors)
+    or a ``cache_hit`` (its curve carries over from the previous
+    refresh).  ``seconds_refresh``/``seconds_traceback`` split the wall
+    time between the two stages.  The scalar engine and a batched lane
+    report equal counters on equal inputs.
     """
 
     refreshes: int = 0
@@ -36,7 +37,7 @@ class DPStats:
 
     @property
     def hit_rate(self) -> float:
-        """Fraction of node visits served from cache (0.0 when unused)."""
+        """Fraction of node visits that kept their curve (0.0 when unused)."""
         return self.cache_hits / self.nodes_visited if self.nodes_visited else 0.0
 
     def as_dict(self) -> Dict[str, float]:

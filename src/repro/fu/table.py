@@ -30,8 +30,8 @@ __all__ = ["TimeCostTable", "RowVersion"]
 #: or a ``("fixed", base, fu_type)`` tuple derived by
 #: :meth:`TimeCostTable.with_fixed` — derived tokens are *content-stable*:
 #: pinning the same base row to the same type always yields the same token,
-#: no matter when or on which table copy it happens.  The incremental DP
-#: engine keys its curve cache on these tokens.
+#: no matter when or on which table copy it happens.  The tree-DP engines
+#: compare these tokens to find the rows a refresh must recompute.
 RowVersion = Hashable
 
 #: Global mint for fresh row versions; never reused, so two rows share a
@@ -188,9 +188,9 @@ class TimeCostTable:
         token survives :meth:`copy` unchanged, is re-minted by
         :meth:`set_row`, and is *derived deterministically* by
         :meth:`with_fixed` — pinning the same base row to the same type
-        yields the same token on every call.  Cache keys built from
-        these tokens therefore remain valid across independently derived
-        table copies (the property the incremental DP engine relies on).
+        yields the same token on every call.  Tokens therefore compare
+        equal across independently derived table copies, which is how
+        the tree-DP engines find the rows a refresh must recompute.
         """
         try:
             return self._versions[node]

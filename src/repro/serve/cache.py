@@ -18,11 +18,11 @@ The cache is two-tier: an in-process LRU of at most
 ``<key>.json`` files for persistence across processes (``repro-hls
 batch`` runs, service restarts).  The directory is not bounded, so a
 key evicted from memory is still a hit when it is set.  Disk reads
-populate the memory tier; corrupt or truncated files are treated as
-misses.  Every lookup emits ``serve.cache.hits`` /
-``serve.cache.misses`` counters to the ambient tracer, every write
-``serve.cache.stores`` — the metrics the warm-batch acceptance gate is
-measured with.
+populate the memory tier; a file that is unreadable, not UTF-8 JSON,
+or not a dict holding a ``result`` or an ``error`` is a miss.  Every
+lookup emits ``serve.cache.hits`` / ``serve.cache.misses`` counters to
+the ambient tracer, every write ``serve.cache.stores`` — the metrics
+the warm-batch acceptance gate is measured with.
 """
 
 from __future__ import annotations
@@ -41,6 +41,13 @@ __all__ = ["MEMORY_ENTRIES", "ResultCache"]
 
 #: Payloads the memory tier holds; the least recently used goes first.
 MEMORY_ENTRIES = 1024
+
+
+def _is_payload(value: Any) -> bool:
+    """Whether ``value`` is an answer: a dict with a result or an error."""
+    return isinstance(value, dict) and (
+        value.get("result") is not None or value.get("error") is not None
+    )
 
 
 class ResultCache:
@@ -75,9 +82,12 @@ class ResultCache:
             try:
                 with open(self._file(key), "r", encoding="utf-8") as fh:
                     payload = json.load(fh)
-                self._remember(key, payload)
-            except (OSError, json.JSONDecodeError):
+            except (OSError, ValueError):  # incl. JSON and UTF-8 decode errors
                 payload = None  # absent or corrupt: a miss either way
+            if _is_payload(payload):
+                self._remember(key, payload)
+            else:
+                payload = None
         if payload is None:
             add_metric("serve.cache.misses")
             return None

@@ -116,6 +116,14 @@ def test_pin_rounds_match_with_fixed_rebinds():
         batched.refresh()
         _assert_lane_matches(batched, 0, scalar)
     assert _counters(stats) == _counters(scalar.stats)
+    # Re-binding the base table after the pins flags the three pinned
+    # rows again, and both engines recompute the same dirty set.
+    for t in (table, pinned):
+        scalar.refresh(t)
+        batched.bind_table(0, t, pack.rows)
+        batched.refresh()
+        _assert_lane_matches(batched, 0, scalar)
+    assert _counters(stats) == _counters(scalar.stats)
 
 
 def test_rebind_same_table_is_all_hits():
@@ -223,5 +231,6 @@ def test_batched_forest_shape_tables_mirror_csr():
     shape = forest.shapes[0]
     for i in range(shape.n):
         lo, hi = int(shape.child_off[i]), int(shape.child_off[i + 1])
-        assert shape.kids_tuples[i] == tuple(shape.child_idx[lo:hi].tolist())
-    assert shape.row_list == shape.row_of.tolist()
+        kids = shape.kids_mat[i]
+        assert kids[: hi - lo].tolist() == shape.child_idx[lo:hi].tolist()
+        assert (kids[hi - lo :] == -1).all()

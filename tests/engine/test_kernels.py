@@ -98,13 +98,13 @@ def test_engines_identical_across_pin_rounds():
         )
         ref = tree_assign(tree, t, 25)
         assert warm.traceback_at(25) == dict(ref.assignment.items())
-    # round 1 computes all 5 nodes; pinning b dirties b and r; pinning
-    # c (b's pin gone) dirties c, b, r, and b's state is new; the last
-    # revert re-derives round 1's states, so only clean-probes remain
+    # each refresh recomputes its dirty set, the changed rows' nodes
+    # plus their ancestors: round 1 all 5 nodes; pinning b dirties b
+    # and r; pinning c (b's pin gone) dirties c, b and r; the revert
+    # changes c's row again, so c, b and r once more
     assert warm.stats.nodes_visited == 4 * 5
-    assert warm.stats.nodes_recomputed == 5 + 2 + 3
-    assert warm.stats.cache_hits == 20 - 10
-    assert warm.cache_entries() == 10
+    assert warm.stats.nodes_recomputed == 5 + 2 + 3 + 3
+    assert warm.stats.cache_hits == 20 - 13
 
 
 def test_empty_forest():
@@ -168,16 +168,3 @@ def test_rejects_non_forest_and_negative_deadline():
         PackedTreeDP(dag, 5)
     with pytest.raises(InfeasibleError, match=">= 0"):
         PackedTreeDP(_tree(), -1)
-
-
-def test_clear_cache_recomputes_identically():
-    tree = _tree()
-    table = make_table(tree, seed=5)
-    packed = PackedTreeDP(tree, 20)
-    packed.refresh(table)
-    before = packed.total_curve().copy()
-    assert packed.cache_entries() > 0
-    packed.clear_cache()
-    assert packed.cache_entries() == 0
-    packed.refresh(table)
-    np.testing.assert_array_equal(packed.total_curve(), before)

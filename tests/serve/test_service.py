@@ -258,10 +258,11 @@ class TestRetention:
     def test_evicted_key_still_served_from_disk(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cache_module, "MEMORY_ENTRIES", 1)
         cache = ResultCache(str(tmp_path))
-        cache.put("a", {"v": 1})
-        cache.put("b", {"v": 2})  # "a" leaves the memory tier only
+        # disk reads accept only answers: a dict with a result or error
+        cache.put("a", {"result": {"v": 1}})
+        cache.put("b", {"result": {"v": 2}})  # "a" leaves the memory tier only
         assert "a" not in cache._memory
-        assert cache.get("a") == {"v": 1}
+        assert cache.get("a") == {"result": {"v": 1}}
         assert list(cache._memory) == ["a"]
 
     def test_trace_roots_bounded_counters_kept(self, chain_request, monkeypatch):
