@@ -7,9 +7,9 @@ expansion growth, peak intrinsic parallelism).
 
 Also characterizes the DP engine on deadline sweeps
 (:func:`profile_incremental`): per benchmark, the batched
-`dfg_frontier`'s summed per-lane node recomputations vs. visits,
-curve-cache hit rate, and wall time split between refresh and
-traceback, with the per-deadline reference time
+`dfg_frontier`'s summed per-lane node recomputations vs. visits, hit
+rate (visits outside the dirty sets), and wall time split between
+refresh and traceback, with the per-deadline reference time
 (:func:`repro.checkkit.oracles.reference_frontier`) alongside so the
 speedup is observable.
 """
