@@ -41,7 +41,7 @@ from repro.assign import (
     dfg_frontier,
     min_completion_time,
 )
-from repro.assign.dfg_assign import choose_expansion
+from repro.assign.dfg_expand import choose_expansion
 from repro.checkkit.oracles import reference_repeat
 from repro.engine import pmap, resolve_workers
 from repro.fu.random_tables import random_table

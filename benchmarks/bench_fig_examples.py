@@ -15,7 +15,7 @@ Artifacts land in ``benchmarks/results/figures.txt``.
 import pytest
 
 from repro.assign import greedy_assign, path_assign, tree_assign
-from repro.assign.dfg_assign import expansion_candidates
+from repro.assign.dfg_expand import expansion_candidates
 from repro.sched import Configuration, list_schedule, min_resource_schedule
 from repro.suite.paper_example import (
     PAPER_EXAMPLE_DEADLINE,

@@ -34,7 +34,7 @@ from repro.assign import (
     dfg_frontier,
     min_completion_time,
 )
-from repro.assign.dfg_assign import choose_expansion
+from repro.assign.dfg_expand import choose_expansion
 from repro.checkkit.oracles import reference_frontier, reference_repeat
 from repro.fu.random_tables import random_table
 from repro.graph.classify import is_in_forest, is_out_forest

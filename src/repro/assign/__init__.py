@@ -15,8 +15,8 @@ Public surface:
 * :func:`portfolio_assign` — the metaheuristic portfolio (GA / SA /
   hybrid / HEFT-rank / anytime exact) raced under one budget;
 * :func:`dfg_assign_repeat_batch` — the batched multi-instance entry point
-  over :class:`~repro.engine.batch.BatchedTreeDP`, bit-identical per
-  lane to the scalar path;
+  over :class:`~repro.engine.batch.BatchedTreeDP`; each lane equals a
+  :func:`dfg_assign_repeat` call, which runs as a one-lane batch;
 * :mod:`~repro.assign.knapsack` — the NP-completeness reduction.
 """
 
@@ -27,13 +27,13 @@ from .batch import (
     RepeatOutcome,
     dfg_assign_repeat_batch,
 )
-from .dfg_assign import (
+from .dfg_assign import dfg_assign_once, dfg_assign_repeat
+from .dfg_expand import (
+    ExpandedTree,
     choose_expansion,
-    dfg_assign_once,
-    dfg_assign_repeat,
+    dfg_expand,
     expansion_candidates,
 )
-from .dfg_expand import ExpandedTree, dfg_expand
 from .downgrade import downgrade_assign
 from .frontier import FrontierPoint, dfg_frontier, frontier_knees, tree_frontier
 from .ilp_model import ILPModel, build_ilp, check_solution, to_lp_format

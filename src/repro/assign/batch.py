@@ -1,15 +1,18 @@
-"""Batched `DFG_Assign_Repeat` over stacked lanes.
+"""`DFG_Assign_Repeat` as lockstep lanes of the tree-DP engine.
 
-Deadline sweeps (`dfg_frontier`), the report tables' constraint
-ladders and the serve layer's cache misses each solve many
-(graph, table, deadline) instances.  Each of those instances is the *same* pin-round trajectory over the same (or a
-structurally identical) expansion tree — exactly the shape
+Every `DFG_Assign_Repeat` solve runs here.  A single
+:func:`~repro.assign.dfg_assign.dfg_assign_repeat` call is one lane;
+deadline sweeps (`dfg_frontier`), the report tables' constraint
+ladders and the serve layer's cache misses are many (graph, table,
+deadline) lanes.  Lanes of one graph follow the *same* pin-round
+trajectory over the same expansion tree — exactly the shape
 :class:`~repro.engine.batch.BatchedTreeDP` vectorizes.  This module
-compiles a batch of instances into array-pure *group bundles* (one per
-distinct graph structure), replays the `_repeat_rounds` trajectory in
-lockstep across every lane of a group, and materializes per-lane
-:class:`~repro.assign.result.AssignResult`\\ s that are bit-identical
-to the scalar path:
+compiles each distinct graph structure into an array-pure *group
+bundle* (its :class:`~repro.engine.batch.ForestShape` included), runs
+the pin rounds in lockstep across every lane of a group, and
+materializes per-lane :class:`~repro.assign.result.AssignResult`\\ s
+equal to the reference loop
+(:func:`repro.checkkit.oracles.reference_repeat`):
 
 * the round-0 resolution equals `DFG_Assign_Once`'s;
 * every pin round chooses the same ``(time, cost, type)``-lexicographic
@@ -18,14 +21,13 @@ to the scalar path:
 * costs are the same sequential ``dfg.nodes()``-ordered float sums,
   completions the same integer longest paths, tie-breaks
   (``cost <= best``: latest minimal round wins) identical;
-* per-lane :class:`DPStats` equal a dedicated scalar engine driven
-  through the same solve (see :mod:`repro.engine.batch` for the exact
-  contract), and error strings match the scalar ones.
+* a lane's :class:`DPStats` and error strings do not depend on the
+  other lanes of its batch.
 
 ``workers`` fans lane chunks out through :func:`~repro.engine.pmap`;
-bundles being plain arrays, they are pickled by value and no graph or
-table object ever crosses the process boundary.  Results are
-independent of ``workers``.
+bundles hold only arrays and the forest shape, so they are pickled by
+value and no graph or table object ever crosses the process boundary.
+Results are independent of ``workers``.
 
 Entry point: :func:`dfg_assign_repeat_batch` (independent jobs,
 per-job error capture).  Every many-lane caller goes through it:
@@ -40,15 +42,15 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..engine import DPStats, PackedForest, pmap
-from ..engine.batch import BatchedTreeDP, ForestShape
+from ..engine import DPStats, pmap
+from ..engine.batch import BatchedTreeDP, compile_forest
 from ..errors import GraphError, InfeasibleError, ReproError
 from ..fu.table import TimeCostTable
 from ..graph.dag import require_acyclic, reverse_topological_order
 from ..graph.dfg import DFG, Node
 from ..obs import add_metric, current_tracer
 from .assignment import Assignment
-from .dfg_assign import choose_expansion
+from .dfg_expand import ExpandedTree, choose_expansion
 from .result import AssignResult
 
 __all__ = [
@@ -87,26 +89,26 @@ class RepeatOutcome:
 # Bundle compilation: graphs/tables -> plain arrays
 
 
-def _compile_structure(dfg: DFG, expansion: Any) -> Dict[str, Any]:
+def _compile_structure(
+    dfg: DFG, expansion: ExpandedTree, order: Sequence[Node]
+) -> Dict[str, Any]:
     """Array-pure view of one graph structure (shared by its lanes).
 
-    Everything the lockstep solver needs about the graph — the packed
-    expansion forest, the copy lists, the pin order, the resolve and
-    cost/completion index structures — as numpy arrays over *row*
+    Everything the lockstep solver needs about the graph — the compiled
+    expansion forest, the copy lists, the pin ``order``, the resolve
+    and cost/completion index structures — as numpy arrays over *row*
     indices (row ``r`` = original node ``rows[r]``), plus the row↔node
     lists used parent-side to materialize results.
     """
-    pack = PackedForest(expansion.tree, node_key=expansion.origin_of)
-    shape = ForestShape.from_pack(pack)
-    rows: List[Node] = list(pack.rows)
+    shape, nodes, rows = compile_forest(expansion.tree, expansion.origin_of)
+    index = {n: i for i, n in enumerate(nodes)}
     row_index = {key: r for r, key in enumerate(rows)}
     nr = len(rows)
 
     cop_off = np.zeros(nr + 1, dtype=np.int64)
     cop_idx_parts: List[int] = []
     for r, key in enumerate(rows):
-        copies = expansion.copies[key]
-        cop_idx_parts.extend(pack.index[c] for c in copies)
+        cop_idx_parts.extend(index[c] for c in expansion.copies[key])
         cop_off[r + 1] = len(cop_idx_parts)
     cop_idx = np.asarray(cop_idx_parts, dtype=np.int64)
     counts = np.diff(cop_off)
@@ -114,10 +116,7 @@ def _compile_structure(dfg: DFG, expansion: Any) -> Dict[str, Any]:
     singles_node = cop_idx[cop_off[singles]] if singles.size else singles
     multis = np.flatnonzero(counts > 1)
 
-    order_rows = np.asarray(
-        [row_index[v] for v in expansion.duplicated_originals()],
-        dtype=np.int64,
-    )
+    order_rows = np.asarray([row_index[v] for v in order], dtype=np.int64)
     nodes_perm = np.asarray(
         [row_index[n] for n in dfg.nodes()], dtype=np.int64
     )
@@ -130,7 +129,8 @@ def _compile_structure(dfg: DFG, expansion: Any) -> Dict[str, Any]:
     for r, key in enumerate(rows):
         child_parts.extend(row_index[c] for c in dfg.children(key))
         child_off[r + 1] = len(child_parts)
-    arrays: Dict[str, np.ndarray] = {
+    arrays: Dict[str, Any] = {
+        "shape": shape,
         "cop_off": cop_off,
         "cop_idx": cop_idx,
         "singles": singles,
@@ -145,9 +145,6 @@ def _compile_structure(dfg: DFG, expansion: Any) -> Dict[str, Any]:
             [row_index[n] for n in dfg.roots()], dtype=np.int64
         ),
     }
-    arrays.update(
-        {f"shape_{k}": v for k, v in shape.defining_arrays().items()}
-    )
     return {"arrays": arrays, "rows": rows, "tree_name": expansion.tree.name}
 
 
@@ -162,16 +159,6 @@ def _table_rows(
         t[r] = table.times(key)
         c[r] = table.costs(key)
     return t, c
-
-
-def _shape_from_bundle(arrays: Dict[str, np.ndarray]) -> ForestShape:
-    return ForestShape.from_arrays(
-        {
-            k[len("shape_") :]: v
-            for k, v in arrays.items()
-            if k.startswith("shape_")
-        }
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -219,30 +206,29 @@ def _rebuild_error(spec: Tuple[str, str, Optional[int]]) -> ReproError:
 
 
 def _solve_group(
-    arrays: Dict[str, np.ndarray], meta: Dict[str, Any]
+    arrays: Dict[str, Any], meta: Dict[str, Any]
 ) -> Dict[str, Any]:
-    """Replay `_repeat_rounds` in lockstep over one group's lanes.
+    """Run the `DFG_Assign_Repeat` pin rounds in lockstep over one
+    group's lanes.
 
     ``arrays`` is a compiled structure bundle (see
     :func:`_compile_structure`) plus per-lane base table matrices
-    ``base_t_{i}``/``base_c_{i}``; ``meta`` carries ``deadlines``,
-    ``names`` and ``lanes`` (caller-side lane ids, returned verbatim).
+    ``base_t_{i}``/``base_c_{i}``; ``meta`` carries ``deadlines``, the
+    tree ``name`` and ``lanes`` (caller-side lane ids, returned
+    verbatim).
     Returns plain per-lane payloads — best/once choice rows, costs,
     completions, error tuples, stats dicts — for the caller to
     materialize; nothing graph- or table-shaped crosses the boundary.
     """
-    shape = _shape_from_bundle(arrays)
+    shape = arrays["shape"]
     deadlines: List[int] = list(meta["deadlines"])
-    names: List[str] = list(meta["names"])
     nl = len(deadlines)
     nr = shape.n_rows
     base_t = [arrays[f"base_t_{i}"] for i in range(nl)]
     base_c = [arrays[f"base_c_{i}"] for i in range(nl)]
 
     stats = [DPStats() for _ in range(nl)]
-    engine = BatchedTreeDP(
-        [shape] * nl, deadlines, names=names, stats=stats
-    )
+    engine = BatchedTreeDP(shape, deadlines, name=meta["name"], stats=stats)
     tokens = list(range(nr))
     for lane in range(nl):
         engine.bind_arrays(lane, base_t[lane], base_c[lane], tokens)
@@ -319,8 +305,10 @@ def _solve_group(
         la = np.asarray(active, dtype=np.int64)
         copies = cop_idx[cop_off[v] : cop_off[v + 1]]
         ks = trace[la][:, copies]
-        # Pin choice reads the *work* table, but row v is unpinned so
-        # far, so its work rows equal the base rows exactly.
+        # Pin choice reads the *work* table.  An unpinned row v equals
+        # its base row.  A row pinned earlier (a ``fix_order`` that
+        # repeats v) ties every type, so every copy traced type 0 and
+        # both tables pick 0.  Pinned by the golden and property tests.
         pk = _lex_min_k(
             bt[la, v][np.arange(la.size)[:, None], ks],
             bc[la, v][np.arange(la.size)[:, None], ks],
@@ -406,7 +394,7 @@ def _solve_group_payload(item: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def _result_from_rows(
-    rows: Sequence[Node],
+    compiled: Dict[str, Any],
     choice: np.ndarray,
     cost: float,
     completion: int,
@@ -418,7 +406,11 @@ def _result_from_rows(
             f"{algorithm} produced an infeasible assignment "
             f"({completion} > {deadline}); this indicates a bug"
         )
-    mapping = {node: int(choice[r]) for r, node in enumerate(rows)}
+    # In ``dfg.nodes()`` order, like the reference loop's resolution.
+    rows = compiled["rows"]
+    mapping = {
+        rows[r]: int(choice[r]) for r in compiled["arrays"]["nodes_perm"].tolist()
+    }
     return AssignResult(
         assignment=Assignment.of(mapping),
         cost=float(cost),
@@ -439,12 +431,80 @@ def _stats_from_dict(payload: Dict[str, float]) -> DPStats:
     return stats
 
 
+def _lane_outcomes(
+    res: Dict[str, Any], compiled: Dict[str, Any], deadlines: Sequence[int]
+) -> List[RepeatOutcome]:
+    """The :class:`RepeatOutcome` of every lane of one solved chunk."""
+    pos = {lane: j for j, lane in enumerate(res["active"])}
+    outcomes: List[RepeatOutcome] = []
+    for slot, deadline in enumerate(deadlines):
+        stats = _stats_from_dict(res["stats"][slot])
+        err = res["errors"][slot]
+        if err is not None:
+            outcomes.append(
+                RepeatOutcome(result=None, error=_rebuild_error(err), stats=stats)
+            )
+            continue
+        j = pos[slot]
+        best = _result_from_rows(
+            compiled,
+            res["best_k"][j],
+            res["best_cost"][j],
+            res["best_completion"][j],
+            deadline,
+            "dfg_assign_repeat",
+        )
+        once = _result_from_rows(
+            compiled,
+            res["once_k"][j],
+            res["once_cost"][j],
+            res["once_completion"][j],
+            deadline,
+            "dfg_assign_once",
+        )
+        outcomes.append(
+            RepeatOutcome(result=best, error=None, stats=stats, once=once)
+        )
+    return outcomes
+
+
 def _chunk_lanes(n: int, workers: int) -> List[Tuple[int, int]]:
     """Contiguous lane ranges, ≈4 chunks per worker (pmap's default)."""
     if workers <= 0 or n <= 1:
         return [(0, n)] if n else []
     size = max(1, -(-n // (4 * workers)))
     return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
+
+
+def _group_items(
+    compiled: Dict[str, Any],
+    tables: Sequence[TimeCostTable],
+    deadlines: Sequence[int],
+    lanes: Sequence[int],
+    workers: int,
+) -> List[Dict[str, Any]]:
+    """Solver payloads of one group's lanes, chunked for ``workers``.
+
+    Lanes sharing a table *object* share its row matrices.
+    """
+    binds: List[Tuple[np.ndarray, np.ndarray]] = []
+    by_table: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+    for table in tables:
+        if id(table) not in by_table:
+            by_table[id(table)] = _table_rows(table, compiled["rows"])
+        binds.append(by_table[id(table)])
+    items: List[Dict[str, Any]] = []
+    for lo, hi in _chunk_lanes(len(lanes), workers):
+        arrays = dict(compiled["arrays"])
+        for j in range(lo, hi):
+            arrays[f"base_t_{j - lo}"], arrays[f"base_c_{j - lo}"] = binds[j]
+        meta = {
+            "deadlines": list(deadlines[lo:hi]),
+            "name": compiled["tree_name"],
+            "lanes": list(lanes[lo:hi]),
+        }
+        items.append({"arrays": arrays, "meta": meta})
+    return items
 
 
 def _dispatch_groups(
@@ -494,7 +554,7 @@ def dfg_assign_repeat_batch(
         add_metric("engine.batch.lanes", float(len(jobs_n)))
         add_metric("engine.batch.groups", float(len(groups)))
         items: List[Dict[str, Any]] = []
-        group_rows: Dict[int, List[Node]] = {}
+        group_compiled: Dict[int, Dict[str, Any]] = {}
         for indices in groups.values():
             dfg = jobs_n[indices[0]].dfg
             valid: List[int] = []
@@ -516,72 +576,53 @@ def dfg_assign_repeat_batch(
             if not valid:
                 continue
             expansion = choose_expansion(dfg, node_limit=node_limit)
-            compiled = _compile_structure(dfg, expansion)
-            rows = compiled["rows"]
-            group_rows[id(dfg)] = rows
-            binds = {}
-            by_table: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-            for j, i in enumerate(valid):
-                table = jobs_n[i].table
-                if id(table) not in by_table:
-                    by_table[id(table)] = _table_rows(table, rows)
-                binds[f"base_t_{j}"], binds[f"base_c_{j}"] = by_table[id(table)]
-            for lo, hi in _chunk_lanes(len(valid), workers):
-                arrays = dict(compiled["arrays"])
-                for j in range(lo, hi):
-                    arrays[f"base_t_{j - lo}"] = binds[f"base_t_{j}"]
-                    arrays[f"base_c_{j - lo}"] = binds[f"base_c_{j}"]
-                items.append(
-                    {
-                        "arrays": arrays,
-                        "meta": {
-                            "deadlines": [
-                                jobs_n[i].deadline for i in valid[lo:hi]
-                            ],
-                            "names": [compiled["tree_name"]] * (hi - lo),
-                            "lanes": valid[lo:hi],
-                        },
-                    }
+            compiled = _compile_structure(
+                dfg, expansion, expansion.duplicated_originals()
+            )
+            group_compiled[id(dfg)] = compiled
+            items.extend(
+                _group_items(
+                    compiled,
+                    [jobs_n[i].table for i in valid],
+                    [jobs_n[i].deadline for i in valid],
+                    valid,
+                    workers,
                 )
+            )
 
         results = _dispatch_groups(items, workers=workers)
         for res in results:
             rounds = res.get("rounds", 0)
             if rounds:
                 add_metric("engine.batch.rounds", float(rounds))
-            active: List[int] = res["active"]
-            pos = {lane: j for j, lane in enumerate(active)}
-            for slot, i in enumerate(res["lanes"]):
-                stats = _stats_from_dict(res["stats"][slot])
-                err = res["errors"][slot]
-                if err is not None:
-                    outcomes[i] = RepeatOutcome(
-                        result=None, error=_rebuild_error(err), stats=stats
-                    )
-                    continue
-                job = jobs_n[i]
-                rows = group_rows[id(job.dfg)]
-                j = pos[slot]
-                outcomes[i] = RepeatOutcome(
-                    result=_result_from_rows(
-                        rows,
-                        res["best_k"][j],
-                        res["best_cost"][j],
-                        res["best_completion"][j],
-                        job.deadline,
-                        "dfg_assign_repeat",
-                    ),
-                    error=None,
-                    stats=stats,
-                    once=_result_from_rows(
-                        rows,
-                        res["once_k"][j],
-                        res["once_cost"][j],
-                        res["once_completion"][j],
-                        job.deadline,
-                        "dfg_assign_once",
-                    ),
-                )
+            lanes: List[int] = res["lanes"]
+            compiled = group_compiled[id(jobs_n[lanes[0]].dfg)]
+            done = _lane_outcomes(
+                res, compiled, [jobs_n[i].deadline for i in lanes]
+            )
+            for i, outcome in zip(lanes, done):
+                outcomes[i] = outcome
     final = [o for o in outcomes if o is not None]
     assert len(final) == len(jobs_n), "every job must produce an outcome"
     return final
+
+
+def _solve_lane(
+    dfg: DFG,
+    table: TimeCostTable,
+    deadline: int,
+    expansion: ExpandedTree,
+    order: Sequence[Node],
+) -> RepeatOutcome:
+    """One in-process lane: the engine of a ``dfg_assign_repeat`` call.
+
+    ``order`` is the pin order (a ``fix_order`` or the default
+    most-copied-first); nothing is validated here and no
+    ``engine.batch.*`` metric is emitted.
+    """
+    compiled = _compile_structure(dfg, expansion, order)
+    (item,) = _group_items(compiled, [table], [deadline], [0], workers=0)
+    (outcome,) = _lane_outcomes(
+        _solve_group_payload(item), compiled, [deadline]
+    )
+    return outcome

@@ -27,22 +27,20 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..engine import DPStats, PackedTreeDP
+from ..engine import DPStats
 from ..errors import GraphError
 from ..fu.table import TimeCostTable
-from ..graph.classify import expansion_sizes
 from ..graph.dag import require_acyclic
 from ..graph.dfg import DFG, Node
 from ..graph.paths import longest_path_time
 from ..obs import add_metric, current_tracer
 from .assignment import Assignment
-from .dfg_expand import ExpandedTree, dfg_expand
+from .batch import _solve_lane
+from .dfg_expand import ExpandedTree, choose_expansion
 from .result import AssignResult
 from .tree_assign import tree_assign
 
 __all__ = [
-    "expansion_candidates",
-    "choose_expansion",
     "dfg_assign_once",
     "dfg_assign_repeat",
 ]
@@ -73,35 +71,6 @@ def _emit_dp_metrics(before: Dict[str, float], stats: DPStats) -> None:
         delta = value - before.get(name, 0.0)
         if delta:
             add_metric(_DP_METRICS[name], delta)
-
-
-def expansion_candidates(
-    dfg: DFG, node_limit: int = 200_000
-) -> Tuple[ExpandedTree, ExpandedTree]:
-    """The two critical-path trees of step 1: ``(T', T'')``.
-
-    ``T'`` expands the graph itself (duplicating multi-parent nodes
-    bottom-up); ``T''`` expands the transpose (equivalently: duplicates
-    multi-*child* nodes of the original top-down).  ``T''`` is returned
-    in transpose orientation — its root→leaf paths are the original
-    leaf→root paths — which is immaterial for path-time feasibility.
-    """
-    t_fwd = dfg_expand(dfg, node_limit=node_limit)
-    t_rev = dfg_expand(dfg.transpose(), node_limit=node_limit, transposed=True)
-    return t_fwd, t_rev
-
-
-def choose_expansion(dfg: DFG, node_limit: int = 200_000) -> ExpandedTree:
-    """The smaller of the two candidate trees (ties favor the forward one).
-
-    :func:`~repro.graph.classify.expansion_sizes` predicts both sizes
-    exactly, so only the kept tree is built; ``node_limit`` applies to
-    that tree alone.
-    """
-    forward, reverse = expansion_sizes(dfg)
-    if forward <= reverse:
-        return dfg_expand(dfg, node_limit=node_limit)
-    return dfg_expand(dfg.transpose(), node_limit=node_limit, transposed=True)
 
 
 def _min_time_choice(
@@ -213,43 +182,6 @@ def dfg_assign_once(
         return _finish(dfg, table, assignment, deadline, "dfg_assign_once")
 
 
-def _repeat_rounds(
-    dfg: DFG,
-    engine: PackedTreeDP,
-    table: TimeCostTable,
-    deadline: int,
-    expansion: ExpandedTree,
-    order: List[Node],
-) -> Assignment:
-    """The Repeat pin loop on the incremental engine.
-
-    Runs the initial DP plus one refresh per pin; each refresh only
-    recomputes the pinned copies' root-paths (every other curve carries
-    over), and each deadline query is an O(n) traceback.
-    Returns the cheapest resolved assignment over all rounds (the
-    latest minimal-cost round on ties) — the round-0 resolution is
-    exactly `DFG_Assign_Once`'s, so Repeat can never end up worse than
-    Once on the shared expansion even when a later pin re-optimization
-    shifts other duplicated nodes onto costlier copies.
-    """
-    work_table = table
-    engine.refresh(work_table)
-    tree_mapping = engine.traceback_at(deadline)
-    pinned: Dict[Node, int] = {}
-    best = _resolve(dfg, table, expansion, tree_mapping, pinned)
-    best_cost = best.total_cost(dfg, table)
-    for v in order:
-        pinned[v] = _min_time_choice(expansion, work_table, tree_mapping, v)
-        work_table = work_table.with_fixed(v, pinned[v])
-        engine.refresh(work_table)
-        tree_mapping = engine.traceback_at(deadline)
-        candidate = _resolve(dfg, table, expansion, tree_mapping, pinned)
-        cost = candidate.total_cost(dfg, table)
-        if cost <= best_cost:
-            best, best_cost = candidate, cost
-    return best
-
-
 def dfg_assign_repeat(
     dfg: DFG,
     table: TimeCostTable,
@@ -277,9 +209,9 @@ def dfg_assign_repeat(
     wins on graphs with many duplications.
 
     ``fix_order`` overrides the pinning order for ablation studies
-    (default: most-copied first).  The re-optimizations run on the
-    incremental :class:`~repro.engine.PackedTreeDP`, which recomputes
-    only the pinned copies' root-paths per round; ``stats`` optionally
+    (default: most-copied first).  The rounds run as one lane of the
+    tree-DP engine (:mod:`repro.assign.batch`), which recomputes only
+    the pinned copies' root-paths per round; ``stats`` optionally
     collects its :class:`DPStats`.  ``incremental=False`` runs the
     reference loop instead — a full `Tree_Assign` recurrence every
     round, with an identical result — which tests reach through
@@ -307,26 +239,20 @@ def dfg_assign_repeat(
                 raise GraphError(f"fix_order names unknown node {v!r}")
 
         if incremental:
-            run_stats = stats
-            if run_stats is None and tracer.enabled:
-                run_stats = DPStats()
-            before = run_stats.as_dict() if run_stats is not None else {}
-            engine = PackedTreeDP(
-                expansion.tree,
-                deadline,
-                node_key=expansion.origin_of,
-                stats=run_stats,
-            )
-            assignment = _repeat_rounds(
-                dfg, engine, table, deadline, expansion, order
-            )
-            if tracer.enabled and run_stats is not None:
-                _emit_dp_metrics(before, run_stats)
+            outcome = _solve_lane(dfg, table, deadline, expansion, order)
+            if stats is not None:
+                stats += outcome.stats
+            if outcome.error is not None:
+                raise outcome.error
+            if tracer.enabled:
+                _emit_dp_metrics({}, outcome.stats)
+            assert outcome.result is not None
+            return outcome.result
         else:
             # The reference loop (`reference_repeat`): a full
             # `Tree_Assign` recurrence every round, so equivalence tests
             # compare the engine against the original loop.  The
-            # best-over-rounds tracking mirrors _repeat_rounds exactly.
+            # best-over-rounds tracking mirrors the lockstep solver's.
             work_table = table
             tree_result = tree_assign(
                 expansion.tree,

@@ -23,13 +23,19 @@ node it duplicates; :class:`ExpandedTree` exposes the bookkeeping.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from ..errors import GraphError
+from ..graph.classify import expansion_sizes
 from ..graph.dag import require_acyclic, reverse_topological_order
 from ..graph.dfg import DFG, Node
 
-__all__ = ["ExpandedTree", "dfg_expand"]
+__all__ = [
+    "ExpandedTree",
+    "dfg_expand",
+    "expansion_candidates",
+    "choose_expansion",
+]
 
 
 @dataclass(frozen=True)
@@ -90,8 +96,9 @@ def dfg_expand(
     """Expand the DAG ``dfg`` into a critical-path out-forest.
 
     ``transposed`` is a bookkeeping flag recorded on the result (set by
-    :func:`~repro.assign.dfg_assign.expansion_candidates` when it feeds
-    this function the transpose); it does not change the computation.
+    :func:`expansion_candidates` and :func:`choose_expansion` when they
+    feed this function the transpose); it does not change the
+    computation.
 
     Raises :class:`GraphError` if the expansion would exceed
     ``node_limit`` nodes or the input is cyclic.
@@ -153,3 +160,32 @@ def dfg_expand(
     for n, o in origin.items():
         copies[o].append(n)
     return ExpandedTree(tree=tree, origin=origin, copies=copies, transposed=transposed)
+
+
+def expansion_candidates(
+    dfg: DFG, node_limit: int = 200_000
+) -> Tuple[ExpandedTree, ExpandedTree]:
+    """The two critical-path trees of step 1: ``(T', T'')``.
+
+    ``T'`` expands the graph itself (duplicating multi-parent nodes
+    bottom-up); ``T''`` expands the transpose (equivalently: duplicates
+    multi-*child* nodes of the original top-down).  ``T''`` is returned
+    in transpose orientation — its root→leaf paths are the original
+    leaf→root paths — which is immaterial for path-time feasibility.
+    """
+    t_fwd = dfg_expand(dfg, node_limit=node_limit)
+    t_rev = dfg_expand(dfg.transpose(), node_limit=node_limit, transposed=True)
+    return t_fwd, t_rev
+
+
+def choose_expansion(dfg: DFG, node_limit: int = 200_000) -> ExpandedTree:
+    """The smaller of the two candidate trees (ties favor the forward one).
+
+    :func:`~repro.graph.classify.expansion_sizes` predicts both sizes
+    exactly, so only the kept tree is built; ``node_limit`` applies to
+    that tree alone.
+    """
+    forward, reverse = expansion_sizes(dfg)
+    if forward <= reverse:
+        return dfg_expand(dfg, node_limit=node_limit)
+    return dfg_expand(dfg.transpose(), node_limit=node_limit, transposed=True)

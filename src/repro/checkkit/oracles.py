@@ -42,7 +42,7 @@ from ..assign import (
     tree_frontier,
 )
 from ..assign.assignment import Assignment, min_completion_time
-from ..assign.dfg_assign import choose_expansion
+from ..assign.dfg_expand import choose_expansion
 from ..assign.dfg_expand import ExpandedTree
 from ..assign.frontier import FrontierPoint, _knee_points
 from ..assign.ilp_model import build_ilp, check_solution

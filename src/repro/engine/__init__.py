@@ -1,20 +1,20 @@
-"""Execution engine: packed DP kernels + deterministic parallelism.
+"""Execution engine: the tree-DP engine + deterministic parallelism.
 
 ``repro.engine`` is the performance substrate underneath the solver
 layers.  It has two halves:
 
-* **Packed kernels** — :mod:`~repro.engine.pack` compiles an out-forest
-  plus a :class:`~repro.fu.table.TimeCostTable` into CSR-style numpy
-  arrays (reverse-topological node index, child offset/index arrays,
-  dense per-row ``(type → time, cost)`` matrices and their row-version
-  tokens) built once and reused across deadline sweeps and pin rounds;
-  :mod:`~repro.engine.kernels` provides the curve primitives
-  (`zero_curve`, `combine_children`, `node_step`, ...) shared with the
-  `Tree_Assign` recurrence plus :class:`PackedTreeDP`, the incremental
-  engine of `dfg_assign_repeat`, which recomputes only the dirty nodes
-  of each refresh and is bit-identical to the recurrence by
-  construction (same `node_step`, same sequential float summation,
-  same tie-breaks).
+* **The tree-DP engine** — :mod:`~repro.engine.batch` compiles an
+  out-forest once into a :class:`ForestShape` (:func:`compile_forest`:
+  children-first CSR arrays, BFS levels, heights) and runs
+  :class:`BatchedTreeDP`, the one `Tree_Assign` engine: each lane is a
+  (table, deadline) instance with dense 3-D time/cost bindings, a
+  refresh recomputes exactly each lane's dirty nodes in one
+  :func:`batched_sweep`, and a level-vectorized traceback answers
+  every lane at once.  `dfg_assign_repeat` is one lane; sweeps and
+  serve misses are many.  :mod:`~repro.engine.kernels` holds the curve
+  primitives (`zero_curve`, `combine_children`, `node_step`, ...) of
+  the `Tree_Assign` recurrence the engine is bit-identical to, and
+  :mod:`~repro.engine.stats` its :class:`DPStats` counters.
 
 * **Deterministic parallelism** — :mod:`~repro.engine.parallel`
   provides :func:`pmap`, a spawn-safe, chunked, order-preserving
@@ -23,24 +23,16 @@ layers.  It has two halves:
   adds :class:`Budget`, the pre-split evaluation/wall-clock allowance
   that anytime solvers consult when raced through ``pmap``.
 
-A third half joined in between: **batched kernels** —
-:mod:`~repro.engine.batch` stacks many packed forests into
-group-blocked tensors (:class:`BatchedForest`) and solves every
-(instance, deadline) lane of a :class:`BatchedTreeDP` in a handful of
-numpy passes (:func:`batched_sweep`), bit-identical per lane to
-:class:`PackedTreeDP` driven through the same sequence.
-
 Layering: the engine sits beside ``fu`` (layer 2) — it may import
 ``errors``/``obs``/``graph``/``fu`` and nothing above; the
 ``assign``/``sched``/``report`` layers build on it (lintkit rule
 RL004).  See ``docs/performance.md``.
 """
 
-from .batch import BatchedForest, BatchedTreeDP, ForestShape, batched_sweep
+from .batch import BatchedTreeDP, ForestShape, batched_sweep, compile_forest
 from .budget import Budget
 from .kernels import (
     NO_CHOICE,
-    PackedTreeDP,
     combine_children,
     first_feasible_budget,
     infeasible_curve,
@@ -48,20 +40,16 @@ from .kernels import (
     window_bounds,
     zero_curve,
 )
-from .pack import PackedForest, RowBinding
 from .parallel import pmap, resolve_workers, shutdown_pools
 from .stats import DPStats
 
 __all__ = [
-    "BatchedForest",
     "BatchedTreeDP",
     "Budget",
     "DPStats",
     "ForestShape",
-    "PackedForest",
-    "PackedTreeDP",
-    "RowBinding",
     "batched_sweep",
+    "compile_forest",
     "shutdown_pools",
     "NO_CHOICE",
     "zero_curve",

@@ -1,87 +1,79 @@
-"""Batched multi-instance DP: stacked forests and 3-D table bindings.
+"""The tree-DP engine: one out-forest shape, many stacked lanes.
 
-One :class:`PackedTreeDP` vectorizes *within* a tree but still solves
-instances one at a time — a deadline sweep or a batch of near-identical
-serve requests pays the per-node python loop once per instance.  This
-module stacks many (forest, table, deadline) *lanes* so the combine and
-node-step passes run over an ``(instance, node, budget)`` tensor in a
+`Tree_Assign` over a fixed expansion tree is solved here, and only
+here.  A *lane* is one (table, deadline) instance of a shared forest
+shape: a `DFG_Assign_Repeat` call is one lane, a deadline sweep or a
+group of same-structure serve requests is many.  The combine and
+node-step passes run over an ``(lane, node, budget)`` tensor in a
 handful of numpy calls:
 
+* :func:`compile_forest` — compiles an out-forest once into a
+  :class:`ForestShape` plus its node and table-row lists;
 * :class:`ForestShape` — the name-free CSR view of one out-forest
   (parent/child arrays, BFS levels, per-node heights, a padded
-  children matrix) reconstructible from five arrays, so shapes travel
-  to ``pmap`` workers without pickling graph objects;
-* :class:`BatchedForest` — groups many :class:`PackedForest`/shapes
-  by forest object (lanes sharing a forest share one shape and one
-  tensor block);
+  children matrix); it pickles by value, so shapes travel to ``pmap``
+  workers without any graph object;
 * :func:`batched_sweep` — the kernel: children-first combine plus the
   running-min node step for a set of (lane, node) targets, processed
   by height so every pass is one gather/add/where per type;
 * :class:`BatchedTreeDP` — the engine: per-lane row bindings (3-D
-  time/cost tensors) and :class:`DPStats`, a batched refresh that
-  recomputes exactly each lane's dirty nodes in one
-  :func:`batched_sweep`, and a level-vectorized traceback over all
-  lanes at once.
+  time/cost tensors) and :class:`DPStats`, a refresh that recomputes
+  exactly each lane's dirty nodes in one :func:`batched_sweep`, and a
+  level-vectorized traceback over all lanes at once.
 
-**Bit-identity.** Every float op matches the scalar engine: child
-curves sum with the same sequential ``+=`` order, the node step adds
-the same two operands (``child_curve[j - t_k] + c_k``) and breaks ties
-toward the smallest type with a strict running minimum (equivalent to
-``argmin``'s first-occurrence rule), padded types carry ``time 0 /
-cost inf`` which can never win, and padded budgets rely on curves
-being prefix-identical across deadlines.  Per-lane ``DPStats`` equal a
-dedicated :class:`PackedTreeDP` driven through the same
-refresh/pin/traceback sequence: both recompute the same dirty set (the
-rows whose version token changed, plus their ancestor chains), lane by
-lane.  Pinned rows mint the same ``("fixed", base, k)`` version tokens
-``TimeCostTable.with_fixed`` produces, so the changed rows match the
-scalar pin rounds exactly.
+**Bit-identity.** Every float op matches the `Tree_Assign` recurrence
+(:mod:`repro.assign.tree_assign`): child curves sum with the same
+sequential ``+=`` order as ``combine_children``, the node step adds the
+same two operands (``child_curve[j - t_k] + c_k``) as ``node_step`` and
+breaks ties toward the smallest type with ``argmin``'s first-occurrence
+rule, padded types carry ``time 0 / cost inf`` which can never win, and
+padded budgets rely on curves being prefix-identical across deadlines.
+A refresh recomputes exactly the nodes of the rows whose version token
+changed since the lane's previous refresh, plus their ancestor chains;
+pinned rows mint the same ``("fixed", base, k)`` version tokens
+``TimeCostTable.with_fixed`` produces.
 
 See ``docs/performance.md`` (Batched kernels) for the architecture and
-measured numbers; ``tests/engine/test_batch.py`` and
-``tests/properties/test_prop_batch.py`` pin the equivalences.
+measured numbers; ``tests/engine/test_batch.py``,
+``tests/engine/test_kernels.py`` and ``tests/properties/`` pin the
+equivalences.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..errors import EngineError, InfeasibleError, TableError
+from ..errors import EngineError, InfeasibleError, NotATreeError, TableError
 from ..fu.table import TimeCostTable
+from ..graph.dag import reverse_topological_order
+from ..graph.dfg import DFG, Node
 from .kernels import NO_CHOICE, dirty_nodes
-from .pack import PackedForest
 from .stats import DPStats
 
-__all__ = ["ForestShape", "BatchedForest", "BatchedTreeDP", "batched_sweep"]
-
-#: Arrays that fully define a :class:`ForestShape` (the rest is derived).
-_SHAPE_FIELDS = ("parent", "child_off", "child_idx", "row_of", "roots")
+__all__ = ["ForestShape", "BatchedTreeDP", "batched_sweep", "compile_forest"]
 
 
 class ForestShape:
     """Name-free CSR view of one out-forest, shared by many lanes.
 
-    Nodes are numbered children-first (reverse-topological), exactly
-    like :class:`~repro.engine.pack.PackedForest`; on top of the CSR
-    arrays this precomputes what the batched kernel needs:
+    Nodes are numbered children-first (reverse-topological), so every
+    child's index is smaller than its parent's.  On top of the CSR
+    arrays this precomputes what the kernel needs:
 
     * ``kids_mat``/``kid_counts`` — an ``(n, max_kids)`` children
       matrix padded with ``-1``, so the combine pass is one gather per
       child position instead of a per-node loop;
     * ``heights``/``by_height`` — leaf distance per node and the node
-      sets per height, the batched sweep's dependency levels (every
-      child of a height-``h`` node has height ``< h``);
+      sets per height, the sweep's dependency levels (every child of a
+      height-``h`` node has height ``< h``);
     * ``levels``/``level_children``/... — the BFS front from the roots
-      used by the vectorized traceback (same alignment contract as
-      ``PackedForest``).
-
-    Instances are reconstructible from five arrays
-    (:meth:`defining_arrays` / :meth:`from_arrays`), which is how
-    compiled batches travel to ``pmap`` workers without pickling any
-    graph or table objects.
+      used by the vectorized traceback: ``level_children[k]`` is the
+      concatenation of the children of ``levels[k]`` in CSR order,
+      which is exactly ``levels[k + 1]`` — the alignment the
+      traceback's ``np.repeat`` scatter relies on.
     """
 
     __slots__ = (
@@ -154,67 +146,43 @@ class ForestShape:
         self.level_rows = [self.row_of[lvl] for lvl in levels]
         self.level_counts = [self.kid_counts[lvl] for lvl in levels]
 
-    @classmethod
-    def from_pack(cls, pack: PackedForest) -> "ForestShape":
-        """The shape of a compiled :class:`PackedForest` (names dropped)."""
-        return cls(
-            pack.parent, pack.child_off, pack.child_idx, pack.row_of, pack.roots
-        )
 
-    def defining_arrays(self) -> Dict[str, np.ndarray]:
-        """The five arrays :meth:`from_arrays` rebuilds this shape from."""
-        return {name: getattr(self, name) for name in _SHAPE_FIELDS}
+def compile_forest(
+    tree: DFG, node_key: Optional[Callable[[Node], Node]] = None
+) -> Tuple[ForestShape, List[Node], List[Node]]:
+    """Compile an out-forest into ``(shape, nodes, rows)``.
 
-    @classmethod
-    def from_arrays(cls, arrays: Dict[str, np.ndarray]) -> "ForestShape":
-        """Rebuild a shape from :meth:`defining_arrays` output."""
-        missing = [name for name in _SHAPE_FIELDS if name not in arrays]
-        if missing:
-            raise EngineError(f"forest shape arrays missing {missing!r}")
-        return cls(*(arrays[name] for name in _SHAPE_FIELDS))
-
-
-class BatchedForest:
-    """Many packed forests grouped into one shape per distinct forest.
-
-    Lanes handing in the *same* forest object (a deadline sweep over
-    one tree, same-structure serve requests sharing an expansion) are
-    grouped: one :class:`ForestShape` and, in :class:`BatchedTreeDP`,
-    one tensor block per group.
+    ``nodes[i]`` is the tree node numbered ``i`` by the shape;
+    ``rows`` are the distinct table-row keys (``node_key(node)``,
+    default the node itself) in first-appearance order, so node ``i``
+    reads table row ``rows[shape.row_of[i]]``.  Raises
+    :class:`~repro.errors.NotATreeError` when a node has several
+    parents (transpose in-forests first).
     """
-
-    def __init__(
-        self, packs: Sequence[Union[PackedForest, ForestShape]]
-    ) -> None:
-        if not packs:
-            raise EngineError("BatchedForest needs at least one forest")
-        self.shapes: List[ForestShape] = []
-        self.lane_group: List[int] = []
-        self.lane_slot: List[int] = []
-        self.group_lanes: List[List[int]] = []
-        seen: Dict[int, int] = {}
-        for lane, pack in enumerate(packs):
-            gi = seen.get(id(pack))
-            if gi is None:
-                gi = seen[id(pack)] = len(self.shapes)
-                shape = (
-                    pack
-                    if isinstance(pack, ForestShape)
-                    else ForestShape.from_pack(pack)
+    key = node_key or (lambda n: n)
+    nodes: List[Node] = reverse_topological_order(tree)
+    index = {n: i for i, n in enumerate(nodes)}
+    parent = np.full(len(nodes), -1, dtype=np.int64)
+    child_off = [0]
+    child_idx: List[int] = []
+    row_index: Dict[Node, int] = {}
+    row_of: List[int] = []
+    for i, node in enumerate(nodes):
+        for c in tree.children(node):
+            ci = index[c]
+            if parent[ci] != -1:
+                raise NotATreeError(
+                    f"{tree.name!r} is not an out-forest: "
+                    f"{c!r} has several parents"
                 )
-                self.shapes.append(shape)
-                self.group_lanes.append([])
-            self.lane_group.append(gi)
-            self.lane_slot.append(len(self.group_lanes[gi]))
-            self.group_lanes[gi].append(lane)
-
-    @property
-    def n_lanes(self) -> int:
-        return len(self.lane_group)
-
-    @property
-    def n_groups(self) -> int:
-        return len(self.shapes)
+            parent[ci] = i
+            child_idx.append(ci)
+        child_off.append(len(child_idx))
+        row_of.append(row_index.setdefault(key(node), len(row_index)))
+    shape = ForestShape(
+        parent, child_off, child_idx, row_of, [index[r] for r in tree.roots()]
+    )
+    return shape, nodes, list(row_index)
 
 
 #: Cap on the elements of one ``(targets, types or children, budgets)``
@@ -298,96 +266,15 @@ def batched_sweep(
     return int(node_idx.size)
 
 
-class _Group:
-    """Per-group tensors plus per-slot binding bookkeeping."""
-
-    __slots__ = (
-        "shape",
-        "lanes",
-        "deadlines",
-        "size",
-        "m",
-        "lane_m",
-        "times",
-        "costs",
-        "tokens",
-        "pending",
-        "staged",
-        "curves",
-        "choices",
-        "totals",
-        "has_total",
-        "dirty_memo",
-    )
-
-    def __init__(self, shape: ForestShape, lanes: List[int], deadlines: List[int]):
-        self.shape = shape
-        self.lanes = lanes
-        self.deadlines = deadlines
-        self.size = max(deadlines) + 1
-        nl = len(lanes)
-        self.m = 0  # type capacity; fixed at materialization
-        self.lane_m: List[int] = [0] * nl
-        self.times: Optional[np.ndarray] = None
-        self.costs: Optional[np.ndarray] = None
-        #: Current version token per (slot, row) — pins derive from these.
-        self.tokens: List[List[Hashable]] = [[] for _ in range(nl)]
-        #: Rows changed since the slot's last refresh; None = never refreshed.
-        self.pending: List[Optional[List[int]]] = [None] * nl
-        #: Pre-materialization staging: slot -> (times, costs).
-        self.staged: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        self.curves: Optional[np.ndarray] = None
-        self.choices: Optional[np.ndarray] = None
-        self.totals: Optional[np.ndarray] = None
-        self.has_total = [False] * nl
-        #: Dirty node sets keyed by changed rows (None = every node),
-        #: shared across slots that pin the same rows in lockstep.
-        self.dirty_memo: Dict[Optional[Tuple[int, ...]], np.ndarray] = {}
-
-    def materialize(self) -> None:
-        """Allocate the 3-D tensors once every staged lane has bound."""
-        if self.times is not None:
-            return
-        if len(self.staged) != len(self.lanes):
-            missing = [
-                self.lanes[s]
-                for s in range(len(self.lanes))
-                if s not in self.staged
-            ]
-            raise EngineError(
-                f"lanes {missing!r} have no bound table; bind every lane "
-                "of a group before the first refresh"
-            )
-        nl, nr = len(self.lanes), self.shape.n_rows
-        self.m = max(
-            (int(t.shape[1]) for t, _ in self.staged.values()), default=1
-        )
-        self.m = max(self.m, 1)
-        # time 0 / cost inf padding: a padded type's candidate is always
-        # inf, so it can never strictly beat a real one.
-        self.times = np.zeros((nl, nr, self.m), dtype=np.int64)
-        self.costs = np.full((nl, nr, self.m), np.inf, dtype=np.float64)
-        for s, (t, c) in sorted(self.staged.items()):
-            mm = int(t.shape[1])
-            self.lane_m[s] = mm
-            self.times[s, :, :mm] = t
-            self.costs[s, :, :mm] = c
-        self.staged.clear()
-        n = self.shape.n
-        self.curves = np.zeros((nl, n, self.size), dtype=np.float64)
-        self.choices = np.full((nl, n, self.size), NO_CHOICE, dtype=np.int16)
-        self.totals = np.zeros((nl, self.size), dtype=np.float64)
-
-
 class BatchedTreeDP:
-    """Multi-lane `Tree_Assign` DP over stacked packed forests.
+    """Multi-lane `Tree_Assign` DP over one shared :class:`ForestShape`.
 
-    Each *lane* is one (forest, table, deadline) instance; lanes
-    sharing a forest object share a group block.  The per-lane contract
-    mirrors :class:`~repro.engine.kernels.PackedTreeDP` bit for bit —
-    same curves, choices, dirty sets and :class:`DPStats` counters for
-    the same bind/refresh/traceback sequence — while the compute runs
-    batched across lanes via :func:`batched_sweep`.
+    Each *lane* is one (table, deadline) instance of the shape.  A lane
+    is a full incremental engine on its own: the same bind / refresh /
+    traceback sequence gives the same curves, choices, dirty sets and
+    :class:`DPStats` counters whether it runs alone or next to other
+    lanes, while the compute runs batched across lanes via
+    :func:`batched_sweep`.
 
     Binding comes in three forms: :meth:`bind_table` (a
     :class:`~repro.fu.table.TimeCostTable` plus its row keys),
@@ -395,79 +282,96 @@ class BatchedTreeDP:
     worker path, where tables never cross the process boundary), and
     :meth:`bind_pinned` (the ``with_fixed`` pin fast path: O(1) row
     update minting the same ``("fixed", base, k)`` token).  Every lane
-    of a group must bind before the group's first :meth:`refresh`.
+    must bind before the first :meth:`refresh`.
     """
 
     def __init__(
         self,
-        packs: Sequence[Union[PackedForest, ForestShape]],
+        shape: ForestShape,
         deadlines: Sequence[int],
         *,
-        names: Optional[Sequence[str]] = None,
+        name: str = "batched",
         stats: Optional[Sequence[Optional[DPStats]]] = None,
     ):
-        if len(packs) != len(deadlines):
-            raise EngineError(
-                f"{len(packs)} forests but {len(deadlines)} deadlines"
-            )
         for d in deadlines:
             if d < 0:
                 raise InfeasibleError(f"deadline must be >= 0, got {d}")
-        self._forest = BatchedForest(packs)
-        self._deadlines = [int(d) for d in deadlines]
-        self._names = (
-            list(names) if names is not None else ["batched"] * len(packs)
-        )
-        if len(self._names) != len(packs):
-            raise EngineError(
-                f"{len(packs)} forests but {len(self._names)} names"
-            )
-        given = list(stats) if stats is not None else [None] * len(packs)
-        if len(given) != len(packs):
-            raise EngineError(
-                f"{len(packs)} forests but {len(given)} stats slots"
-            )
+        nl = len(deadlines)
+        given = list(stats) if stats is not None else [None] * nl
+        if len(given) != nl:
+            raise EngineError(f"{nl} deadlines but {len(given)} stats slots")
+        self.shape = shape
+        self.name = name
         self.stats: List[DPStats] = [s if s is not None else DPStats() for s in given]
-        self._groups: List[_Group] = [
-            _Group(
-                self._forest.shapes[g],
-                lanes,
-                [self._deadlines[lane] for lane in lanes],
-            )
-            for g, lanes in enumerate(self._forest.group_lanes)
-        ]
-        self._refreshed = [False] * len(packs)
+        self._deadlines = [int(d) for d in deadlines]
+        self._size = max(self._deadlines, default=0) + 1
+        self._m = 0  # type capacity; fixed at materialization
+        self._lane_m: List[int] = [0] * nl
+        self._times: Optional[np.ndarray] = None
+        self._costs: Optional[np.ndarray] = None
+        #: Current version token per (lane, row) — pins derive from these.
+        self._tokens: List[List[Hashable]] = [[] for _ in range(nl)]
+        #: Rows changed since the lane's last refresh; None = never refreshed.
+        self._pending: List[Optional[List[int]]] = [None] * nl
+        #: Pre-materialization staging: lane -> (times, costs).
+        self._staged: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        self._curves: Optional[np.ndarray] = None
+        self._choices: Optional[np.ndarray] = None
+        self._totals: Optional[np.ndarray] = None
+        self._refreshed = [False] * nl
+        #: Dirty node sets keyed by changed rows (None = every node),
+        #: shared across lanes that pin the same rows in lockstep.
+        self._dirty_memo: Dict[Optional[Tuple[int, ...]], np.ndarray] = {}
 
     # ------------------------------------------------------------------
     @property
     def n_lanes(self) -> int:
-        return self._forest.n_lanes
-
-    @property
-    def forest(self) -> BatchedForest:
-        return self._forest
+        return len(self._deadlines)
 
     def deadline(self, lane: int) -> int:
         return self._deadlines[lane]
 
-    def _slot(self, lane: int) -> Tuple[_Group, int]:
-        if not 0 <= lane < self._forest.n_lanes:
+    def _check_lane(self, lane: int) -> None:
+        if not 0 <= lane < self.n_lanes:
+            raise EngineError(f"lane {lane} out of range [0, {self.n_lanes})")
+
+    def _materialize(self) -> None:
+        """Allocate the 3-D tensors once every lane has bound."""
+        if self._times is not None:
+            return
+        nl, nr = self.n_lanes, self.shape.n_rows
+        if len(self._staged) != nl:
+            missing = [lane for lane in range(nl) if lane not in self._staged]
             raise EngineError(
-                f"lane {lane} out of range [0, {self._forest.n_lanes})"
+                f"lanes {missing!r} have no bound table; bind every lane "
+                "before the first refresh"
             )
-        return (
-            self._groups[self._forest.lane_group[lane]],
-            self._forest.lane_slot[lane],
+        self._m = max(
+            [1] + [int(t.shape[1]) for t, _ in self._staged.values()]
         )
+        # time 0 / cost inf padding: a padded type's candidate is always
+        # inf, so it can never strictly beat a real one.
+        self._times = np.zeros((nl, nr, self._m), dtype=np.int64)
+        self._costs = np.full((nl, nr, self._m), np.inf, dtype=np.float64)
+        for lane, (t, c) in self._staged.items():
+            mm = int(t.shape[1])
+            self._lane_m[lane] = mm
+            self._times[lane, :, :mm] = t
+            self._costs[lane, :, :mm] = c
+        self._staged.clear()
+        n = self.shape.n
+        self._curves = np.zeros((nl, n, self._size), dtype=np.float64)
+        self._choices = np.full((nl, n, self._size), NO_CHOICE, dtype=np.int16)
+        self._totals = np.zeros((nl, self._size), dtype=np.float64)
 
     # ------------------------------------------------------------------
     def bind_table(
         self, lane: int, table: TimeCostTable, rows: Sequence[Hashable]
     ) -> None:
         """Bind ``table`` to ``lane``; ``rows`` are its row keys in the
-        forest's row order (``PackedForest.rows``)."""
-        grp, _ = self._slot(lane)
-        nr = grp.shape.n_rows
+        shape's row order (the ``rows`` of :func:`compile_forest`)."""
+        self._check_lane(lane)
+        nr = self.shape.n_rows
         if len(rows) != nr:
             raise TableError(
                 f"lane {lane} forest has {nr} rows but {len(rows)} keys given"
@@ -491,13 +395,13 @@ class BatchedTreeDP:
     ) -> None:
         """Bind pre-extracted row matrices + version tokens to ``lane``.
 
-        Like :class:`~repro.engine.pack.RowBinding`, only rows whose
-        token changed since the previous bind are updated and marked
-        pending for the next refresh.  Any injective token scheme is
-        equivalent — the worker path uses plain row indices.
+        After the first refresh only rows whose token changed since the
+        previous bind are updated and marked pending for the next
+        refresh.  Any injective token scheme is equivalent — the worker
+        path uses plain row indices.
         """
-        grp, slot = self._slot(lane)
-        nr = grp.shape.n_rows
+        self._check_lane(lane)
+        nr = self.shape.n_rows
         times = np.ascontiguousarray(times, dtype=np.int64)
         costs = np.ascontiguousarray(costs, dtype=np.float64)
         if times.shape != costs.shape or times.ndim != 2 or times.shape[0] != nr:
@@ -512,151 +416,138 @@ class BatchedTreeDP:
         if times.size and int(times.min()) < 0:
             raise TableError(f"negative execution time in lane {lane} bind")
         m = int(times.shape[1])
-        if grp.times is None:
-            grp.tokens[slot] = list(tokens)
-            grp.staged[slot] = (times, costs)
-            grp.pending[slot] = None  # full first bind
+        if self._times is None or self._costs is None:
+            self._tokens[lane] = list(tokens)
+            self._staged[lane] = (times, costs)
+            self._pending[lane] = None  # full first bind
             return
-        if m != grp.lane_m[slot]:
+        if m != self._lane_m[lane]:
             raise TableError(
                 f"table has {m} FU types but this binding was built for "
-                f"{grp.lane_m[slot]}"
+                f"{self._lane_m[lane]}"
             )
-        assert grp.costs is not None
-        old = grp.tokens[slot]
+        old = self._tokens[lane]
         changed = [r for r in range(nr) if tokens[r] != old[r]]
-        grp.tokens[slot] = list(tokens)
-        grp.times[slot, :, :m][changed] = times[changed]
-        grp.costs[slot, :, :m][changed] = costs[changed]
-        pend = grp.pending[slot]
+        self._tokens[lane] = list(tokens)
+        self._times[lane, :, :m][changed] = times[changed]
+        self._costs[lane, :, :m][changed] = costs[changed]
+        pend = self._pending[lane]
         if pend is not None:
             pend.extend(changed)
 
     def bind_pinned(self, lane: int, row: int, fu_type: int) -> None:
         """Pin ``row`` of ``lane`` to ``fu_type`` — the ``with_fixed``
         fast path: one row update, same version token, no table object."""
-        grp, slot = self._slot(lane)
-        if grp.times is None:
+        self._check_lane(lane)
+        if self._times is None or self._costs is None:
             raise EngineError(
                 "bind_pinned needs a materialized binding; refresh first"
             )
-        nr = grp.shape.n_rows
+        nr = self.shape.n_rows
         if not 0 <= row < nr:
             raise EngineError(f"row {row} out of range [0, {nr})")
-        m = grp.lane_m[slot]
+        m = self._lane_m[lane]
         if not 0 <= fu_type < m:
             raise EngineError(
                 f"fu_type {fu_type} out of range [0, {m}) for lane {lane}"
             )
-        grp.tokens[slot][row] = ("fixed", grp.tokens[slot][row], int(fu_type))
-        assert grp.costs is not None
-        grp.times[slot, row, :m] = grp.times[slot, row, fu_type]
-        grp.costs[slot, row, :m] = grp.costs[slot, row, fu_type]
-        pend = grp.pending[slot]
+        self._tokens[lane][row] = ("fixed", self._tokens[lane][row], int(fu_type))
+        self._times[lane, row, :m] = self._times[lane, row, fu_type]
+        self._costs[lane, row, :m] = self._costs[lane, row, fu_type]
+        pend = self._pending[lane]
         if pend is not None:
             pend.append(int(row))
 
     # ------------------------------------------------------------------
-    def _dirty(self, grp: _Group, slot: int) -> np.ndarray:
-        """Dirty nodes of ``slot`` (memoized by changed-row set).
+    def _dirty(self, lane: int) -> np.ndarray:
+        """Dirty nodes of ``lane`` (memoized by changed-row set).
 
-        Same rule as ``PackedTreeDP.refresh``: every node on the first
-        refresh, else :func:`~repro.engine.kernels.dirty_nodes` of the
-        rows changed since.  The result depends only on the changed-row
-        set, so lanes pinning the same row in lockstep share one array.
+        Every node on the first refresh, else
+        :func:`~repro.engine.kernels.dirty_nodes` of the rows changed
+        since.  The result depends only on the changed-row set, so
+        lanes pinning the same row in lockstep share one array.
         """
-        pend = grp.pending[slot]
+        pend = self._pending[lane]
         key = None if pend is None else tuple(sorted(set(pend)))
-        memo = grp.dirty_memo.get(key)
+        memo = self._dirty_memo.get(key)
         if memo is None:
-            shape = grp.shape
+            shape = self.shape
             memo = (
                 np.arange(shape.n)
                 if key is None
                 else dirty_nodes(shape.row_of, shape.parent, key)
             )
-            grp.dirty_memo[key] = memo
+            self._dirty_memo[key] = memo
         return memo
 
     def refresh(self, lanes: Optional[Sequence[int]] = None) -> "BatchedTreeDP":
         """(Re)compute the DP for ``lanes`` (default: every lane).
 
-        Per lane this is exactly one ``PackedTreeDP.refresh``: recompute
-        the lane's dirty nodes — every lane of a group in one
-        :func:`batched_sweep` — and rebuild the root totals.  Returns
-        ``self`` for chaining.
+        Recomputes each lane's dirty nodes — every lane in one
+        :func:`batched_sweep` — and rebuilds the root totals of the
+        lanes whose curves moved.  Returns ``self`` for chaining.
         """
         t0 = time.perf_counter()
-        wanted = set(range(self.n_lanes)) if lanes is None else set(lanes)
-        refreshed: List[int] = []
-        for grp in self._groups:
-            active = [
-                s for s, lane in enumerate(grp.lanes) if lane in wanted
-            ]
-            if not active:
-                continue
-            grp.materialize()
-            assert grp.curves is not None and grp.choices is not None
-            assert grp.times is not None and grp.costs is not None
-            assert grp.totals is not None
-            shape = grp.shape
-            n = shape.n
-            targets: List[np.ndarray] = []
-            for s in active:
-                lane = grp.lanes[s]
-                dirty = self._dirty(grp, s)
-                grp.pending[s] = []
-                st = self.stats[lane]
-                st.refreshes += 1
-                st.nodes_visited += n
-                st.nodes_recomputed += int(dirty.size)
-                st.cache_hits += n - int(dirty.size)
-                if dirty.size:
-                    grp.has_total[s] = False  # rebuilt below
-                targets.append(dirty)
-                refreshed.append(lane)
-            batched_sweep(
-                shape,
-                grp.curves,
-                grp.choices,
-                grp.times,
-                grp.costs,
-                np.repeat(active, [d.size for d in targets]),
-                np.concatenate(targets),
-            )
-            roots = shape.roots
-            for s in active:
-                if grp.has_total[s]:
-                    continue
-                if roots.size:
-                    total = grp.curves[s, int(roots[0])].copy()
-                    for r in roots[1:].tolist():
-                        total += grp.curves[s, r]
-                else:
-                    total = np.zeros(grp.size, dtype=np.float64)
-                grp.totals[s] = total
-                grp.has_total[s] = True
-                self._refreshed[grp.lanes[s]] = True
-        if refreshed:
-            share = (time.perf_counter() - t0) / len(refreshed)
-            for lane in refreshed:
-                self.stats[lane].seconds_refresh += share
+        active = sorted(set(range(self.n_lanes) if lanes is None else lanes))
+        if not active:
+            return self
+        for lane in active:
+            self._check_lane(lane)
+        self._materialize()
+        curves, totals = self._curves, self._totals
+        assert curves is not None and totals is not None
+        assert self._choices is not None
+        assert self._times is not None and self._costs is not None
+        n = self.shape.n
+        targets: List[np.ndarray] = []
+        for lane in active:
+            dirty = self._dirty(lane)
+            self._pending[lane] = []
+            st = self.stats[lane]
+            st.refreshes += 1
+            st.nodes_visited += n
+            st.nodes_recomputed += int(dirty.size)
+            st.cache_hits += n - int(dirty.size)
+            targets.append(dirty)
+        batched_sweep(
+            self.shape,
+            curves,
+            self._choices,
+            self._times,
+            self._costs,
+            np.repeat(active, [d.size for d in targets]),
+            np.concatenate(targets),
+        )
+        roots = self.shape.roots.tolist()
+        for lane, dirty in zip(active, targets):
+            if self._refreshed[lane] and not dirty.size:
+                continue  # nothing moved: the total carries over
+            if roots:
+                total = curves[lane, roots[0]].copy()
+                for r in roots[1:]:
+                    total += curves[lane, r]
+            else:
+                total = np.zeros(self._size, dtype=np.float64)
+            totals[lane] = total
+            self._refreshed[lane] = True
+        share = (time.perf_counter() - t0) / len(active)
+        for lane in active:
+            self.stats[lane].seconds_refresh += share
         return self
 
     # ------------------------------------------------------------------
-    def _require_refreshed(self, lane: int) -> Tuple[_Group, int]:
-        grp, slot = self._slot(lane)
+    def _require_refreshed(self, lane: int) -> None:
+        self._check_lane(lane)
         if not self._refreshed[lane]:
             raise InfeasibleError(
                 "BatchedTreeDP.refresh() must run before queries"
             )
-        return grp, slot
 
     def total_curve(self, lane: int) -> np.ndarray:
         """The lane's forest curve ``D[0..deadline]`` (prefix view)."""
-        grp, slot = self._require_refreshed(lane)
-        assert grp.totals is not None
-        return grp.totals[slot, : self._deadlines[lane] + 1]
+        self._require_refreshed(lane)
+        assert self._totals is not None
+        return self._totals[lane, : self._deadlines[lane] + 1]
 
     def min_feasible(self, lane: int) -> int:
         """Smallest feasible budget of ``lane`` (-1 if none ≤ deadline)."""
@@ -673,13 +564,13 @@ class BatchedTreeDP:
         error — identical to ``longest_path_time`` over
         ``table.min_time`` per node, computed from the bound tensors.
         """
-        grp, slot = self._require_refreshed(lane)
-        assert grp.times is not None
-        shape = grp.shape
+        self._require_refreshed(lane)
+        assert self._times is not None
+        shape = self.shape
         if shape.n == 0:
             return 0
-        m = grp.lane_m[slot]
-        tmin = grp.times[slot, :, :m].min(axis=1)[shape.row_of]
+        m = self._lane_m[lane]
+        tmin = self._times[lane, :, :m].min(axis=1)[shape.row_of]
         down = np.zeros(shape.n, dtype=np.int64)
         for i in range(shape.n):  # ascending = children first
             lo, hi = int(shape.child_off[i]), int(shape.child_off[i + 1])
@@ -688,10 +579,10 @@ class BatchedTreeDP:
         return int(down[shape.roots].max()) if shape.roots.size else 0
 
     def infeasible_error(self, lane: int, budget: int) -> InfeasibleError:
-        """The scalar engine's infeasibility error for ``lane``."""
+        """The `Tree_Assign` recurrence's infeasibility error for ``lane``."""
         min_time = self.min_time(lane)
         return InfeasibleError(
-            f"no assignment of {self._names[lane]!r} completes within "
+            f"no assignment of {self.name!r} completes within "
             f"{budget} (minimum possible is {min_time})",
             min_feasible=min_time,
         )
@@ -705,16 +596,17 @@ class BatchedTreeDP:
         """Optimal tree choices for every lane at its budget, batched.
 
         ``budgets[lane] = None`` skips the lane (entry stays ``None``).
-        A budget outside ``[0, deadline]`` raises immediately, like the
-        scalar engine's range check.  An infeasible lane either raises
-        the scalar-identical :class:`InfeasibleError`
-        (``on_infeasible="raise"``, lowest lane first) or stores the
-        exception in its slot (``"mark"``) so independent jobs in one
-        batch can fail independently; either way the lane's traceback
-        counter increments first, as the scalar engine's would.
+        A budget outside ``[0, deadline]`` raises immediately.  An
+        infeasible lane either raises the recurrence-identical
+        :class:`InfeasibleError` (``on_infeasible="raise"``, lowest
+        lane first) or stores the exception in its slot (``"mark"``) so
+        independent jobs in one batch can fail independently; either
+        way the lane's traceback counter increments first.
 
-        Feasible lanes get an ``(n,)`` array of type choices in packed
-        node order, equal to ``PackedTreeDP.traceback_at`` values.
+        Feasible lanes get an ``(n,)`` array of type choices in the
+        shape's node order: the assignment `tree_assign` gives at that
+        budget, because a curve computed at deadline ``L`` is
+        prefix-identical to the curve of a fresh DP at any ``j ≤ L``.
         """
         if len(budgets) != self.n_lanes:
             raise EngineError(
@@ -728,48 +620,42 @@ class BatchedTreeDP:
         out: List[Union[np.ndarray, InfeasibleError, None]] = [None] * len(
             budgets
         )
-        n_traced = 0
-        for grp in self._groups:
-            req: List[Tuple[int, int]] = []  # (slot, budget)
-            for s, lane in enumerate(grp.lanes):
-                b = budgets[lane]
-                if b is None:
-                    continue
-                self._require_refreshed(lane)
-                if not 0 <= b <= self._deadlines[lane]:
-                    raise InfeasibleError(
-                        f"budget {b} outside the engine's range "
-                        f"[0, {self._deadlines[lane]}]"
-                    )
-                req.append((s, int(b)))
-            if not req:
+        req: List[Tuple[int, int]] = []  # (lane, budget)
+        for lane, b in enumerate(budgets):
+            if b is None:
                 continue
-            assert grp.totals is not None and grp.choices is not None
-            assert grp.times is not None
-            feasible: List[Tuple[int, int]] = []
-            for s, b in req:
-                lane = grp.lanes[s]
-                self.stats[lane].tracebacks += 1
-                n_traced += 1
-                if not np.isfinite(grp.totals[s, b]):
-                    err = self.infeasible_error(lane, b)
-                    if on_infeasible == "raise":
-                        raise err
-                    out[lane] = err
-                else:
-                    feasible.append((s, b))
-            if not feasible:
-                continue
-            shape = grp.shape
-            slots = np.asarray([s for s, _ in feasible], dtype=np.int64)
-            ns = slots.size
-            budgets_mat = np.zeros((ns, shape.n), dtype=np.int64)
-            ks_mat = np.zeros((ns, shape.n), dtype=np.int64)
+            self._require_refreshed(lane)
+            if not 0 <= b <= self._deadlines[lane]:
+                raise InfeasibleError(
+                    f"budget {b} outside the engine's range "
+                    f"[0, {self._deadlines[lane]}]"
+                )
+            req.append((lane, int(b)))
+        if not req:
+            return out
+        assert self._totals is not None and self._choices is not None
+        assert self._times is not None
+        feasible: List[Tuple[int, int]] = []
+        for lane, b in req:
+            self.stats[lane].tracebacks += 1
+            if not np.isfinite(self._totals[lane, b]):
+                err = self.infeasible_error(lane, b)
+                if on_infeasible == "raise":
+                    raise err
+                out[lane] = err
+            else:
+                feasible.append((lane, b))
+        if feasible:
+            shape = self.shape
+            col = np.asarray([lane for lane, _ in feasible], dtype=np.int64)[
+                :, None
+            ]
+            budgets_mat = np.zeros((col.size, shape.n), dtype=np.int64)
+            ks_mat = np.zeros((col.size, shape.n), dtype=np.int64)
             if shape.roots.size:
                 budgets_mat[:, shape.roots] = np.asarray(
                     [b for _, b in feasible], dtype=np.int64
                 )[:, None]
-            col = slots[:, None]
             for lvl, kids, lvl_rows, lvl_counts in zip(
                 shape.levels,
                 shape.level_children,
@@ -777,26 +663,24 @@ class BatchedTreeDP:
                 shape.level_counts,
             ):
                 b = budgets_mat[:, lvl]
-                k = grp.choices[col, lvl[None, :], b]
+                k = self._choices[col, lvl[None, :], b]
                 assert int(k.min()) != NO_CHOICE, (
-                    "traceback hit infeasible cell (group node "
+                    "traceback hit infeasible cell (node "
                     f"{int(lvl[int(np.argmax((k == NO_CHOICE).any(axis=0)))])})"
                 )
                 ks_mat[:, lvl] = k
                 if kids.size:
-                    rem = b - grp.times[col, lvl_rows[None, :], k]
+                    rem = b - self._times[col, lvl_rows[None, :], k]
                     budgets_mat[:, kids] = np.repeat(rem, lvl_counts, axis=1)
-            for j, (s, _) in enumerate(feasible):
-                out[grp.lanes[s]] = ks_mat[j]
-        if n_traced:
-            share = (time.perf_counter() - t0) / n_traced
-            for lane, b in enumerate(budgets):
-                if b is not None:
-                    self.stats[lane].seconds_traceback += share
+            for j, (lane, _) in enumerate(feasible):
+                out[lane] = ks_mat[j]
+        share = (time.perf_counter() - t0) / len(req)
+        for lane, _ in req:
+            self.stats[lane].seconds_traceback += share
         return out
 
     def traceback_at(self, lane: int, budget: int) -> np.ndarray:
-        """Single-lane traceback (raises like the scalar engine)."""
+        """Single-lane traceback (raises on an infeasible budget)."""
         budgets: List[Optional[int]] = [None] * self.n_lanes
         budgets[lane] = budget
         result = self.traceback_all(budgets, on_infeasible="raise")[lane]

@@ -1,14 +1,14 @@
-"""Vectorized DP kernels: curve primitives + the packed tree engine.
+"""DP curve primitives shared by the recurrence and the engine.
 
 The curve primitives (:func:`zero_curve`, :func:`combine_children`,
-:func:`node_step`, ...) live here so every DP path — the `Tree_Assign`
-recurrence and :class:`PackedTreeDP` — shares one implementation of
-the O(L·M) inner step.  Bit-identity between the paths follows:
-the packed engine calls the *same* `node_step` on the same float64
-values and sums child/root curves with the same sequential ``+=`` loop
-as `combine_children` (numpy pairwise summation would differ in the
-last bit), so every curve, choice, cost, and tie-break agrees with the
-reference exactly.
+:func:`node_step`, ...) are the `Tree_Assign` recurrence's O(L·M)
+inner step.  The tree-DP engine (:mod:`repro.engine.batch`) vectorizes
+the same float ops across nodes and lanes — the same sequential ``+=``
+child sums (numpy pairwise summation would differ in the last bit), the
+same ``child_curve[j - t_k] + c_k`` candidates and the same
+smallest-type tie-break — so every curve, choice, cost, and tie-break
+agrees with the recurrence exactly.  :func:`dirty_nodes` is the
+engine's incremental rule: the nodes a changed table row can move.
 
 A *cost curve* ``D`` has length ``L+1``; ``D[j]`` is the minimum
 system cost of some sub-structure under the condition that every path
@@ -21,17 +21,11 @@ non-increasing in ``j`` by construction.
 
 from __future__ import annotations
 
-import time
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import InfeasibleError, NotATreeError, TableError
-from ..fu.table import TimeCostTable
-from ..graph.classify import is_out_forest
-from ..graph.dfg import DFG, Node
-from .pack import NodeKey, PackedForest, RowBinding
-from .stats import DPStats
+from ..errors import TableError
 
 __all__ = [
     "NO_CHOICE",
@@ -42,7 +36,6 @@ __all__ = [
     "first_feasible_budget",
     "window_bounds",
     "dirty_nodes",
-    "PackedTreeDP",
 ]
 
 #: Type index stored where no FU type is feasible.
@@ -180,200 +173,3 @@ def dirty_nodes(
             mark[p] = True
             p = int(parent[p])
     return np.flatnonzero(mark)
-
-
-class PackedTreeDP:
-    """Packed-kernel `Tree_Assign` DP over a fixed out-forest.
-
-    The incremental engine behind `dfg_assign_repeat`.  The tree is
-    fixed at construction; the *table* varies across :meth:`refresh`
-    calls (typically a base table and its ``with_fixed`` derivatives).
-    After a refresh, :meth:`traceback_at` answers any budget
-    ``j ≤ deadline`` with exactly the assignment `tree_assign` would
-    produce at that deadline, because a curve computed at deadline
-    ``L`` is prefix-identical to the curve of a fresh DP at ``j``.
-    The per-node python loops are array passes over a
-    :class:`~repro.engine.pack.PackedForest`:
-
-    * ``refresh`` diffs row-version tokens against the previous bind
-      and recomputes exactly the dirty set: the changed rows' nodes
-      plus their root-paths (:func:`dirty_nodes`).  Every other node
-      keeps its dense curve row and counts as a cache hit in
-      :class:`DPStats`;
-    * ``traceback_at`` walks the BFS levels top-down, resolving every
-      node of a level with one fancy-indexed gather and scattering the
-      remaining budgets to the next level via ``np.repeat``.
-
-    Bit-identity with the `Tree_Assign` recurrence and the
-    ``incremental=False`` reference loop is pinned by
-    ``tests/properties/test_prop_engine.py`` and gated in
-    ``benchmarks/bench_engine.py``.
-    """
-
-    def __init__(
-        self,
-        tree: DFG,
-        deadline: int,
-        node_key: Optional[NodeKey] = None,
-        stats: Optional[DPStats] = None,
-    ):
-        if len(tree) and not is_out_forest(tree):
-            raise NotATreeError(
-                f"{tree.name!r} is not an out-forest; PackedTreeDP "
-                "requires the DFG_Expand shape (transpose in-forests first)"
-            )
-        if deadline < 0:
-            raise InfeasibleError(f"deadline must be >= 0, got {deadline}")
-        self._tree = tree
-        self._deadline = int(deadline)
-        self._key: NodeKey = node_key or (lambda n: n)
-        self._pack = PackedForest(tree, node_key=self._key)
-        self._binding = RowBinding(self._pack)
-        self.stats = stats if stats is not None else DPStats()
-        n = self._pack.n
-        size = self._deadline + 1
-        self._curves = np.zeros((n, size), dtype=np.float64)
-        self._choices = np.full((n, size), NO_CHOICE, dtype=np.int16)
-        self._table: Optional[TimeCostTable] = None
-        self._total: Optional[np.ndarray] = None
-
-    # ------------------------------------------------------------------
-    @property
-    def tree(self) -> DFG:
-        return self._tree
-
-    @property
-    def deadline(self) -> int:
-        return self._deadline
-
-    @property
-    def pack(self) -> PackedForest:
-        """The compiled CSR view (shared, read-only by convention)."""
-        return self._pack
-
-    # ------------------------------------------------------------------
-    def refresh(self, table: TimeCostTable) -> "PackedTreeDP":
-        """(Re)compute the DP under ``table``.
-
-        Recomputes everything on the first call; afterwards exactly the
-        nodes of the rows whose version token changed plus their
-        root-paths — for a ``with_fixed`` pin, the pinned copies and
-        their ancestors.  Returns ``self`` for chaining.
-        """
-        t0 = time.perf_counter()
-        self.stats.refreshes += 1
-        pack = self._pack
-        # the first bind reports every row changed, so every node is dirty
-        dirty = dirty_nodes(pack.row_of, pack.parent, self._binding.bind(table))
-        times = self._binding.times
-        costs = self._binding.costs
-        assert times is not None and costs is not None
-        curves, choices = self._curves, self._choices
-        children = pack.children_tuples
-        for i, ri in zip(dirty.tolist(), pack.row_of[dirty].tolist()):
-            kids = children[i]
-            if kids:
-                base = curves[kids[0]].copy()
-                for c in kids[1:]:
-                    base += curves[c]
-            else:
-                base = zero_curve(self._deadline)
-            curves[i], choices[i] = node_step(base, times[ri], costs[ri])
-        if dirty.size or self._total is None:
-            roots = pack.roots
-            if roots.size:
-                total = curves[roots[0]].copy()
-                for r in roots[1:].tolist():
-                    total += curves[r]
-            else:
-                total = zero_curve(self._deadline)
-            self._total = total
-        self._table = table
-        self.stats.nodes_visited += pack.n
-        self.stats.nodes_recomputed += int(dirty.size)
-        self.stats.cache_hits += pack.n - int(dirty.size)
-        self.stats.seconds_refresh += time.perf_counter() - t0
-        return self
-
-    # ------------------------------------------------------------------
-    def _require_refreshed(self) -> TimeCostTable:
-        if self._table is None:
-            raise InfeasibleError(
-                "PackedTreeDP.refresh(table) must run before queries"
-            )
-        return self._table
-
-    def total_curve(self) -> np.ndarray:
-        """The forest curve ``D[0..deadline]`` of the latest refresh."""
-        self._require_refreshed()
-        assert self._total is not None
-        return self._total
-
-    def min_feasible(self) -> int:
-        """Smallest feasible budget of the latest refresh (-1 if none)."""
-        return first_feasible_budget(self.total_curve())
-
-    def curve(self, node: Node) -> np.ndarray:
-        """The subtree curve of ``node`` from the latest refresh."""
-        self._require_refreshed()
-        return self._curves[self._pack.index[node]]
-
-    def _raise_infeasible(self, budget: int) -> None:
-        from ..graph.paths import longest_path_time
-
-        table, key, tree = self._table, self._key, self._tree
-        assert table is not None
-        min_time = longest_path_time(
-            tree, {n: table.min_time(key(n)) for n in tree}
-        )
-        raise InfeasibleError(
-            f"no assignment of {tree.name!r} completes within {budget} "
-            f"(minimum possible is {min_time})",
-            min_feasible=min_time,
-        )
-
-    def traceback_at(self, budget: int) -> Dict[Node, int]:
-        """Optimal tree assignment for any ``budget ≤ deadline``.
-
-        Level-vectorized top-down pass over the dense curves;
-        the result is identical to a fresh ``tree_assign`` run at
-        ``budget`` (curves are prefix-identical across deadlines).
-
-        Raises :class:`InfeasibleError` when no assignment meets
-        ``budget``, with the same diagnostics `tree_assign` attaches.
-        """
-        self._require_refreshed()
-        if not 0 <= budget <= self._deadline:
-            raise InfeasibleError(
-                f"budget {budget} outside the engine's range [0, {self._deadline}]"
-            )
-        t0 = time.perf_counter()
-        self.stats.tracebacks += 1
-        assert self._total is not None
-        if not np.isfinite(self._total[budget]):
-            self._raise_infeasible(budget)
-        pack = self._pack
-        times = self._binding.times
-        assert times is not None
-        budgets = np.zeros(pack.n, dtype=np.int64)
-        ks = np.zeros(pack.n, dtype=np.int64)
-        if pack.roots.size:
-            budgets[pack.roots] = budget
-        for lvl, kids, lvl_rows, lvl_counts in zip(
-            pack.levels, pack.level_children, pack.level_rows, pack.level_counts
-        ):
-            b = budgets[lvl]
-            k = self._choices[lvl, b]
-            # valid choices are >= 0, so min == NO_CHOICE detects a hole
-            # with a single reduction (no bool temp per level).
-            assert int(k.min()) != NO_CHOICE, (
-                "traceback hit infeasible cell at "
-                f"{pack.nodes[int(lvl[int(np.argmax(k == NO_CHOICE))])]!r}"
-            )
-            ks[lvl] = k
-            if kids.size:
-                rem = b - times[lvl_rows, k]
-                budgets[kids] = np.repeat(rem, lvl_counts)
-        mapping: Dict[Node, int] = dict(zip(pack.nodes, ks.tolist()))
-        self.stats.seconds_traceback += time.perf_counter() - t0
-        return mapping

@@ -1,9 +1,10 @@
-"""Counters of the incremental DP engines.
+"""Counters of the incremental tree-DP engine.
 
-:class:`DPStats` lives in the engine layer so the scalar
-:class:`repro.engine.kernels.PackedTreeDP` and every lane of
-:class:`repro.engine.batch.BatchedTreeDP` can accumulate into the same
-kind of caller-owned object; ``repro.assign`` re-exports it.
+:class:`DPStats` lives in the engine layer so every lane of
+:class:`repro.engine.batch.BatchedTreeDP` — the one lane of a
+`dfg_assign_repeat` call as much as each lane of a sweep — accumulates
+into the same kind of caller-owned object; ``repro.assign`` re-exports
+it.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ class DPStats:
     refresh's dirty set: a changed row's node or one of its ancestors)
     or a ``cache_hit`` (its curve carries over from the previous
     refresh).  ``seconds_refresh``/``seconds_traceback`` split the wall
-    time between the two stages.  The scalar engine and a batched lane
-    report equal counters on equal inputs.
+    time between the two stages.  A lane reports the same integer
+    counters whether it runs alone or batched with other lanes.
     """
 
     refreshes: int = 0

@@ -73,7 +73,7 @@ OBS_NAMESPACES = frozenset(
         "checkkit",  # fuzzing harness campaign counters
         "downgrade",  # downgrade_assign move counters
         "dp",  # incremental DP engine statistics
-        "engine",  # packed kernels and pmap fan-outs
+        "engine",  # tree-DP engine batches and pmap fan-outs
         "force_directed",  # force-directed scheduler placements
         "portfolio",  # metaheuristic race telemetry
         "retiming",  # retiming feasibility probes

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..assign import dfg_assign_once, dfg_assign_repeat, min_completion_time
-from ..assign.dfg_assign import choose_expansion, expansion_candidates
+from ..assign.dfg_expand import choose_expansion, expansion_candidates
 from ..fu.random_tables import random_table
 from ..graph.dfg import DFG
 from ..sched import (

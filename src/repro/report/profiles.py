@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ..assign.assignment import min_completion_time
-from ..assign.dfg_assign import choose_expansion
+from ..assign.dfg_expand import choose_expansion
 from ..assign.frontier import dfg_frontier
 from ..checkkit.oracles import reference_frontier
 from ..engine import DPStats

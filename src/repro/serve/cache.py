@@ -18,8 +18,9 @@ The cache is two-tier: an in-process LRU of at most
 ``<key>.json`` files for persistence across processes (``repro-hls
 batch`` runs, service restarts).  The directory is not bounded, so a
 key evicted from memory is still a hit when it is set.  Disk reads
-populate the memory tier; a file that is unreadable, not UTF-8 JSON,
-or not a dict holding a ``result`` or an ``error`` is a miss.  Every
+populate the memory tier; a file that is unreadable is a miss, and one
+that is not UTF-8 JSON or not a dict holding a ``result`` or an
+``error`` is a miss that also deletes the file.  Every
 lookup emits ``serve.cache.hits`` / ``serve.cache.misses`` counters to
 the ambient tracer, every write ``serve.cache.stores`` — the metrics
 the warm-batch acceptance gate is measured with.
@@ -79,14 +80,23 @@ class ResultCache:
         if payload is not None:
             self._memory.move_to_end(key)
         elif self._path is not None:
+            path = self._file(key)
+            opened = False
             try:
-                with open(self._file(key), "r", encoding="utf-8") as fh:
+                with open(path, "r", encoding="utf-8") as fh:
+                    opened = True
                     payload = json.load(fh)
             except (OSError, ValueError):  # incl. JSON and UTF-8 decode errors
-                payload = None  # absent or corrupt: a miss either way
+                payload = None
             if _is_payload(payload):
                 self._remember(key, payload)
             else:
+                if opened:
+                    # A corrupt file would still count in len(); drop it.
+                    # A writer racing in between loses its entry, so a
+                    # later lookup misses: never a wrong answer.
+                    with contextlib.suppress(FileNotFoundError):
+                        os.unlink(path)
                 payload = None
         if payload is None:
             add_metric("serve.cache.misses")
@@ -127,11 +137,6 @@ class ResultCache:
         self._memory.move_to_end(key)
         while len(self._memory) > MEMORY_ENTRIES:
             self._memory.popitem(last=False)
-
-    def __contains__(self, key: str) -> bool:
-        if key in self._memory:
-            return True
-        return self._path is not None and os.path.exists(self._file(key))
 
     def __len__(self) -> int:
         keys = set(self._memory)

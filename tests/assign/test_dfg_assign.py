@@ -2,12 +2,8 @@
 
 import pytest
 
-from repro.assign.dfg_assign import (
-    choose_expansion,
-    dfg_assign_once,
-    dfg_assign_repeat,
-    expansion_candidates,
-)
+from repro.assign.dfg_assign import dfg_assign_once, dfg_assign_repeat
+from repro.assign.dfg_expand import choose_expansion, expansion_candidates
 from repro.assign.exact import brute_force_assign, exact_assign
 from repro.assign.tree_assign import tree_assign
 from repro.assign.assignment import min_completion_time

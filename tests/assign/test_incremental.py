@@ -1,16 +1,18 @@
-"""Unit tests for the incremental tree-DP engine (`PackedTreeDP`)."""
+"""Unit tests for the incremental tree-DP engine, one lane at a time."""
 
 import numpy as np
 import pytest
 
 from repro.assign.dfg_assign import dfg_assign_repeat
 from repro.assign.tree_assign import _normalize, tree_assign, tree_cost_curve
-from repro.engine import DPStats, PackedTreeDP
+from repro.engine import DPStats
 from repro.errors import InfeasibleError, NotATreeError, TableError
 from repro.fu.random_tables import random_table
 from repro.fu.table import TimeCostTable
 from repro.graph.dfg import DFG
 from repro.suite.registry import get_benchmark
+
+from ..conftest import OneLaneDP
 
 
 def make_table(dfg, seed=0, num_types=3):
@@ -19,7 +21,7 @@ def make_table(dfg, seed=0, num_types=3):
 
 def tree_dp(dfg, table, deadline):
     """A refreshed engine at ``deadline`` (in-forests transposed)."""
-    return PackedTreeDP(_normalize(dfg), deadline).refresh(table)
+    return OneLaneDP(_normalize(dfg), deadline).refresh(table)
 
 
 @pytest.fixture
@@ -35,19 +37,19 @@ def table(tree) -> TimeCostTable:
 
 class TestRefreshCaching:
     def test_first_refresh_computes_everything(self, tree, table):
-        dp = PackedTreeDP(tree, 20)
+        dp = OneLaneDP(tree, 20)
         dp.refresh(table)
         assert dp.stats.nodes_recomputed == 4
         assert dp.stats.cache_hits == 0
 
     def test_same_table_is_all_hits(self, tree, table):
-        dp = PackedTreeDP(tree, 20)
+        dp = OneLaneDP(tree, 20)
         dp.refresh(table).refresh(table)
         assert dp.stats.nodes_recomputed == 4
         assert dp.stats.cache_hits == 4
 
     def test_pin_recomputes_only_the_root_path(self, tree, table):
-        dp = PackedTreeDP(tree, 20)
+        dp = OneLaneDP(tree, 20)
         dp.refresh(table)
         dp.refresh(table.with_fixed("z", 0))
         # z, y, r change; x is untouched and served from cache.
@@ -55,7 +57,7 @@ class TestRefreshCaching:
         assert dp.stats.cache_hits == 1
 
     def test_different_pin_is_a_different_state(self, tree, table):
-        dp = PackedTreeDP(tree, 20)
+        dp = OneLaneDP(tree, 20)
         dp.refresh(table)
         dp.refresh(table.with_fixed("z", 0))
         before = dp.stats.nodes_recomputed
@@ -63,7 +65,7 @@ class TestRefreshCaching:
         assert dp.stats.nodes_recomputed == before + 3
 
     def test_curves_match_tree_cost_curve(self, tree, table):
-        dp = PackedTreeDP(tree, 25).refresh(table)
+        dp = OneLaneDP(tree, 25).refresh(table)
         np.testing.assert_array_equal(
             dp.total_curve(), tree_cost_curve(tree, table, 25)
         )
@@ -87,21 +89,21 @@ class TestTraceback:
         assert dp.traceback_at(30) == dict(ref.assignment.items())
 
     def test_infeasible_budget_raises_with_floor(self, tree, table):
-        dp = PackedTreeDP(tree, 40).refresh(table)
+        dp = OneLaneDP(tree, 40).refresh(table)
         floor = dp.min_feasible()
         with pytest.raises(InfeasibleError) as exc:
             dp.traceback_at(floor - 1)
         assert exc.value.min_feasible == floor
 
     def test_budget_outside_range_raises(self, tree, table):
-        dp = PackedTreeDP(tree, 10).refresh(table)
+        dp = OneLaneDP(tree, 10).refresh(table)
         with pytest.raises(InfeasibleError):
             dp.traceback_at(11)
         with pytest.raises(InfeasibleError):
             dp.traceback_at(-1)
 
     def test_query_before_refresh_raises(self, tree):
-        dp = PackedTreeDP(tree, 10)
+        dp = OneLaneDP(tree, 10)
         with pytest.raises(InfeasibleError, match="refresh"):
             dp.traceback_at(5)
         with pytest.raises(InfeasibleError, match="refresh"):
@@ -111,23 +113,23 @@ class TestTraceback:
 class TestValidation:
     def test_non_forest_rejected(self, diamond):
         with pytest.raises(NotATreeError):
-            PackedTreeDP(diamond, 10)
+            OneLaneDP(diamond, 10)
 
     def test_negative_deadline_rejected(self, tree):
         with pytest.raises(InfeasibleError):
-            PackedTreeDP(tree, -1)
+            OneLaneDP(tree, -1)
 
     def test_missing_row_raises_table_error(self, tree, table):
         incomplete = TimeCostTable(3)
         incomplete.set_row("r", [1, 2, 3], [3.0, 2.0, 1.0])
-        dp = PackedTreeDP(tree, 10)
+        dp = OneLaneDP(tree, 10)
         with pytest.raises(TableError, match="no table row"):
             dp.refresh(incomplete)
 
 
 class TestEmptyForest:
     def test_refresh_and_traceback(self):
-        dp = PackedTreeDP(DFG(name="empty"), 5).refresh(TimeCostTable(2))
+        dp = OneLaneDP(DFG(name="empty"), 5).refresh(TimeCostTable(2))
         np.testing.assert_array_equal(dp.total_curve(), np.zeros(6))
         assert dp.traceback_at(0) == {}
         assert dp.traceback_at(5) == {}
@@ -136,8 +138,8 @@ class TestEmptyForest:
 class TestStats:
     def test_external_stats_accumulate(self, tree, table):
         stats = DPStats()
-        PackedTreeDP(tree, 20, stats=stats).refresh(table)
-        PackedTreeDP(tree, 20, stats=stats).refresh(table)
+        OneLaneDP(tree, 20, stats=stats).refresh(table)
+        OneLaneDP(tree, 20, stats=stats).refresh(table)
         assert stats.refreshes == 2
         assert stats.nodes_visited == 8
 

@@ -56,32 +56,61 @@ def make_table(dfg: DFG, seed: int = 0, num_types: int = 3) -> TimeCostTable:
     return random_table(dfg, num_types=num_types, seed=seed)
 
 
+class OneLaneDP:
+    """One :class:`~repro.engine.batch.BatchedTreeDP` lane, driven like
+    a single-instance engine: ``refresh(table)`` binds and refreshes,
+    ``traceback_at(j)`` returns a ``{node: type}`` dict.  ``tree`` must
+    be an out-forest (transpose in-forests with ``_normalize`` first).
+    """
+
+    def __init__(self, tree, deadline, *, node_key=None, stats=None):
+        from repro.engine import BatchedTreeDP, compile_forest
+
+        self.shape, self.nodes, self.rows = compile_forest(tree, node_key)
+        self.index = {node: i for i, node in enumerate(self.nodes)}
+        self.engine = BatchedTreeDP(
+            self.shape, [deadline], name=tree.name, stats=[stats]
+        )
+        self.stats = self.engine.stats[0]
+
+    def refresh(self, table):
+        self.engine.bind_table(0, table, self.rows)
+        self.engine.refresh()
+        return self
+
+    def total_curve(self):
+        return self.engine.total_curve(0)
+
+    def min_feasible(self):
+        return self.engine.min_feasible(0)
+
+    def curve(self, node):
+        """The subtree curve of ``node`` from the latest refresh."""
+        self.engine.total_curve(0)  # raises before the first refresh
+        return self.engine._curves[0, self.index[node], : self.engine.deadline(0) + 1]
+
+    def traceback_at(self, budget):
+        choice = self.engine.traceback_at(0, budget).tolist()
+        return dict(zip(self.nodes, choice))
+
+
 def batched_tree_frontiers(jobs):
-    """Exact forest frontiers of ``(forest, table, max_deadline)`` jobs
-    from one :class:`~repro.engine.batch.BatchedTreeDP` refresh — the
-    engine-level twin of per-job ``tree_frontier`` calls."""
+    """Exact forest frontiers of ``(forest, table, max_deadline)`` jobs,
+    each from one :class:`~repro.engine.batch.BatchedTreeDP` refresh —
+    the engine-level twin of per-job ``tree_frontier`` calls."""
     import numpy as np
 
     from repro.assign import Assignment, FrontierPoint, frontier_knees
     from repro.assign.tree_assign import _normalize
-    from repro.engine import BatchedTreeDP, PackedForest
 
-    forests = [_normalize(dfg) for dfg, _, _ in jobs]
-    packs = [PackedForest(forest) for forest in forests]
-    engine = BatchedTreeDP(
-        packs, [horizon for _, _, horizon in jobs], names=[f.name for f in forests]
-    )
-    for lane, ((_, table, _), pack) in enumerate(zip(jobs, packs)):
-        engine.bind_table(lane, table, pack.rows)
-    engine.refresh()
     frontiers = []
-    for lane, pack in enumerate(packs):
-        curve = engine.total_curve(lane)
+    for dfg, table, horizon in jobs:
+        lane = OneLaneDP(_normalize(dfg), horizon).refresh(table)
+        curve = lane.total_curve()
         finite = np.flatnonzero(np.isfinite(curve))
         points = []
         for deadline, cost in frontier_knees([(int(j), float(curve[j])) for j in finite]):
-            choice = map(int, engine.traceback_at(lane, deadline))
-            witness = Assignment.of(dict(zip(pack.nodes, choice)))
+            witness = Assignment.of(lane.traceback_at(deadline))
             points.append(FrontierPoint(deadline, cost, witness))
         frontiers.append(points)
     return frontiers

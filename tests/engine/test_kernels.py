@@ -1,4 +1,5 @@
-"""PackedTreeDP vs the `Tree_Assign` recurrence, plus window_bounds."""
+"""The tree-DP engine (one lane) vs the `Tree_Assign` recurrence, plus
+window_bounds."""
 
 from __future__ import annotations
 
@@ -6,11 +7,13 @@ import numpy as np
 import pytest
 
 from repro.assign.tree_assign import tree_assign, tree_cost_curve
-from repro.engine import DPStats, PackedTreeDP, window_bounds
+from repro.engine import DPStats, window_bounds
 from repro.errors import InfeasibleError, NotATreeError, TableError
 from repro.fu.random_tables import random_table
 from repro.graph.dag import descendants
 from repro.graph.dfg import DFG
+
+from ..conftest import OneLaneDP
 
 
 def make_table(dfg, seed=0, num_types=3):
@@ -66,12 +69,12 @@ def test_window_bounds_zero_horizon_and_shape_check():
 
 
 # ----------------------------------------------------------------------
-# PackedTreeDP vs the Tree_Assign recurrence
+# the tree-DP engine vs the Tree_Assign recurrence
 # ----------------------------------------------------------------------
 def test_engines_bitwise_identical_on_tree():
     tree = _tree()
     table = make_table(tree, seed=5)
-    packed = PackedTreeDP(tree, 25).refresh(table)
+    packed = OneLaneDP(tree, 25).refresh(table)
     np.testing.assert_array_equal(
         packed.total_curve(), tree_cost_curve(tree, table, 25)
     )
@@ -88,10 +91,10 @@ def test_engines_bitwise_identical_on_tree():
 def test_engines_identical_across_pin_rounds():
     tree = _tree()
     table = make_table(tree, seed=5)
-    warm = PackedTreeDP(tree, 25, stats=DPStats())
+    warm = OneLaneDP(tree, 25, stats=DPStats())
     for t in (table, table.with_fixed("b", 1), table.with_fixed("c", 0), table):
         warm.refresh(t)
-        cold = PackedTreeDP(tree, 25).refresh(t)
+        cold = OneLaneDP(tree, 25).refresh(t)
         np.testing.assert_array_equal(warm.total_curve(), cold.total_curve())
         np.testing.assert_array_equal(
             warm.total_curve(), tree_cost_curve(tree, t, 25)
@@ -112,7 +115,7 @@ def test_empty_forest():
 
     empty = DFG(name="empty")
     table = TimeCostTable(3)
-    packed = PackedTreeDP(empty, 4).refresh(table)
+    packed = OneLaneDP(empty, 4).refresh(table)
     np.testing.assert_array_equal(
         packed.total_curve(), tree_cost_curve(empty, table, 4)
     )
@@ -124,7 +127,7 @@ def test_single_node():
     one = DFG(name="one")
     one.add_node("x", op="add")
     table = make_table(one, seed=2)
-    packed = PackedTreeDP(one, 8).refresh(table)
+    packed = OneLaneDP(one, 8).refresh(table)
     np.testing.assert_array_equal(
         packed.total_curve(), tree_cost_curve(one, table, 8)
     )
@@ -135,7 +138,7 @@ def test_single_node():
 def test_infeasible_deadline_same_error():
     tree = _tree()
     table = make_table(tree, seed=5)
-    packed = PackedTreeDP(tree, 1)
+    packed = OneLaneDP(tree, 1)
     with pytest.raises(InfeasibleError) as from_packed:
         packed.refresh(table).traceback_at(1)
     with pytest.raises(InfeasibleError) as from_recurrence:
@@ -147,7 +150,7 @@ def test_infeasible_deadline_same_error():
 def test_budget_out_of_range_same_error():
     tree = _tree()
     table = make_table(tree, seed=5)
-    packed = PackedTreeDP(tree, 10).refresh(table)
+    packed = OneLaneDP(tree, 10).refresh(table)
     for budget in (11, -1):
         with pytest.raises(InfeasibleError) as exc:
             packed.traceback_at(budget)
@@ -157,7 +160,7 @@ def test_budget_out_of_range_same_error():
 
 
 def test_query_before_refresh_raises():
-    packed = PackedTreeDP(_tree(), 10)
+    packed = OneLaneDP(_tree(), 10)
     with pytest.raises(InfeasibleError, match="refresh"):
         packed.total_curve()
 
@@ -165,6 +168,6 @@ def test_query_before_refresh_raises():
 def test_rejects_non_forest_and_negative_deadline():
     dag = DFG.from_edges([("a", "c"), ("b", "c")], name="vee")
     with pytest.raises(NotATreeError, match="out-forest"):
-        PackedTreeDP(dag, 5)
+        OneLaneDP(dag, 5)
     with pytest.raises(InfeasibleError, match=">= 0"):
-        PackedTreeDP(_tree(), -1)
+        OneLaneDP(_tree(), -1)

@@ -1,11 +1,11 @@
-"""Structural invariants of the CSR packing layer."""
+"""Structural invariants of the forest compile (`compile_forest`)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.engine import PackedForest, RowBinding
+from repro.engine import BatchedTreeDP, DPStats, compile_forest
 from repro.errors import NotATreeError, TableError
 from repro.fu.random_tables import random_table
 from repro.fu.table import TimeCostTable
@@ -25,86 +25,93 @@ def _forest() -> DFG:
     return dfg
 
 
+def _kids(shape, i):
+    return shape.child_idx[shape.child_off[i] : shape.child_off[i + 1]].tolist()
+
+
 def test_reverse_topo_children_before_parents():
-    pack = PackedForest(_forest())
-    for i, kids in enumerate(pack.children_tuples):
-        for c in kids:
+    shape, _, _ = compile_forest(_forest())
+    for i in range(shape.n):
+        for c in _kids(shape, i):
             assert c < i, "child index must precede its parent's"
 
 
 def test_parent_and_csr_agree():
-    pack = PackedForest(_forest())
-    for i, kids in enumerate(pack.children_tuples):
-        lo, hi = pack.child_off[i], pack.child_off[i + 1]
-        assert tuple(pack.child_idx[lo:hi]) == kids
-        assert pack.child_counts[i] == len(kids)
+    tree = _forest()
+    shape, nodes, _ = compile_forest(tree)
+    for i, node in enumerate(nodes):
+        kids = _kids(shape, i)
+        assert [nodes[c] for c in kids] == tree.children(node)
+        assert shape.kid_counts[i] == len(kids)
         for c in kids:
-            assert pack.parent[c] == i
-    roots = set(pack.roots.tolist())
-    assert roots == {i for i in range(pack.n) if pack.parent[i] == -1}
+            assert shape.parent[c] == i
+    roots = set(shape.roots.tolist())
+    assert roots == {i for i in range(shape.n) if shape.parent[i] == -1}
 
 
 def test_levels_partition_and_align():
-    pack = PackedForest(_forest())
-    seen = np.concatenate(pack.levels)
-    assert sorted(seen.tolist()) == list(range(pack.n))
-    for k, kids in enumerate(pack.level_children):
+    shape, _, _ = compile_forest(_forest())
+    seen = np.concatenate(shape.levels)
+    assert sorted(seen.tolist()) == list(range(shape.n))
+    for k, kids in enumerate(shape.level_children):
         if kids.size:
-            np.testing.assert_array_equal(kids, pack.levels[k + 1])
+            np.testing.assert_array_equal(kids, shape.levels[k + 1])
         else:
-            assert k == len(pack.levels) - 1
+            assert k == len(shape.levels) - 1
 
 
 def test_node_key_dedups_rows():
     dfg = DFG.from_edges([("r", "x1"), ("r", "x2")], name="copies")
     origin = {"r": "r", "x1": "x", "x2": "x"}
-    pack = PackedForest(dfg, node_key=origin.__getitem__)
-    assert sorted(pack.rows) == ["r", "x"]
-    assert pack.row_of[pack.index["x1"]] == pack.row_of[pack.index["x2"]]
+    shape, nodes, rows = compile_forest(dfg, origin.__getitem__)
+    assert sorted(rows) == ["r", "x"]
+    assert shape.n_rows == 2
+    x1, x2 = nodes.index("x1"), nodes.index("x2")
+    assert shape.row_of[x1] == shape.row_of[x2] == rows.index("x")
 
 
 def test_multi_parent_rejected():
     dag = DFG.from_edges([("a", "c"), ("b", "c")], name="vee")
     with pytest.raises(NotATreeError, match="several parents"):
-        PackedForest(dag)
+        compile_forest(dag)
 
 
 def test_empty_forest():
-    pack = PackedForest(DFG(name="empty"))
-    assert pack.n == 0 and pack.roots.size == 0 and pack.levels == []
+    shape, nodes, rows = compile_forest(DFG(name="empty"))
+    assert shape.n == 0 and shape.roots.size == 0 and shape.levels == []
+    assert nodes == [] and rows == []
 
 
 def test_binding_reports_changed_rows():
+    """A rebind marks exactly the rows whose version token changed."""
     tree = _forest()
     table = make_table(tree, seed=3)
-    binding = RowBinding(PackedForest(tree))
-    first = binding.bind(table)
-    assert sorted(first.tolist()) == list(range(len(binding._pack.rows)))
-    assert binding.bind(table).size == 0  # identical rebind: nothing changed
-    pinned = table.with_fixed("c", 0)
-    changed = binding.bind(pinned)
-    assert [binding._pack.rows[r] for r in changed.tolist()] == ["c"]
+    shape, _, rows = compile_forest(tree)
+    stats = DPStats()
+    engine = BatchedTreeDP(shape, [20], stats=[stats])
+
+    def rebind(t) -> int:
+        before = stats.nodes_recomputed
+        engine.bind_table(0, t, rows)
+        engine.refresh()
+        return stats.nodes_recomputed - before
+
+    assert rebind(table) == shape.n  # the first bind is every row
+    assert rebind(table) == 0  # identical rebind: nothing changed
+    # pinning c changes its row only: c and its ancestors b, r1
+    assert rebind(table.with_fixed("c", 0)) == 3
     # ... and returning to the base table flags the same single row.
-    back = binding.bind(table)
-    assert [binding._pack.rows[r] for r in back.tolist()] == ["c"]
+    assert rebind(table) == 3
 
 
 def test_binding_rejects_num_types_mismatch():
     tree = _forest()
-    binding = RowBinding(PackedForest(tree))
-    binding.bind(make_table(tree, seed=3, num_types=3))
+    shape, _, rows = compile_forest(tree)
+    engine = BatchedTreeDP(shape, [20])
+    engine.bind_table(0, make_table(tree, seed=3, num_types=3), rows)
+    engine.refresh()
     other = TimeCostTable(2)
     for n in tree.nodes():
         other.set_row(n, [1, 2], [2.0, 1.0])
     with pytest.raises(TableError, match="FU types"):
-        binding.bind(other)
-
-
-def test_binding_reset_forgets_everything():
-    tree = _forest()
-    table = make_table(tree, seed=3)
-    binding = RowBinding(PackedForest(tree))
-    binding.bind(table)
-    binding.reset()
-    assert binding.times is None
-    assert binding.bind(table).size == len(binding._pack.rows)
+        engine.bind_table(0, other, rows)

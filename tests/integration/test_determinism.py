@@ -19,7 +19,7 @@ from repro.assign import (
     min_completion_time,
     tree_assign,
 )
-from repro.assign.dfg_assign import choose_expansion
+from repro.assign.dfg_expand import choose_expansion
 from repro.assign.frontier import dfg_frontier, tree_frontier
 from repro.fu.random_tables import random_table
 from repro.suite.registry import get_benchmark

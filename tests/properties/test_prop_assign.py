@@ -101,7 +101,7 @@ def test_heuristics_feasible_and_bounded(data):
 @settings(**SETTINGS)
 def test_repeat_never_worse_than_once(data):
     """On a shared expansion, pinning + re-optimizing cannot lose."""
-    from repro.assign.dfg_assign import choose_expansion
+    from repro.assign.dfg_expand import choose_expansion
 
     dfg, table = data
     deadline = slackful_deadline(dfg, table, extra=2)

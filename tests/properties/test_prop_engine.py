@@ -1,6 +1,6 @@
-"""Bit-identity of the packed engine against the reference paths.
+"""Bit-identity of the tree-DP engine against the reference paths.
 
-`PackedTreeDP` and the default `dfg_assign_repeat` promise *exactly*
+One engine lane and the default `dfg_assign_repeat` promise *exactly*
 the reference outputs — the `Tree_Assign` recurrence's curves byte for
 byte and its tracebacks and errors, and `reference_repeat`'s
 assignments and costs — across arbitrary trees/DAGs (hypothesis) plus
@@ -19,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.assign.assignment import min_completion_time
-from repro.assign.dfg_assign import choose_expansion, dfg_assign_repeat
+from repro.assign.dfg_assign import dfg_assign_repeat
+from repro.assign.dfg_expand import choose_expansion
 from repro.assign.frontier import (
     FrontierPoint,
     _knee_points,
@@ -28,14 +29,15 @@ from repro.assign.frontier import (
 )
 from repro.assign.tree_assign import _normalize, tree_assign, tree_cost_curve
 from repro.checkkit.oracles import reference_frontier, reference_repeat
-from repro.engine import DPStats, PackedTreeDP, pmap
-from repro.errors import InfeasibleError
+from repro.engine import DPStats, pmap
+from repro.errors import GraphError, InfeasibleError
 from repro.fu.random_tables import random_table
 from repro.graph.classify import is_in_forest, is_out_forest
 from repro.graph.dag import ancestors, descendants
 from repro.graph.dfg import DFG
 from repro.suite.registry import get_benchmark
 
+from ..conftest import OneLaneDP
 from .strategies import dag_with_table, tree_with_table
 
 
@@ -84,7 +86,7 @@ def test_packed_curves_bitwise_equal(pair, span):
     tree, table = pair
     floor = min_completion_time(tree, table)
     deadline = floor + span
-    packed = PackedTreeDP(tree, deadline).refresh(table)
+    packed = OneLaneDP(tree, deadline).refresh(table)
     np.testing.assert_array_equal(
         packed.total_curve(), tree_cost_curve(tree, table, deadline)
     )
@@ -103,7 +105,7 @@ def test_packed_curves_bitwise_equal(pair, span):
 def test_packed_pin_rounds_and_stats_parity(pair, span):
     tree, table = pair
     deadline = min_completion_time(tree, table) + span
-    packed = PackedTreeDP(tree, deadline, stats=DPStats()).refresh(table)
+    packed = OneLaneDP(tree, deadline, stats=DPStats()).refresh(table)
     seen = [table]
     nodes = list(tree.nodes())
     for node in nodes[: min(3, len(nodes))]:
@@ -134,20 +136,70 @@ def test_packed_pin_rounds_and_stats_parity(pair, span):
     )
 
 
+def _pin_dirty(expansion, v) -> int:
+    """Nodes a pin of ``v`` recomputes: its copies and their ancestors."""
+    copies = set(expansion.copies[v])
+    return len(copies.union(*(ancestors(expansion.tree, c) for c in copies)))
+
+
+def _solve(solve, *args, **kwargs):
+    """A solve's result, or its ``GraphError`` as ``(type, message)``.
+
+    Re-pinning a node that is already pinned picks type 0 of its
+    collapsed work row, and the resolution then reads type 0 of the
+    original table, which may miss the deadline.  Both paths do this
+    alike and raise the same "infeasible assignment" error.
+    """
+    try:
+        return solve(*args, **kwargs)
+    except GraphError as exc:
+        return type(exc), str(exc)
+
+
 @settings(max_examples=50, deadline=None)
 @given(pair=dag_with_table(max_nodes=7), slack=st.integers(0, 6))
 def test_packed_repeat_matches_python_kernel(pair, slack):
     dfg, table = pair
     deadline = min_completion_time(dfg, table) + slack
-    reversed_order = list(reversed(choose_expansion(dfg).duplicated_originals()))
-    for order in (None, reversed_order):
-        packed = dfg_assign_repeat(dfg, table, deadline, fix_order=order)
-        reference = reference_repeat(dfg, table, deadline, fix_order=order)
+    expansion = choose_expansion(dfg)
+    dup = expansion.duplicated_originals()
+    nodes = list(dfg.nodes())
+    # The lockstep solver picks each pin from the *base* row; the
+    # reference reads the work table.  A repeated node (already pinned)
+    # and single-copy nodes are the pins where the two could differ.
+    orders = (
+        None,
+        list(reversed(dup)),
+        dup + nodes[:1] + dup + nodes[:1],
+        [v for v in nodes if len(expansion.copies[v]) == 1],
+    )
+    n = len(expansion.tree)
+    for order in orders:
+        stats = DPStats()
+        packed = _solve(
+            dfg_assign_repeat, dfg, table, deadline, fix_order=order, stats=stats
+        )
+        reference = _solve(
+            reference_repeat, dfg, table, deadline, fix_order=order
+        )
+        if isinstance(packed, tuple):
+            assert packed == reference
+            continue
         assert dict(packed.assignment.items()) == dict(
             reference.assignment.items()
         )
         assert packed.cost == reference.cost
         assert packed.completion_time == reference.completion_time
+        pins = dup if order is None else order
+        rounds = 1 + len(pins)
+        recomputed = n + sum(_pin_dirty(expansion, v) for v in pins)
+        assert (
+            stats.refreshes,
+            stats.tracebacks,
+            stats.nodes_visited,
+            stats.nodes_recomputed,
+            stats.cache_hits,
+        ) == (rounds, rounds, rounds * n, recomputed, rounds * n - recomputed)
 
 
 @settings(max_examples=30, deadline=None)
@@ -159,7 +211,7 @@ def test_packed_frontier_matches_python_kernel(pair, span):
     reference = reference_frontier(dfg, table, max_deadline=horizon)
     assert packed == reference == dfg_frontier(dfg, table, max_deadline=horizon)
     if is_out_forest(dfg) or is_in_forest(dfg):
-        engine = PackedTreeDP(_normalize(dfg), horizon).refresh(table)
+        engine = OneLaneDP(_normalize(dfg), horizon).refresh(table)
         for point in tree_frontier(dfg, table, max_deadline=horizon):
             assert engine.traceback_at(point.deadline) == dict(
                 point.assignment.items()
@@ -174,7 +226,7 @@ def test_empty_forest_identical():
 
     empty = DFG(name="empty")
     table = TimeCostTable(2)
-    packed = PackedTreeDP(empty, 3).refresh(table)
+    packed = OneLaneDP(empty, 3).refresh(table)
     np.testing.assert_array_equal(
         packed.total_curve(), tree_cost_curve(empty, table, 3)
     )
@@ -186,7 +238,7 @@ def test_single_node_identical():
     one = DFG(name="one")
     one.add_node("x", op="mul")
     table = random_table(one, num_types=3, seed=4)
-    packed = PackedTreeDP(one, 9).refresh(table)
+    packed = OneLaneDP(one, 9).refresh(table)
     np.testing.assert_array_equal(
         packed.total_curve(), tree_cost_curve(one, table, 9)
     )
@@ -197,7 +249,7 @@ def test_single_node_identical():
 def test_infeasible_deadline_identical_errors():
     tree = DFG.from_edges([("a", "b"), ("b", "c")], name="chain")
     table = random_table(tree, num_types=3, seed=4)
-    packed = PackedTreeDP(tree, 0).refresh(table)
+    packed = OneLaneDP(tree, 0).refresh(table)
     with pytest.raises(InfeasibleError) as got_packed:
         packed.traceback_at(0)
     with pytest.raises(InfeasibleError) as got_reference:

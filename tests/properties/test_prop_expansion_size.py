@@ -12,11 +12,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from repro.assign.dfg_assign import (
-    choose_expansion,
-    dfg_assign_once,
-    expansion_candidates,
-)
+from repro.assign.dfg_assign import dfg_assign_once
+from repro.assign.dfg_expand import choose_expansion, expansion_candidates
 from repro.errors import GraphError
 from repro.fu.random_tables import random_table
 from repro.graph.classify import duplication_count, expansion_sizes

@@ -13,14 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.assign.assignment import min_completion_time
-from repro.assign.dfg_assign import choose_expansion, dfg_assign_repeat
+from repro.assign.dfg_assign import dfg_assign_repeat
+from repro.assign.dfg_expand import choose_expansion
 from repro.assign.frontier import dfg_frontier
 from repro.assign.tree_assign import _normalize, tree_assign
 from repro.checkkit.oracles import reference_frontier, reference_repeat
-from repro.engine import PackedTreeDP
 from repro.fu.random_tables import random_table
 from repro.suite.registry import benchmark_names, get_benchmark
 
+from ..conftest import OneLaneDP
 from .strategies import dag_with_table, tree_with_table
 
 
@@ -57,7 +58,7 @@ def test_tree_dp_answers_every_budget(pair, span):
     tree, table = pair
     floor = min_completion_time(tree, table)
     forest = _normalize(tree)
-    dp = PackedTreeDP(forest, floor + span).refresh(table)
+    dp = OneLaneDP(forest, floor + span).refresh(table)
     for j in range(floor, floor + span + 1):
         ref = tree_assign(tree, table, j)
         mapping = dp.traceback_at(j)

@@ -14,6 +14,11 @@ slipped through:
 
 Each is now a miss: the service solves the request afresh and the new
 payload overwrites the entry.
+
+A second reproducer: the miss left the corrupt file in place, so with a
+``{}`` entry on disk ``len(cache)`` (the ``cache_entries`` of
+``/v1/health``) was 1 while ``get`` answered ``None``.  A lookup that
+reads a corrupt file now deletes it; a missing file stays a plain miss.
 """
 
 import json
@@ -42,6 +47,23 @@ def request_():
 def test_corrupt_entry_is_a_miss(tmp_path, name):
     (tmp_path / "k.json").write_bytes(CORRUPT[name])
     assert ResultCache(str(tmp_path)).get("k") is None
+
+
+@pytest.mark.parametrize("name", sorted(CORRUPT))
+def test_corrupt_entry_is_dropped_on_read(tmp_path, name):
+    entry = tmp_path / "k.json"
+    entry.write_bytes(CORRUPT[name])
+    cache = ResultCache(str(tmp_path))
+    assert len(cache) == 1
+    assert cache.get("k") is None
+    assert not entry.exists()
+    assert len(cache) == 0 and list(cache.keys()) == []
+
+
+def test_absent_entry_is_a_plain_miss(tmp_path):
+    cache = ResultCache(str(tmp_path))
+    assert cache.get("k") is None
+    assert len(cache) == 0
 
 
 @pytest.mark.parametrize("name", sorted(CORRUPT))

@@ -121,7 +121,7 @@ class TestElliptic:
 class TestRlsLaguerre:
     def test_three_duplicated_nodes_in_chosen_tree(self):
         """Paper: RLS-laguerre has three duplicated nodes."""
-        from repro.assign.dfg_assign import choose_expansion
+        from repro.assign.dfg_expand import choose_expansion
 
         g = rls_laguerre_filter()
         chosen = choose_expansion(g)

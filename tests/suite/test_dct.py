@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.assign.dfg_assign import choose_expansion, dfg_assign_repeat
+from repro.assign.dfg_assign import dfg_assign_repeat
+from repro.assign.dfg_expand import choose_expansion
 from repro.assign.assignment import min_completion_time
 from repro.fu.random_tables import random_table
 from repro.graph.analysis import profile

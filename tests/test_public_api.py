@@ -184,6 +184,18 @@ class TestFacadeKeywordOnly:
         for fn in (assign.dfg_assign_repeat, _min_time_choice):
             assert "workers" not in inspect.signature(fn).parameters, fn
 
+    def test_one_tree_dp_engine(self):
+        """The packed scalar engine and its packing layer are gone."""
+        from repro import engine
+        from repro.engine.batch import ForestShape
+
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.engine.pack")
+        for gone in ("PackedTreeDP", "PackedForest", "RowBinding", "BatchedForest"):
+            assert not hasattr(engine, gone), gone
+        for gone in ("from_pack", "defining_arrays", "from_arrays"):
+            assert not hasattr(ForestShape, gone), gone
+
     def test_batched_lanes_ship_by_value(self):
         """The shared-memory table arena and its `arena=` knob are gone."""
         import inspect
