@@ -24,7 +24,6 @@ from ..graph.classify import is_in_forest, is_out_forest
 from ..graph.dfg import DFG, Node
 from .assignment import min_completion_time
 from .dfg_assign import dfg_assign_repeat
-from .dfg_expand import choose_expansion
 from .tree_assign import tree_assign
 
 __all__ = [

@@ -180,7 +180,11 @@ def compile_forest(
         child_off.append(len(child_idx))
         row_of.append(row_index.setdefault(key(node), len(row_index)))
     shape = ForestShape(
-        parent, child_off, child_idx, row_of, [index[r] for r in tree.roots()]
+        parent,
+        np.asarray(child_off, dtype=np.int64),
+        np.asarray(child_idx, dtype=np.int64),
+        np.asarray(row_of, dtype=np.int64),
+        np.asarray([index[r] for r in tree.roots()], dtype=np.int64),
     )
     return shape, nodes, list(row_index)
 
