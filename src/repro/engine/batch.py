@@ -33,7 +33,7 @@ changed since the lane's previous refresh, plus their ancestor chains;
 pinned rows mint the same ``("fixed", base, k)`` version tokens
 ``TimeCostTable.with_fixed`` produces.
 
-See ``docs/performance.md`` (Batched kernels) for the architecture and
+See ``docs/performance.md`` (The tree-DP engine) for the architecture and
 measured numbers; ``tests/engine/test_batch.py``,
 ``tests/engine/test_kernels.py`` and ``tests/properties/`` pin the
 equivalences.

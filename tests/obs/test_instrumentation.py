@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.assign import DPStats
 from repro.assign.assignment import min_completion_time
+from repro.assign.dfg_assign import dfg_assign_repeat
 from repro.assign.frontier import dfg_frontier, tree_frontier
 from repro.fu.random_tables import random_table
 from repro.obs import Tracer, use_tracer
@@ -100,6 +101,25 @@ class TestMetricsMatchDPStats:
         tracer = Tracer()
         with use_tracer(tracer):
             dfg_frontier(dfg, table, max_deadline=floor + span, stats=stats)
+        for name, value in stats.as_dict().items():
+            counter = tracer.metrics.counters.get(f"dp.{name}")
+            recorded = counter.value if counter is not None else 0.0
+            assert recorded == pytest.approx(value), name
+
+    def test_repeat_is_one_lane_without_batch_metrics(self):
+        """A `dfg_assign_repeat` call runs one engine lane: its own span,
+        `dp.*` counters equal to its stats, no `engine.*` telemetry."""
+        dfg = get_benchmark("elliptic").dag()
+        table = random_table(dfg, num_types=3, seed=7)
+        deadline = min_completion_time(dfg, table) + 3
+        stats = DPStats()
+        tracer = Tracer()
+        with use_tracer(tracer):
+            dfg_assign_repeat(dfg, table, deadline, stats=stats)
+        assert [r.name for r in tracer.roots] == ["dfg_assign_repeat"]
+        assert tracer.roots[0].find("engine.batch") is None
+        assert not [n for n in tracer.metrics.counters if n.startswith("engine.")]
+        assert stats.refreshes > 1
         for name, value in stats.as_dict().items():
             counter = tracer.metrics.counters.get(f"dp.{name}")
             recorded = counter.value if counter is not None else 0.0
