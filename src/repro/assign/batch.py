@@ -305,10 +305,10 @@ def _solve_group(
         la = np.asarray(active, dtype=np.int64)
         copies = cop_idx[cop_off[v] : cop_off[v + 1]]
         ks = trace[la][:, copies]
-        # Pin choice reads the *work* table.  An unpinned row v equals
-        # its base row.  A row pinned earlier (a ``fix_order`` that
-        # repeats v) ties every type, so every copy traced type 0 and
-        # both tables pick 0.  Pinned by the golden and property tests.
+        # Pin choice reads the *work* table, where row v still equals
+        # its base row: the pin order names each row once
+        # (``dfg_assign_repeat`` drops repeats from a ``fix_order``).
+        # Pinned by the golden and property tests.
         pk = _lex_min_k(
             bt[la, v][np.arange(la.size)[:, None], ks],
             bc[la, v][np.arange(la.size)[:, None], ks],
@@ -348,14 +348,15 @@ def _solve_group(
         best_k[upd] = cand_k[upd]
         best_cost[upd] = cand_cost[upd]
 
-    def completions(out_k: np.ndarray) -> np.ndarray:
-        """Integer longest paths of the chosen assignments (all lanes
-        of ``out_k``'s row order = current ``active``)."""
+    def chosen_times(out_k: np.ndarray) -> np.ndarray:
+        """Per-row times of the chosen assignments (rows of ``out_k``
+        in the current ``active`` order)."""
         la = np.asarray(active, dtype=np.int64)
-        t_sel = np.take_along_axis(
-            bt[la], out_k[:, :, None], axis=2
-        )[:, :, 0]
-        down = np.zeros((la.size, nr), dtype=np.int64)
+        return np.take_along_axis(bt[la], out_k[:, :, None], axis=2)[:, :, 0]
+
+    def completions(t_sel: np.ndarray) -> np.ndarray:
+        """Integer longest paths, one per row of ``t_sel``."""
+        down = np.zeros((t_sel.shape[0], nr), dtype=np.int64)
         child_off = arrays["dfg_child_off"]
         child_idx = arrays["dfg_child_idx"]
         for r in arrays["rev_topo"].tolist():
@@ -364,7 +365,7 @@ def _solve_group(
             down[:, r] = t_sel[:, r] + kid_max
         roots = arrays["dfg_roots"]
         if roots.size == 0:
-            return np.zeros(la.size, dtype=np.int64)
+            return np.zeros(t_sel.shape[0], dtype=np.int64)
         return np.asarray(down[:, roots].max(axis=1), dtype=np.int64)
 
     out: Dict[str, Any] = {
@@ -375,12 +376,16 @@ def _solve_group(
         "active": list(active),
     }
     if active:
+        # Best and round-0 assignments share one longest-path pass.
+        both = completions(
+            np.concatenate([chosen_times(best_k), chosen_times(once_k)])
+        ).tolist()
         out["best_k"] = best_k
         out["best_cost"] = best_cost.tolist()
-        out["best_completion"] = completions(best_k).tolist()
+        out["best_completion"] = both[: len(active)]
         out["once_k"] = once_k
         out["once_cost"] = once_cost.tolist()
-        out["once_completion"] = completions(once_k).tolist()
+        out["once_completion"] = both[len(active) :]
     return out
 
 
@@ -613,16 +618,29 @@ def _solve_lane(
     deadline: int,
     expansion: ExpandedTree,
     order: Sequence[Node],
-) -> RepeatOutcome:
+) -> Tuple[DPStats, Union[AssignResult, ReproError]]:
     """One in-process lane: the engine of a ``dfg_assign_repeat`` call.
 
     ``order`` is the pin order (a ``fix_order`` or the default
-    most-copied-first); nothing is validated here and no
-    ``engine.batch.*`` metric is emitted.
+    most-copied-first), each node named once; nothing is validated
+    here and no ``engine.batch.*`` metric is emitted.  Returns the
+    lane's stats and its result or error.
     """
     compiled = _compile_structure(dfg, expansion, order)
-    (item,) = _group_items(compiled, [table], [deadline], [0], workers=0)
-    (outcome,) = _lane_outcomes(
-        _solve_group_payload(item), compiled, [deadline]
+    arrays = dict(compiled["arrays"])
+    arrays["base_t_0"], arrays["base_c_0"] = _table_rows(table, compiled["rows"])
+    res = _solve_group(
+        arrays,
+        {"deadlines": [deadline], "name": compiled["tree_name"], "lanes": [0]},
     )
-    return outcome
+    stats = _stats_from_dict(res["stats"][0])
+    if res["errors"][0] is not None:
+        return stats, _rebuild_error(res["errors"][0])
+    return stats, _result_from_rows(
+        compiled,
+        res["best_k"][0],
+        res["best_cost"][0],
+        res["best_completion"][0],
+        deadline,
+        "dfg_assign_repeat",
+    )

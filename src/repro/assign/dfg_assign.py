@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..engine import DPStats
-from ..errors import GraphError
+from ..errors import GraphError, ReproError
 from ..fu.table import TimeCostTable
 from ..graph.dag import require_acyclic
 from ..graph.dfg import DFG, Node
@@ -209,7 +209,8 @@ def dfg_assign_repeat(
     wins on graphs with many duplications.
 
     ``fix_order`` overrides the pinning order for ablation studies
-    (default: most-copied first).  The rounds run as one lane of the
+    (default: most-copied first); a node named twice is pinned once,
+    at its first mention.  The rounds run as one lane of the
     tree-DP engine (:mod:`repro.assign.batch`), which recomputes only
     the pinned copies' root-paths per round; ``stats`` optionally
     collects its :class:`DPStats`.  ``incremental=False`` runs the
@@ -237,17 +238,21 @@ def dfg_assign_repeat(
         for v in order:
             if v not in known:
                 raise GraphError(f"fix_order names unknown node {v!r}")
+        # A node is pinned once, at its first mention: a second pin would
+        # read its already collapsed row, where every type ties.
+        order = list(dict.fromkeys(order))
 
         if incremental:
-            outcome = _solve_lane(dfg, table, deadline, expansion, order)
+            lane_stats, outcome = _solve_lane(
+                dfg, table, deadline, expansion, order
+            )
             if stats is not None:
-                stats += outcome.stats
-            if outcome.error is not None:
-                raise outcome.error
+                stats += lane_stats
+            if isinstance(outcome, ReproError):
+                raise outcome
             if tracer.enabled:
-                _emit_dp_metrics({}, outcome.stats)
-            assert outcome.result is not None
-            return outcome.result
+                _emit_dp_metrics({}, lane_stats)
+            return outcome
         else:
             # The reference loop (`reference_repeat`): a full
             # `Tree_Assign` recurrence every round, so equivalence tests

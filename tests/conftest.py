@@ -67,7 +67,6 @@ class OneLaneDP:
         from repro.engine import BatchedTreeDP, compile_forest
 
         self.shape, self.nodes, self.rows = compile_forest(tree, node_key)
-        self.index = {node: i for i, node in enumerate(self.nodes)}
         self.engine = BatchedTreeDP(
             self.shape, [deadline], name=tree.name, stats=[stats]
         )
@@ -83,11 +82,6 @@ class OneLaneDP:
 
     def min_feasible(self):
         return self.engine.min_feasible(0)
-
-    def curve(self, node):
-        """The subtree curve of ``node`` from the latest refresh."""
-        self.engine.total_curve(0)  # raises before the first refresh
-        return self.engine._curves[0, self.index[node], : self.engine.deadline(0) + 1]
 
     def traceback_at(self, budget):
         choice = self.engine.traceback_at(0, budget).tolist()

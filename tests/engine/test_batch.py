@@ -112,6 +112,7 @@ def test_pin_rounds_match_with_fixed_rebinds():
     tree = _tree()
     table = random_table(tree, num_types=3, seed=9)
     shape, _, rows = compile_forest(tree)
+    assert rows == ["d", "c", "b", "a", "r"]
     stats = DPStats()
     batched = BatchedTreeDP(shape, [22], stats=[stats])
     batched.bind_table(0, table, rows)
@@ -123,16 +124,35 @@ def test_pin_rounds_match_with_fixed_rebinds():
         scalar.refresh(pinned)
         batched.bind_pinned(0, row, fu_type)
         batched.refresh()
+        np.testing.assert_array_equal(
+            batched.total_curve(0), tree_cost_curve(tree, pinned, 22)
+        )
         _assert_lane_matches(batched, 0, scalar)
     assert _counters(stats) == _counters(scalar.stats)
+    # 5 nodes, then each pin's row and its ancestors: d (d, b, r),
+    # b (b, r), c (c, b, r).
+    assert (stats.refreshes, stats.nodes_visited, stats.nodes_recomputed) == (
+        4,
+        4 * 5,
+        5 + 3 + 2 + 3,
+    )
     # Re-binding the base table after the pins flags the three pinned
-    # rows again, and both paths recompute the same dirty set.
+    # rows again (d, c, b and their ancestor r), and both paths
+    # recompute the same dirty set.
     for t in (table, pinned):
         scalar.refresh(t)
         batched.bind_table(0, t, rows)
         batched.refresh()
+        np.testing.assert_array_equal(
+            batched.total_curve(0), tree_cost_curve(tree, t, 22)
+        )
         _assert_lane_matches(batched, 0, scalar)
     assert _counters(stats) == _counters(scalar.stats)
+    assert (stats.refreshes, stats.nodes_visited, stats.nodes_recomputed) == (
+        6,
+        6 * 5,
+        5 + 3 + 2 + 3 + 4 + 4,
+    )
 
 
 def test_rebind_same_table_is_all_hits():

@@ -26,10 +26,8 @@ def _tree() -> DFG:
     )
 
 
-def _subtree_curve(tree, table, node, deadline):
-    """The recurrence's curve of the subtree rooted at ``node``."""
-    subtree = tree.subgraph({node} | descendants(tree, node))
-    return tree_cost_curve(subtree, table, deadline)
+def _subtree(tree, node):
+    return tree.subgraph({node} | descendants(tree, node))
 
 
 # ----------------------------------------------------------------------
@@ -82,9 +80,12 @@ def test_engines_bitwise_identical_on_tree():
     for j in range(floor, 26):
         ref = tree_assign(tree, table, j)
         assert packed.traceback_at(j) == dict(ref.assignment.items())
+    # every subtree, compiled alone, is its own recurrence too
     for n in tree.nodes():
+        sub = _subtree(tree, n)
         np.testing.assert_array_equal(
-            packed.curve(n), _subtree_curve(tree, table, n, 25)
+            OneLaneDP(sub, 25).refresh(table).total_curve(),
+            tree_cost_curve(sub, table, 25),
         )
 
 

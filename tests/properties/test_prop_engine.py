@@ -30,7 +30,7 @@ from repro.assign.frontier import (
 from repro.assign.tree_assign import _normalize, tree_assign, tree_cost_curve
 from repro.checkkit.oracles import reference_frontier, reference_repeat
 from repro.engine import DPStats, pmap
-from repro.errors import GraphError, InfeasibleError
+from repro.errors import InfeasibleError
 from repro.fu.random_tables import random_table
 from repro.graph.classify import is_in_forest, is_out_forest
 from repro.graph.dag import ancestors, descendants
@@ -90,10 +90,12 @@ def test_packed_curves_bitwise_equal(pair, span):
     np.testing.assert_array_equal(
         packed.total_curve(), tree_cost_curve(tree, table, deadline)
     )
+    # every subtree, compiled alone, is its own recurrence too
     for node in tree.nodes():
         subtree = tree.subgraph(_subtree(tree, node))
         np.testing.assert_array_equal(
-            packed.curve(node), tree_cost_curve(subtree, table, deadline)
+            OneLaneDP(subtree, deadline).refresh(table).total_curve(),
+            tree_cost_curve(subtree, table, deadline),
         )
     for j in range(floor, deadline + 1):
         ref = tree_assign(tree, table, j)
@@ -142,20 +144,6 @@ def _pin_dirty(expansion, v) -> int:
     return len(copies.union(*(ancestors(expansion.tree, c) for c in copies)))
 
 
-def _solve(solve, *args, **kwargs):
-    """A solve's result, or its ``GraphError`` as ``(type, message)``.
-
-    Re-pinning a node that is already pinned picks type 0 of its
-    collapsed work row, and the resolution then reads type 0 of the
-    original table, which may miss the deadline.  Both paths do this
-    alike and raise the same "infeasible assignment" error.
-    """
-    try:
-        return solve(*args, **kwargs)
-    except GraphError as exc:
-        return type(exc), str(exc)
-
-
 @settings(max_examples=50, deadline=None)
 @given(pair=dag_with_table(max_nodes=7), slack=st.integers(0, 6))
 def test_packed_repeat_matches_python_kernel(pair, slack):
@@ -165,8 +153,9 @@ def test_packed_repeat_matches_python_kernel(pair, slack):
     dup = expansion.duplicated_originals()
     nodes = list(dfg.nodes())
     # The lockstep solver picks each pin from the *base* row; the
-    # reference reads the work table.  A repeated node (already pinned)
-    # and single-copy nodes are the pins where the two could differ.
+    # reference reads the work table.  A repeated node (pinned once, at
+    # its first mention) and single-copy nodes are the pins where the
+    # two could differ.
     orders = (
         None,
         list(reversed(dup)),
@@ -176,21 +165,16 @@ def test_packed_repeat_matches_python_kernel(pair, slack):
     n = len(expansion.tree)
     for order in orders:
         stats = DPStats()
-        packed = _solve(
-            dfg_assign_repeat, dfg, table, deadline, fix_order=order, stats=stats
+        packed = dfg_assign_repeat(
+            dfg, table, deadline, fix_order=order, stats=stats
         )
-        reference = _solve(
-            reference_repeat, dfg, table, deadline, fix_order=order
-        )
-        if isinstance(packed, tuple):
-            assert packed == reference
-            continue
+        reference = reference_repeat(dfg, table, deadline, fix_order=order)
         assert dict(packed.assignment.items()) == dict(
             reference.assignment.items()
         )
         assert packed.cost == reference.cost
         assert packed.completion_time == reference.completion_time
-        pins = dup if order is None else order
+        pins = dup if order is None else list(dict.fromkeys(order))
         rounds = 1 + len(pins)
         recomputed = n + sum(_pin_dirty(expansion, v) for v in pins)
         assert (
