@@ -1,10 +1,9 @@
 """Phase 2 — minimum-resource scheduling and configuration synthesis."""
 
 from .force_directed import force_directed_schedule
-from .asap_alap import alap_starts, asap_starts, mobility
 from .heft import heft_schedule, upward_ranks
 from .ilp_model import SchedulingILP, build_schedule_ilp, check_schedule_solution
-from .lower_bound import lower_bound_configuration, occupancy
+from .lower_bound import lower_bound_configuration
 from .min_resource import list_schedule, min_resource_schedule
 from .registers import (
     Lifetime,
@@ -25,10 +24,6 @@ __all__ = [
     "force_directed_schedule",
     "heft_schedule",
     "upward_ranks",
-    "asap_starts",
-    "alap_starts",
-    "mobility",
-    "occupancy",
     "lower_bound_configuration",
     "min_resource_schedule",
     "list_schedule",

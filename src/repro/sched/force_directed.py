@@ -22,6 +22,12 @@ needs:
 After all starts are fixed, instances are bound greedily per type in
 start order (interval-graph coloring), and the configuration is the
 per-type peak usage.  Complexity O(n² · L) — fine at benchmark scale.
+
+Everything runs on the :class:`~repro.sched.phase2.Phase2Frame` of the
+paper's pair: the time frames are index lists seeded from its ASAP and
+ALAP starts, and a fix propagates over its indexed view.  Candidates
+are tried and the distribution graphs summed in ``dfg.nodes()`` order,
+so among equal forces the node first in that order wins.
 """
 
 from __future__ import annotations
@@ -32,163 +38,136 @@ import numpy as np
 
 from ..errors import ScheduleError
 from ..fu.table import TimeCostTable
-from ..graph.dag import topological_order
 from ..graph.dfg import DFG, Node
 from ..obs import add_metric, current_tracer
 
 from ..assign.assignment import Assignment
-from .asap_alap import alap_starts, asap_starts
+from .phase2 import Phase2Frame, earliest_unit
 from .schedule import Configuration, Schedule, ScheduledOp
 
-__all__ = ["force_directed_schedule"]
+__all__ = ["force_directed_on_frame", "force_directed_schedule"]
 
 
 class _Frames:
-    """Mutable time frames [earliest, latest] start per node."""
+    """Mutable time frames [earliest, latest] start per node index."""
 
-    def __init__(self, dfg: DFG, times: Dict[Node, int], deadline: int):
-        self.dfg = dfg
-        self.times = times
-        self.earliest = dict(asap_starts(dfg, times))
-        self.latest = dict(alap_starts(dfg, times, deadline))
+    def __init__(self, frame: Phase2Frame):
+        self.view = frame.view()
+        self.times = frame.times
+        self.types = frame.types
+        self.latest = list(frame.alap())  # raises if infeasible
+        self.earliest = frame.asap()
 
-    def window(self, node: Node) -> range:
-        return range(self.earliest[node], self.latest[node] + 1)
+    def window(self, i: int) -> range:
+        return range(self.earliest[i], self.latest[i] + 1)
 
-    def fix(self, node: Node, start: int) -> None:
-        """Pin ``node`` at ``start`` and propagate frame truncations."""
-        if not self.earliest[node] <= start <= self.latest[node]:
+    def fix(self, i: int, start: int) -> None:
+        """Pin node ``i`` at ``start`` and propagate frame truncations."""
+        earliest, latest, times = self.earliest, self.latest, self.times
+        if not earliest[i] <= start <= latest[i]:
             raise ScheduleError(
-                f"{node!r}: start {start} outside frame "
-                f"[{self.earliest[node]}, {self.latest[node]}]"
+                f"{self.view.nodes[i]!r}: start {start} outside frame "
+                f"[{earliest[i]}, {latest[i]}]"
             )
-        self.earliest[node] = self.latest[node] = start
+        earliest[i] = latest[i] = start
         # forward sweep: children cannot start before parent end
-        for n in topological_order(self.dfg):
-            for p in self.dfg.parents(n):
-                floor = self.earliest[p] + self.times[p]
-                if self.earliest[n] < floor:
-                    self.earliest[n] = floor
+        for v, parents in enumerate(self.view.parents):
+            for p in parents:
+                floor = earliest[p] + times[p]
+                if earliest[v] < floor:
+                    earliest[v] = floor
         # backward sweep: parents must finish before children start
-        for n in reversed(topological_order(self.dfg)):
-            for c in self.dfg.children(n):
-                ceil = self.latest[c] - self.times[n]
-                if self.latest[n] > ceil:
-                    self.latest[n] = ceil
-        bad = [n for n in self.dfg.nodes() if self.earliest[n] > self.latest[n]]
+        children = self.view.children
+        for v in range(len(children) - 1, -1, -1):
+            for c in children[v]:
+                ceil = latest[c] - times[v]
+                if latest[v] > ceil:
+                    latest[v] = ceil
+        bad = [self.view.nodes[v] for v, e in enumerate(earliest) if e > latest[v]]
         if bad:  # cannot happen for a legal fix inside the frame
             raise ScheduleError(f"frame collapse at {bad[:3]!r}")
 
 
 def _distribution(
-    frames: _Frames,
-    type_of: Dict[Node, int],
-    num_types: int,
-    deadline: int,
+    frames: _Frames, order: List[int], num_types: int, deadline: int
 ) -> np.ndarray:
     """DG[j][s]: expected number of type-j ops executing in step s."""
     dg = np.zeros((num_types, deadline), dtype=np.float64)
-    for node in frames.dfg.nodes():
-        window = frames.window(node)
+    for i in order:
+        window = frames.window(i)
         prob = 1.0 / len(window)
-        t = frames.times[node]
+        t = frames.times[i]
+        j = frames.types[i]
         for start in window:
-            dg[type_of[node], start : start + t] += prob
+            dg[j, start : start + t] += prob
     return dg
 
 
-def _self_force(
-    dg: np.ndarray,
-    frames: _Frames,
-    type_of: Dict[Node, int],
-    node: Node,
-    start: int,
-) -> float:
-    """Classic self force: occupancy DG mass at the candidate minus the
-    frame-average occupancy mass."""
-    j = type_of[node]
-    t = frames.times[node]
-    window = frames.window(node)
-    candidate = float(dg[j, start : start + t].sum())
-    average = float(
-        np.mean([dg[j, s : s + t].sum() for s in window])
-    )
-    return candidate - average
+def _masses(dg: np.ndarray, j: int, t: int, starts: range) -> List[float]:
+    """DG mass a type-``j`` op of ``t`` steps occupies, per start."""
+    return [float(dg[j, s : s + t].sum()) for s in starts]
 
 
-def _neighbor_force(
-    dg: np.ndarray,
-    frames: _Frames,
-    type_of: Dict[Node, int],
-    times: Dict[Node, int],
-    node: Node,
-    start: int,
-) -> float:
-    """First-order predecessor/successor forces of fixing (node, start).
+def _self_forces(dg: np.ndarray, frames: _Frames, i: int) -> List[float]:
+    """Classic self force per start of node ``i``'s frame: occupancy DG
+    mass at the candidate minus the frame-average occupancy mass."""
+    masses = _masses(dg, frames.types[i], frames.times[i], frames.window(i))
+    average = float(np.mean(masses))
+    return [mass - average for mass in masses]
+
+
+def _neighbor_force(dg: np.ndarray, frames: _Frames, i: int, start: int) -> float:
+    """First-order predecessor/successor forces of fixing (node ``i``, start).
 
     A fix truncates each direct neighbor's frame; the force is the DG
     change the truncation implies, computed per neighbor without
     recursion (the standard practical approximation).
     """
     force = 0.0
-    t = times[node]
-    for child in frames.dfg.children(node):
-        new_earliest = max(frames.earliest[child], start + t)
-        if new_earliest > frames.latest[child]:
+    earliest, latest, times = frames.earliest, frames.latest, frames.times
+    end = start + times[i]
+    for child in frames.view.children[i]:
+        new_earliest = max(earliest[child], end)
+        if new_earliest > latest[child]:
             return float("inf")  # placement would strand the child
-        if new_earliest > frames.earliest[child]:
-            force += _window_shift_force(
-                dg, frames, type_of, child, new_earliest, frames.latest[child]
-            )
-    for parent in frames.dfg.parents(node):
-        new_latest = min(frames.latest[parent], start - times[parent])
-        if new_latest < frames.earliest[parent]:
+        if new_earliest > earliest[child]:
+            force += _window_shift_force(dg, frames, child, new_earliest, latest[child])
+    for parent in frames.view.parents[i]:
+        new_latest = min(latest[parent], start - times[parent])
+        if new_latest < earliest[parent]:
             return float("inf")
-        if new_latest < frames.latest[parent]:
-            force += _window_shift_force(
-                dg, frames, type_of, parent, frames.earliest[parent], new_latest
-            )
+        if new_latest < latest[parent]:
+            force += _window_shift_force(dg, frames, parent, earliest[parent], new_latest)
     return force
 
 
 def _window_shift_force(
-    dg: np.ndarray,
-    frames: _Frames,
-    type_of: Dict[Node, int],
-    node: Node,
-    new_lo: int,
-    new_hi: int,
+    dg: np.ndarray, frames: _Frames, i: int, new_lo: int, new_hi: int
 ) -> float:
-    """DG-mass change when a node's frame shrinks to [new_lo, new_hi]."""
-    j = type_of[node]
-    t = frames.times[node]
-    old = [float(dg[j, s : s + t].sum()) for s in frames.window(node)]
-    new = [float(dg[j, s : s + t].sum()) for s in range(new_lo, new_hi + 1)]
+    """DG-mass change when node ``i``'s frame shrinks to [new_lo, new_hi]."""
+    j, t = frames.types[i], frames.times[i]
+    old = _masses(dg, j, t, frames.window(i))
+    new = _masses(dg, j, t, range(new_lo, new_hi + 1))
     return float(np.mean(new) - np.mean(old))
 
 
 def _bind_instances(
-    dfg: DFG,
-    times: Dict[Node, int],
-    type_of: Dict[Node, int],
-    starts: Dict[Node, int],
-    num_types: int,
+    frames: _Frames, order: List[int], num_types: int
 ) -> Tuple[Dict[Node, ScheduledOp], Configuration]:
     """Greedy interval binding per type (lowest free instance wins)."""
+    nodes, starts, times, types = (
+        frames.view.nodes, frames.earliest, frames.times, frames.types,
+    )
     ops: Dict[Node, ScheduledOp] = {}
     free_at: List[List[int]] = [[] for _ in range(num_types)]
-    for node in sorted(dfg.nodes(), key=lambda n: (starts[n], str(n))):
-        j = type_of[node]
-        chosen = None
-        for i, free in enumerate(free_at[j]):
-            if free <= starts[node]:
-                chosen = i
-                break
-        if chosen is None:
-            free_at[j].append(0)
-            chosen = len(free_at[j]) - 1
-        free_at[j][chosen] = starts[node] + times[node]
-        ops[node] = ScheduledOp(start=starts[node], fu_type=j, fu_index=chosen)
+    for i in sorted(order, key=lambda i: (starts[i], str(nodes[i]))):
+        units = free_at[types[i]]
+        k, free = earliest_unit(units, starts[i])
+        if free > starts[i]:
+            k = len(units)
+            units.append(0)
+        units[k] = starts[i] + times[i]
+        ops[nodes[i]] = ScheduledOp(start=starts[i], fu_type=types[i], fu_index=k)
     return ops, Configuration.of([len(units) for units in free_at])
 
 
@@ -204,40 +183,41 @@ def force_directed_schedule(
     :class:`ScheduleError` if the deadline is below the assignment's
     critical path (no frames exist).
     """
-    assignment.validate_for(dfg, table)
-    tracer = current_tracer()
-    with tracer.span(
-        "force_directed_schedule", nodes=len(dfg), deadline=deadline
-    ):
-        times = assignment.execution_times(dfg, table)
-        type_of = {n: assignment[n] for n in dfg.nodes()}
-        frames = _Frames(dfg, times, deadline)  # raises if infeasible
-        m = table.num_types
+    return force_directed_on_frame(Phase2Frame(dfg, table, assignment, deadline))
 
-        unfixed = [n for n in dfg.nodes() if len(frames.window(n)) > 1]
+
+def force_directed_on_frame(frame: Phase2Frame) -> Schedule:
+    """:func:`force_directed_schedule` on an already validated frame."""
+    tracer = current_tracer()
+    deadline = frame.deadline
+    with tracer.span(
+        "force_directed_schedule", nodes=len(frame.dfg), deadline=deadline
+    ):
+        frames = _Frames(frame)  # raises if infeasible
+        index = {n: i for i, n in enumerate(frames.view.nodes)}
+        #: node indices in dfg.nodes() order: the tie-break of equal forces
+        order = [index[n] for n in frame.dfg.nodes()]
+        m = frame.table.num_types
+
         # zero-mobility nodes are already placed by their frame
+        unfixed = [i for i in order if frames.latest[i] > frames.earliest[i]]
         while unfixed:
-            dg = _distribution(frames, type_of, m, deadline)
-            best: Optional[Tuple[float, int, Node, int]] = None
-            tie = {n: i for i, n in enumerate(dfg.nodes())}
-            for node in unfixed:
-                for start in frames.window(node):
-                    force = _self_force(dg, frames, type_of, node, start)
-                    neighbor = _neighbor_force(
-                        dg, frames, type_of, times, node, start
-                    )
+            dg = _distribution(frames, order, m, deadline)
+            best: Optional[Tuple[float, int, int]] = None
+            for i in unfixed:
+                window = frames.window(i)
+                for start, force in zip(window, _self_forces(dg, frames, i)):
+                    neighbor = _neighbor_force(dg, frames, i, start)
                     if neighbor == float("inf"):
                         continue
-                    key = (force + neighbor, tie[node], node, start)
-                    if best is None or key[:2] < best[:2]:
-                        best = key
+                    # strict: a later node or start wins only on a lower force
+                    if best is None or force + neighbor < best[0]:
+                        best = (force + neighbor, i, start)
             assert best is not None, "every remaining node lost all placements"
-            _, _, node, start = best
-            frames.fix(node, start)
+            frames.fix(best[1], best[2])
             if tracer.enabled:
                 add_metric("force_directed.placements")
-            unfixed = [n for n in dfg.nodes() if len(frames.window(n)) > 1]
+            unfixed = [i for i in order if frames.latest[i] > frames.earliest[i]]
 
-        starts = {n: frames.earliest[n] for n in dfg.nodes()}
-        ops, configuration = _bind_instances(dfg, times, type_of, starts, m)
+        ops, configuration = _bind_instances(frames, order, m)
         return Schedule(ops=ops, configuration=configuration, deadline=deadline)

@@ -21,7 +21,10 @@ and phase 2 binds FU *instances*:
 
 Registered as ``scheduler="heft"`` in :func:`repro.synthesis.synthesize`
 so benches can pit the paper's scheduler against the classical
-heterogeneous list scheduler on identical assignments.
+heterogeneous list scheduler on identical assignments.  It runs on the
+:class:`~repro.sched.phase2.Phase2Frame` of the paper's pair: ranks,
+priority and binding are by index, and an index is a topological
+position, so it is also the priority's tie-break.
 """
 
 from __future__ import annotations
@@ -29,16 +32,24 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..assign.assignment import Assignment
-from ..errors import ScheduleError
 from ..fu.table import TimeCostTable
-from ..graph.dag import topological_order
 from ..graph.dfg import DFG, Node
 from ..obs import current_tracer
-from .asap_alap import alap_starts
-from .lower_bound import lower_bound_configuration
+from .phase2 import IndexedDAG, Phase2Frame, earliest_unit, indexed_dag
 from .schedule import Configuration, Schedule, ScheduledOp
 
-__all__ = ["heft_schedule", "upward_ranks"]
+__all__ = ["heft_on_frame", "heft_schedule", "upward_ranks"]
+
+
+def _ranks(view: IndexedDAG, table: TimeCostTable) -> List[float]:
+    """Upward ranks by index (see :func:`upward_ranks`)."""
+    m = table.num_types
+    rank = [0.0] * len(view)
+    for i in range(len(view) - 1, -1, -1):
+        rank[i] = float(sum(table.times(view.nodes[i]))) / m + max(
+            (rank[c] for c in view.children[i]), default=0.0
+        )
+    return rank
 
 
 def upward_ranks(dfg: DFG, table: TimeCostTable) -> Dict[Node, float]:
@@ -48,16 +59,8 @@ def upward_ranks(dfg: DFG, table: TimeCostTable) -> Dict[Node, float]:
     length of the longest mean-time path from ``v`` to a leaf.  Higher
     rank means more downstream work, hence higher scheduling priority.
     """
-    order = topological_order(dfg)
-    mean_time = {
-        n: float(sum(table.times(n))) / table.num_types for n in order
-    }
-    ranks: Dict[Node, float] = {}
-    for n in reversed(order):
-        ranks[n] = mean_time[n] + max(
-            (ranks[c] for c in dfg.children(n)), default=0.0
-        )
-    return ranks
+    view = indexed_dag(dfg)
+    return dict(zip(view.nodes, _ranks(view, table)))
 
 
 def heft_schedule(
@@ -81,63 +84,39 @@ def heft_schedule(
     ``initial`` overrides the starting configuration (default:
     `Lower_Bound_R`).
     """
-    assignment.validate_for(dfg, table)
-    with current_tracer().span(
-        "heft_schedule", nodes=len(dfg), deadline=deadline
-    ):
-        return _heft_schedule(dfg, table, assignment, deadline, initial)
+    return heft_on_frame(Phase2Frame(dfg, table, assignment, deadline), initial)
 
 
-def _heft_schedule(
-    dfg: DFG,
-    table: TimeCostTable,
-    assignment: Assignment,
-    deadline: int,
-    initial: Optional[Configuration],
+def heft_on_frame(
+    frame: Phase2Frame, initial: Optional[Configuration] = None
 ) -> Schedule:
-    times = assignment.execution_times(dfg, table)
-    alap = alap_starts(dfg, times, deadline)  # raises if infeasible
-
-    if initial is None:
-        initial = lower_bound_configuration(dfg, table, assignment, deadline)
-    if initial.num_types != table.num_types:
-        raise ScheduleError(
-            f"initial configuration has {initial.num_types} types, "
-            f"table has {table.num_types}"
+    """:func:`heft_schedule` on an already validated frame."""
+    with current_tracer().span(
+        "heft_schedule", nodes=len(frame.dfg), deadline=frame.deadline
+    ):
+        alap = frame.alap()  # raises if infeasible
+        #: free_at[j][k] = first step instance k of type j is idle
+        free_at: List[List[int]] = [[0] * c for c in frame.initial(initial).counts]
+        view = frame.view()
+        times, types, parents, nodes = frame.times, frame.types, view.parents, view.nodes
+        rank = _ranks(view, frame.table)
+        finish = [0] * len(view)
+        ops: Dict[Node, ScheduledOp] = {}
+        # Decreasing rank is a topological order up to zero-time ties;
+        # the index tie-break makes it one unconditionally.
+        for i in sorted(range(len(view)), key=lambda i: (-rank[i], i)):
+            ready = max((finish[p] for p in parents[i]), default=0)
+            units = free_at[types[i]]
+            # earliest-finish-time binding: lowest (start, index) wins
+            k, start = earliest_unit(units, ready)
+            if start > alap[i]:
+                # waiting would miss the constraint — grow out of necessity
+                k, start = len(units), ready
+                units.append(0)
+            units[k] = finish[i] = start + times[i]
+            ops[nodes[i]] = ScheduledOp(start=start, fu_type=types[i], fu_index=k)
+        return Schedule(
+            ops=ops,
+            configuration=Configuration.of([len(u) for u in free_at]),
+            deadline=frame.deadline,
         )
-    #: free_at[j][i] = first step instance i of type j is idle
-    free_at: List[List[int]] = [[0] * c for c in initial.counts]
-
-    ranks = upward_ranks(dfg, table)
-    topo_pos = {n: i for i, n in enumerate(topological_order(dfg))}
-    # Decreasing rank is a topological order up to zero-time ties;
-    # the topo_pos tie-break makes it one unconditionally.
-    priority = sorted(dfg.nodes(), key=lambda n: (-ranks[n], topo_pos[n]))
-
-    finish: Dict[Node, int] = {}
-    ops: Dict[Node, ScheduledOp] = {}
-    for node in priority:
-        j = assignment[node]
-        t = times[node]
-        ready = max((finish[p] for p in dfg.parents(node)), default=0)
-        units = free_at[j]
-        # earliest-finish-time binding: lowest (start, index) wins
-        choice: Optional[int] = None
-        start = 0
-        for i, free in enumerate(units):
-            s = max(ready, free)
-            if choice is None or s < start:
-                choice, start = i, s
-        if choice is None or start > alap[node]:
-            # waiting would miss the constraint — grow out of necessity
-            units.append(0)
-            choice, start = len(units) - 1, ready
-        units[choice] = start + t
-        finish[node] = start + t
-        ops[node] = ScheduledOp(start=start, fu_type=j, fu_index=choice)
-
-    return Schedule(
-        ops=ops,
-        configuration=Configuration.of([len(u) for u in free_at]),
-        deadline=deadline,
-    )

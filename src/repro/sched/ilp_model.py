@@ -19,7 +19,10 @@ Formulation (nodes ``v``, types ``j = a(v)`` fixed, steps ``s``)::
                 y[v,s] ∈ {0,1},  N_j ∈ Z≥0
 
 ``frame(v)`` is the ASAP..ALAP window, which prunes the variable count
-the standard way.  Default weights ``w_j = 1`` minimize total FU count.
+the standard way; the windows, times and types come from the
+assignment's :class:`~repro.sched.phase2.Phase2Frame`, and variable
+``y_i_s`` names node ``i`` of its topologically indexed view.  Default
+weights ``w_j = 1`` minimize total FU count.
 """
 
 from __future__ import annotations
@@ -29,11 +32,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ScheduleError
 from ..fu.table import TimeCostTable
-from ..graph.dag import topological_order
 from ..graph.dfg import DFG, Node
 
 from ..assign.assignment import Assignment
-from .asap_alap import alap_starts, asap_starts
+from .phase2 import Phase2Frame
 from .schedule import Schedule
 
 __all__ = ["SchedulingILP", "build_schedule_ilp", "check_schedule_solution"]
@@ -74,56 +76,51 @@ def build_schedule_ilp(
     weights: Optional[Sequence[float]] = None,
 ) -> SchedulingILP:
     """Construct the scheduling ILP for a fixed (feasible) assignment."""
-    assignment.validate_for(dfg, table)
-    times = assignment.execution_times(dfg, table)
-    asap = asap_starts(dfg, times)
-    alap = alap_starts(dfg, times, deadline)  # raises if infeasible
+    frame = Phase2Frame(dfg, table, assignment, deadline)
+    asap = frame.asap()
+    alap = frame.alap()  # raises if infeasible
     m = table.num_types
     if weights is None:
         weights = [1.0] * m
     if len(weights) != m:
         raise ScheduleError(f"need {m} weights, got {len(weights)}")
 
-    order = topological_order(dfg)
+    order = frame.view().nodes
+    times, types = frame.times, frame.types
     index = {n: i for i, n in enumerate(order)}
-    frames = {n: (asap[n], alap[n]) for n in order}
+    frames = {n: (asap[i], alap[i]) for i, n in enumerate(order)}
 
-    binaries: List[str] = []
-    for n in order:
-        lo, hi = frames[n]
-        binaries.extend(_yvar(index[n], s) for s in range(lo, hi + 1))
+    binaries = [
+        _yvar(i, s) for i in range(len(order)) for s in range(asap[i], alap[i] + 1)
+    ]
     integers = [_nvar(j) for j in range(m)]
     objective = {_nvar(j): float(weights[j]) for j in range(m)}
 
-    constraints: List[Tuple[str, Dict[str, float], str, float]] = []
-    for n in order:
-        i = index[n]
-        lo, hi = frames[n]
-        constraints.append(
-            (f"place_{i}", {_yvar(i, s): 1.0 for s in range(lo, hi + 1)}, "=", 1.0)
-        )
+    constraints: List[Tuple[str, Dict[str, float], str, float]] = [
+        (f"place_{i}", {_yvar(i, s): 1.0 for s in range(asap[i], alap[i] + 1)}, "=", 1.0)
+        for i in range(len(order))
+    ]
     # precedence on zero-delay edges: Σ s·y_v − Σ s·y_u ≥ t(u)
     for u, v, delay in dfg.edges():
         if delay != 0:
             continue
         iu, iv = index[u], index[v]
         row: Dict[str, float] = {}
-        for s in range(*_inclusive(frames[v])):
+        for s in range(asap[iv], alap[iv] + 1):
             row[_yvar(iv, s)] = row.get(_yvar(iv, s), 0.0) + float(s)
-        for s in range(*_inclusive(frames[u])):
+        for s in range(asap[iu], alap[iu] + 1):
             row[_yvar(iu, s)] = row.get(_yvar(iu, s), 0.0) - float(s)
-        constraints.append((f"prec_{iu}_{iv}", row, ">=", float(times[u])))
+        constraints.append((f"prec_{iu}_{iv}", row, ">=", float(times[iu])))
     # resource usage per type and step
     for j in range(m):
         for step in range(deadline):
             row = {}
-            for n in order:
-                if assignment[n] != j or times[n] == 0:
+            for i, t in enumerate(times):
+                if types[i] != j or t == 0:
                     continue
-                lo, hi = frames[n]
-                for s in range(lo, hi + 1):
-                    if s <= step < s + times[n]:
-                        row[_yvar(index[n], s)] = 1.0
+                for s in range(asap[i], alap[i] + 1):
+                    if s <= step < s + t:
+                        row[_yvar(i, s)] = 1.0
             if not row:
                 continue
             row[_nvar(j)] = -1.0
@@ -138,10 +135,6 @@ def build_schedule_ilp(
         node_order=list(order),
         frames=frames,
     )
-
-
-def _inclusive(frame: Tuple[int, int]) -> Tuple[int, int]:
-    return frame[0], frame[1] + 1
 
 
 def check_schedule_solution(

@@ -23,44 +23,14 @@ ablation bench quantifies the residual gap.
 
 from __future__ import annotations
 
-from typing import Mapping
-
-import numpy as np
-
 from ..fu.table import TimeCostTable
-from ..graph.dfg import DFG, Node
+from ..graph.dfg import DFG
 
 from ..assign.assignment import Assignment
-from .phase2 import Phase2Frame, occupancy_matrix
+from .phase2 import Phase2Frame
 from .schedule import Configuration
 
-__all__ = ["occupancy", "lower_bound_configuration"]
-
-
-def occupancy(
-    dfg: DFG,
-    times: Mapping[Node, int],
-    type_of: Mapping[Node, int],
-    starts: Mapping[Node, int],
-    num_types: int,
-    horizon: int,
-) -> np.ndarray:
-    """``occ[j, s]`` = type-``j`` operations executing during step ``s``.
-
-    The paper's ``Num[step][type]`` matrix, generalized to multi-cycle
-    operations by counting every occupied step.  A node occupying a
-    step outside ``[0, horizon)`` raises
-    :class:`~repro.errors.ScheduleError` (the first in node order).
-    """
-    nodes = dfg.nodes()
-    return occupancy_matrix(
-        nodes,
-        [type_of[n] for n in nodes],
-        [times[n] for n in nodes],
-        [[starts[n] for n in nodes]],
-        num_types,
-        horizon,
-    )[0]
+__all__ = ["lower_bound_configuration"]
 
 
 def lower_bound_configuration(

@@ -19,7 +19,9 @@ scheduler itself lives in :mod:`repro.sched.phase2`, next to
 This module also provides :func:`list_schedule`, a plain
 fixed-configuration list scheduler used by the comparison benches
 ("what makespan would the lower-bound configuration achieve on its
-own?") and by the schedule-quality ablations.
+own?"), by rotation scheduling and by the schedule-quality ablations.
+It is a second loop over the same :class:`~repro.sched.phase2.Phase2Frame`,
+whose deadline is then the assignment's unconstrained makespan.
 """
 
 from __future__ import annotations
@@ -29,33 +31,14 @@ from typing import Dict, List, Optional, Tuple
 
 from ..errors import ScheduleError
 from ..fu.table import TimeCostTable
-from ..graph.dag import topological_order
-from ..graph.dfg import DFG, Node
+from ..graph.dfg import DFG
 from ..obs import current_tracer
 
 from ..assign.assignment import Assignment
-from .asap_alap import alap_starts
-from .phase2 import Phase2Frame
+from .phase2 import Phase2Frame, earliest_unit
 from .schedule import Configuration, Schedule, ScheduledOp
 
 __all__ = ["min_resource_schedule", "list_schedule"]
-
-
-class _FUPool:
-    """Mutable pool of FU instances with per-instance free times."""
-
-    def __init__(self, counts: List[int]):
-        #: free_at[j][i] = first step instance i of type j is idle.
-        self.free_at: List[List[int]] = [[0] * c for c in counts]
-
-    def acquire(self, fu_type: int, step: int, duration: int) -> Optional[int]:
-        """Book the lowest-index free instance; None when all are busy."""
-        units = self.free_at[fu_type]
-        for i, free in enumerate(units):
-            if free <= step:
-                units[i] = step + duration
-                return i
-        return None
 
 
 def min_resource_schedule(
@@ -96,89 +79,94 @@ def list_schedule(
     unconstrained completion time).  The returned schedule's deadline
     field is its own makespan — callers compare it against the timing
     constraint.  Raises :class:`ScheduleError` if the configuration
-    lacks a needed FU type entirely or scheduling overruns
+    lacks the FU type of any node, or if scheduling overruns
     ``horizon_factor ×`` the sequential total time (a safety net
-    against zero-count stalls).
+    against stalls).
 
     Everything after ``table`` is keyword-only.
     """
-    assignment.validate_for(dfg, table)
+    frame = Phase2Frame(dfg, table, assignment)
+    counts = configuration.counts
     with current_tracer().span(
-        "list_schedule", nodes=len(dfg), configuration=tuple(configuration.counts)
+        "list_schedule", nodes=len(dfg), configuration=tuple(counts)
     ):
-        return _list_schedule(dfg, table, assignment, configuration, horizon_factor)
+        for n in dfg.nodes():
+            j = assignment[n]
+            if counts[j] == 0:
+                # every node, zero-time ones included, needs an instance
+                raise ScheduleError(
+                    f"configuration {counts} has no unit of type {j} needed by {n!r}"
+                )
+        return _list_schedule(frame, configuration, horizon_factor)
 
 
 def _list_schedule(
-    dfg: DFG,
-    table: TimeCostTable,
-    assignment: Assignment,
-    configuration: Configuration,
-    horizon_factor: int,
+    frame: Phase2Frame, configuration: Configuration, horizon_factor: int
 ) -> Schedule:
-    """`list_schedule` body (span-wrapped by the public entry)."""
-    times = assignment.execution_times(dfg, table)
-    type_of = {n: assignment[n] for n in dfg.nodes()}
-    for n in dfg.nodes():
-        if times[n] > 0 and configuration.counts[type_of[n]] == 0:
-            raise ScheduleError(
-                f"configuration {configuration.counts} has no unit of type "
-                f"{type_of[n]} needed by {n!r}"
-            )
+    """`list_schedule` body (span-wrapped by the public entry).
 
-    from ..graph.paths import longest_path_time
+    Every step pops the ready nodes least ALAP first and books the
+    lowest free instance of each node's type; a node that finds none
+    waits for the next step.  A child made ready by a zero-time parent
+    also waits for the next step.
+    """
+    alap = frame.alap()
+    view = frame.view()
+    times, types, children = frame.times, frame.types, view.children
+    n = len(view)
+    horizon = max(1, horizon_factor * max(1, sum(times)))
+    push, pop = heapq.heappush, heapq.heappop
 
-    unconstrained = longest_path_time(dfg, times)
-    alap = alap_starts(dfg, times, unconstrained)
-    horizon = max(1, horizon_factor * max(1, sum(times.values())))
+    free_at: List[List[int]] = [[0] * c for c in configuration.counts]
+    waiting = [len(parents) for parents in view.parents]
+    ready_at = [0] * n
+    #: min-heap of (alap, index) currently ready; index = topo tie
+    ready: List[Tuple[int, int]] = [(alap[i], i) for i in range(n) if not waiting[i]]
+    heapq.heapify(ready)
+    #: step -> nodes whose last parent finishes at that step
+    pending: Dict[int, List[int]] = {}
+    placed: List[int] = []
+    start = [0] * n
+    unit = [0] * n
 
-    pool = _FUPool(list(configuration.counts))
-    order = topological_order(dfg)
-    tie = {n: i for i, n in enumerate(order)}
-    unscheduled_parents = {n: len(dfg.parents(n)) for n in order}
-    ready_at: Dict[Node, int] = {n: 0 for n in order}
-    ready: List[Tuple[int, int, Node]] = []
-    pending: Dict[int, List[Node]] = {}
-    for n in order:
-        if unscheduled_parents[n] == 0:
-            heapq.heappush(ready, (alap[n], tie[n], n))
-
-    ops: Dict[Node, ScheduledOp] = {}
     step = 0
-    while len(ops) < len(order):
+    while len(placed) < n:
         if step > horizon:
             raise ScheduleError(
                 f"list scheduling overran horizon {horizon}; "
                 f"configuration {configuration.counts} is likely too small"
             )
-        for node in sorted(pending.pop(step, []), key=lambda n: (alap[n], tie[n])):
-            heapq.heappush(ready, (alap[node], tie[node], node))
-        leftovers: List[Tuple[int, int, Node]] = []
+        for i in pending.pop(step, ()):
+            push(ready, (alap[i], i))
+        leftovers: List[Tuple[int, int]] = []
         while ready:
-            a, t_, node = heapq.heappop(ready)
-            j = type_of[node]
-            dur = times[node]
-            idx = pool.acquire(j, step, dur)
-            if idx is None:
-                leftovers.append((a, t_, node))
+            item = pop(ready)
+            i = item[1]
+            units = free_at[types[i]]
+            k, free = earliest_unit(units, step)
+            if free > step:
+                leftovers.append(item)
                 continue
-            ops[node] = ScheduledOp(start=step, fu_type=j, fu_index=idx)
-            done = step + dur
-            for c in dfg.children(node):
-                ready_at[c] = max(ready_at[c], done)
-                unscheduled_parents[c] -= 1
-                if unscheduled_parents[c] == 0:
+            done = units[k] = step + times[i]
+            placed.append(i)
+            start[i] = step
+            unit[i] = k
+            for c in children[i]:
+                if ready_at[c] < done:
+                    ready_at[c] = done
+                waiting[c] -= 1
+                if not waiting[c]:
                     if ready_at[c] <= step:
-                        leftovers.append((alap[c], tie[c], c))
+                        leftovers.append((alap[c], c))
                     else:
                         pending.setdefault(ready_at[c], []).append(c)
         for item in leftovers:
-            heapq.heappush(ready, item)
+            push(ready, item)
         step += 1
 
-    makespan = max(
-        (op.start + times[n] for n, op in ops.items()), default=0
-    )
+    nodes = view.nodes
     return Schedule(
-        ops=ops, configuration=configuration, deadline=makespan
+        ops={nodes[i]: ScheduledOp(start[i], types[i], unit[i]) for i in placed},
+        configuration=configuration,
+        deadline=max((start[i] + times[i] for i in placed), default=0),
     )

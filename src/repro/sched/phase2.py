@@ -1,15 +1,19 @@
-"""Phase 2 on an integer-indexed DAG: `Lower_Bound_R` and `Min_R_Scheduling`.
+"""Phase 2 on an integer-indexed DAG: one frame serves every scheduler.
 
 The paper's phase 2 turns one feasible assignment into a resource lower
 bound (Fig. 13) and a minimum-resource schedule (Fig. 14).  Both start
 from the same inputs — the assigned execution times and the ALAP
 starts — so :class:`Phase2Frame` validates an assignment once, derives
 its times once and computes ALAP once, and answers both steps from
-there.  :func:`repro.sched.lower_bound_configuration`,
-:func:`repro.sched.min_resource_schedule`,
-:func:`repro.sched.alap_starts` and :func:`repro.sched.asap_starts` are
-thin wrappers over this module; :func:`repro.synthesis.synthesize` and
-the serve layer's batched path drive a frame directly.
+there.  The other schedulers read the graph through the same frame:
+:func:`repro.sched.list_schedule` (with the unconstrained makespan as
+the frame's deadline), :func:`repro.sched.heft_schedule`,
+:func:`repro.sched.force_directed_schedule` and
+:func:`repro.sched.build_schedule_ilp`.
+:func:`repro.sched.lower_bound_configuration` and
+:func:`repro.sched.min_resource_schedule` are thin wrappers over the
+frame; :func:`repro.synthesis.run_phase2` builds one frame and hands it
+to whichever scheduler was asked for.
 
 Every pass runs over an :class:`IndexedDAG`: nodes numbered in
 topological (Kahn) order with parent and child index lists, built once
@@ -25,6 +29,8 @@ The ASAP and ALAP occupancy matrices come out of one
 from __future__ import annotations
 
 import heapq
+import sys
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,9 +49,13 @@ __all__ = [
     "Phase2Frame",
     "alap_list",
     "asap_list",
+    "earliest_unit",
     "indexed_dag",
     "occupancy_matrix",
 ]
+
+#: :func:`earliest_unit`'s start when a type has no instance at all
+NEVER = sys.maxsize
 
 
 class IndexedDAG:
@@ -127,6 +137,23 @@ def check_deadline(deadline: int) -> None:
         raise ScheduleError(f"deadline must be >= 0, got {deadline}")
 
 
+def earliest_unit(units: Sequence[int], step: int) -> Tuple[int, int]:
+    """``(k, start)``: the instance on which work ready at ``step`` starts first.
+
+    ``units[k]`` is the first step instance ``k`` of one FU type is
+    idle.  The lowest index wins among equal starts, so an instance
+    free at ``step`` is the lowest free one.  A type with no instance
+    gives ``(-1, NEVER)``.
+    """
+    best, start = -1, NEVER
+    for k, free in enumerate(units):
+        if free <= step:
+            return k, step
+        if free < start:
+            best, start = k, free
+    return best, start
+
+
 def occupancy_matrix(
     nodes: Sequence[Node],
     types: Sequence[int],
@@ -169,14 +196,20 @@ class Phase2Frame:
 
     Construction validates ``assignment`` against ``dfg`` and
     ``table`` (a :class:`~repro.errors.TableError` on a gap or a bad
-    type index) and looks up the execution times.  :meth:`lower_bound`
-    is `Lower_Bound_R`, :meth:`schedule` is `Min_R_Scheduling`; both
-    share the ALAP starts, which raise :class:`ScheduleError` for an
-    infeasible ``deadline`` before anything else is computed.
+    type index).  :meth:`view` moves the execution times and FU types
+    onto the graph's :class:`IndexedDAG`; :attr:`times`, :attr:`types`,
+    :meth:`asap` and :meth:`alap` are what every scheduler reads.
+    :meth:`lower_bound` is `Lower_Bound_R`, :meth:`schedule` is
+    `Min_R_Scheduling`; both share the ALAP starts, which raise
+    :class:`ScheduleError` for an infeasible ``deadline`` before
+    anything else is computed.  Without a ``deadline`` the frame's
+    deadline is the assignment's unconstrained makespan (the critical
+    path), which is what the fixed-configuration list scheduler ranks
+    slack against.
     """
 
     __slots__ = (
-        "dfg", "table", "assignment", "deadline", "_view", "_times", "_types", "_alap",
+        "dfg", "table", "assignment", "_deadline", "_view", "_times", "_types", "_alap",
     )
 
     def __init__(
@@ -184,7 +217,7 @@ class Phase2Frame:
         dfg: DFG,
         table: TimeCostTable,
         assignment: Assignment,
-        deadline: int,
+        deadline: Optional[int] = None,
     ):
         assignment.validate_for(dfg, table)
         for node in dfg.nodes():
@@ -193,7 +226,7 @@ class Phase2Frame:
         self.dfg = dfg
         self.table = table
         self.assignment = assignment
-        self.deadline = deadline
+        self._deadline = deadline
         self._view: Optional[IndexedDAG] = None
         self._times: List[int] = []
         self._types: List[int] = []
@@ -211,13 +244,52 @@ class Phase2Frame:
             self._view = view
         return self._view
 
+    @property
+    def deadline(self) -> int:
+        """The timing constraint (default: the unconstrained makespan)."""
+        if self._deadline is None:
+            times = self.times
+            self._deadline = max(map(add, self.asap(), times), default=0)
+        return self._deadline
+
+    @property
+    def times(self) -> List[int]:
+        """Execution times by index (read-only)."""
+        self.view()
+        return self._times
+
+    @property
+    def types(self) -> List[int]:
+        """Assigned FU types by index (read-only)."""
+        self.view()
+        return self._types
+
+    def asap(self) -> List[int]:
+        """ASAP starts by index, as a fresh list."""
+        return asap_list(self.view(), self._times)
+
     def alap(self) -> List[int]:
-        """ALAP starts by index; raises :class:`ScheduleError` if infeasible."""
+        """ALAP starts by index (read-only); raises :class:`ScheduleError` if infeasible."""
         if self._alap is None:
-            check_deadline(self.deadline)
-            view = self.view()
-            self._alap = alap_list(view, self._times, self.deadline)
+            deadline = self.deadline
+            check_deadline(deadline)
+            self._alap = alap_list(self.view(), self._times, deadline)
         return self._alap
+
+    def initial(self, initial: Optional[Configuration]) -> Configuration:
+        """``initial``, or :meth:`lower_bound` when it is None.
+
+        Raises :class:`ScheduleError` when its type count is not the
+        table's.
+        """
+        if initial is None:
+            initial = self.lower_bound()
+        if initial.num_types != self.table.num_types:
+            raise ScheduleError(
+                f"initial configuration has {initial.num_types} types, "
+                f"table has {self.table.num_types}"
+            )
+        return initial
 
     # ------------------------------------------------------------------
     def lower_bound(self) -> Configuration:
@@ -232,11 +304,10 @@ class Phase2Frame:
         with current_tracer().span(
             "lower_bound_configuration", nodes=len(self.dfg), deadline=self.deadline
         ):
-            view = self.view()
-            asap = asap_list(view, self._times)
+            asap = self.asap()
             alap = self.alap()
             occ = occupancy_matrix(
-                view.nodes,
+                self.view().nodes,
                 self._types,
                 self._times,
                 [asap, alap],
@@ -262,14 +333,7 @@ class Phase2Frame:
             "min_resource_schedule", nodes=len(self.dfg), deadline=self.deadline
         ):
             alap = self.alap()
-            if initial is None:
-                initial = self.lower_bound()
-            if initial.num_types != self.table.num_types:
-                raise ScheduleError(
-                    f"initial configuration has {initial.num_types} types, "
-                    f"table has {self.table.num_types}"
-                )
-            schedule = self._list_schedule(alap, initial)
+            schedule = self._list_schedule(alap, self.initial(initial))
             annotate(fu_instances=schedule.configuration.total_units())
             return schedule
 
@@ -293,16 +357,14 @@ class Phase2Frame:
 
         def place(i: int, step: int, force: bool) -> bool:
             units = free_at[types[i]]
-            t = times[i]
-            for k, free in enumerate(units):
-                if free <= step:
-                    units[k] = step + t
-                    break
-            else:
+            k, free = earliest_unit(units, step)
+            if free > step:
                 if not force:
                     return False
                 k = len(units)
-                units.append(step + t)
+                units.append(0)
+            t = times[i]
+            units[k] = step + t
             placed.append(i)
             start[i] = step
             unit[i] = k

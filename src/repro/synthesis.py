@@ -45,6 +45,8 @@ from .graph.classify import is_in_forest, is_out_forest, is_simple_path
 from .graph.dfg import DFG
 from .obs import MetricsRegistry, Span, current_tracer
 from .sched import Configuration, Schedule
+from .sched.force_directed import force_directed_on_frame
+from .sched.heft import heft_on_frame
 from .sched.phase2 import Phase2Frame
 
 __all__ = [
@@ -194,10 +196,10 @@ def run_phase2(
     """Phase 2 of the flow: `Lower_Bound_R`, then ``scheduler``.
 
     Returns ``(lower_bound, schedule)`` for ``assignment`` on the
-    acyclic ``dag``.  The paper's pair runs on one
-    :class:`~repro.sched.phase2.Phase2Frame`: the assignment is
-    validated, its times looked up and its ALAP starts computed once
-    for both steps.  The steps run in the ``lower_bound`` and
+    acyclic ``dag``.  Both steps run on one
+    :class:`~repro.sched.phase2.Phase2Frame`, whichever ``scheduler``
+    is asked for: the assignment is validated, its times looked up and
+    its ALAP starts computed once.  The steps run in the ``lower_bound`` and
     ``schedule`` spans, and their wall times land in ``timings`` under
     the same names.  :func:`synthesize` calls this after phase 1, and
     the serve layer's batched path calls it with the shared DAG of a
@@ -213,15 +215,9 @@ def run_phase2(
         if scheduler == "min_resource":
             schedule = frame.schedule(lower)
         elif scheduler == "force_directed":
-            from .sched import force_directed_schedule
-
-            schedule = force_directed_schedule(dag, table, assignment, deadline)
+            schedule = force_directed_on_frame(frame)
         elif scheduler == "heft":
-            from .sched import heft_schedule
-
-            schedule = heft_schedule(
-                dag, table, assignment=assignment, deadline=deadline, initial=lower
-            )
+            schedule = heft_on_frame(frame, lower)
         else:
             raise ReproError(
                 f"unknown scheduler {scheduler!r}; choose 'min_resource', "

@@ -5,10 +5,10 @@ the scheduler, one deferred into the report layer — deferral does not
 launder the dependency.
 """
 
-from ..sched.asap_alap import asap_starts  # finding: graph -> sched
+from ..sched.phase2 import asap_list  # finding: graph -> sched
 
 
 def sneaky():
     from repro.report.tables import format_percent  # finding: graph -> report
 
-    return format_percent, asap_starts
+    return format_percent, asap_list

@@ -5,9 +5,9 @@ from hypothesis import given, settings
 
 from repro.assign.assignment import min_completion_time
 from repro.assign.dfg_assign import dfg_assign_repeat
-from repro.sched.asap_alap import alap_starts, asap_starts, mobility
 from repro.sched.lower_bound import lower_bound_configuration
 from repro.sched.min_resource import list_schedule, min_resource_schedule
+from repro.sched.phase2 import Phase2Frame
 
 from .strategies import dag_with_table
 
@@ -19,6 +19,13 @@ def setup(data, extra=2):
     deadline = min_completion_time(dfg, table) + extra
     assignment = dfg_assign_repeat(dfg, table, deadline).assignment
     return dfg, table, assignment, deadline
+
+
+def frame_starts(dfg, table, assignment, deadline):
+    """The phase-2 frame's ASAP and ALAP starts, keyed by node."""
+    frame = Phase2Frame(dfg, table, assignment, deadline)
+    nodes = frame.view().nodes
+    return dict(zip(nodes, frame.asap())), dict(zip(nodes, frame.alap()))
 
 
 @given(dag_with_table())
@@ -53,9 +60,7 @@ def test_usage_never_exceeds_configuration(data):
 @settings(**SETTINGS)
 def test_asap_le_alap(data):
     dfg, table, assignment, deadline = setup(data)
-    times = assignment.execution_times(dfg, table)
-    asap = asap_starts(dfg, times)
-    alap = alap_starts(dfg, times, deadline)
+    asap, alap = frame_starts(dfg, table, assignment, deadline)
     for n in dfg.nodes():
         assert asap[n] <= alap[n]
 
@@ -68,7 +73,8 @@ def test_mobility_floor_is_global_slack(data):
     node has less."""
     dfg, table, assignment, deadline = setup(data)
     times = assignment.execution_times(dfg, table)
-    mob = mobility(dfg, times, deadline)
+    asap, alap = frame_starts(dfg, table, assignment, deadline)
+    mob = {n: alap[n] - asap[n] for n in dfg.nodes()}
     from repro.graph.paths import longest_path_time
 
     slack = deadline - longest_path_time(dfg, times)
@@ -82,9 +88,7 @@ def test_schedule_start_within_window(data):
     """Every scheduled start lies in the node's [ASAP, ALAP] window...
     relaxed: >= ASAP always; <= ALAP is exactly the deadline guarantee."""
     dfg, table, assignment, deadline = setup(data)
-    times = assignment.execution_times(dfg, table)
-    asap = asap_starts(dfg, times)
-    alap = alap_starts(dfg, times, deadline)
+    asap, alap = frame_starts(dfg, table, assignment, deadline)
     sched = min_resource_schedule(dfg, table, assignment=assignment, deadline=deadline)
     for n in dfg.nodes():
         assert asap[n] <= sched.ops[n].start <= alap[n]

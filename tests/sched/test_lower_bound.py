@@ -6,25 +6,37 @@ from repro.assign.assignment import Assignment, min_completion_time
 from repro.assign.exact import exact_assign
 from repro.fu.random_tables import random_table
 from repro.graph.dfg import DFG
-from repro.sched.asap_alap import asap_starts
-from repro.sched.lower_bound import lower_bound_configuration, occupancy
+from repro.sched.lower_bound import lower_bound_configuration
+from repro.sched.phase2 import asap_list, indexed_dag, occupancy_matrix
 from repro.suite.synthetic import random_dag
+
+
+def occupancy(dfg, times, type_of, num_types, horizon):
+    """``occ[j, s]`` of the ASAP schedule, nodes in index order."""
+    view = indexed_dag(dfg)
+    t = [times[n] for n in view.nodes]
+    return occupancy_matrix(
+        view.nodes,
+        [type_of[n] for n in view.nodes],
+        t,
+        [asap_list(view, t)],
+        num_types,
+        horizon,
+    )[0]
 
 
 class TestOccupancy:
     def test_counts_executing_steps(self, diamond):
         times = {"a": 2, "b": 1, "c": 1, "d": 1}
         type_of = {n: 0 for n in diamond.nodes()}
-        starts = asap_starts(diamond, times)
-        occ = occupancy(diamond, times, type_of, starts, 1, 4)
+        occ = occupancy(diamond, times, type_of, 1, 4)
         # a occupies steps 0-1, b and c step 2, d step 3
         assert list(occ[0]) == [1, 1, 2, 1]
 
     def test_respects_type_split(self, diamond):
         times = {n: 1 for n in diamond.nodes()}
         type_of = {"a": 0, "b": 1, "c": 0, "d": 1}
-        starts = asap_starts(diamond, times)
-        occ = occupancy(diamond, times, type_of, starts, 2, 3)
+        occ = occupancy(diamond, times, type_of, 2, 3)
         assert occ[0].sum() == 2 and occ[1].sum() == 2
 
     def test_out_of_horizon_raises(self, diamond):
@@ -32,9 +44,8 @@ class TestOccupancy:
 
         times = {n: 1 for n in diamond.nodes()}
         type_of = {n: 0 for n in diamond.nodes()}
-        starts = asap_starts(diamond, times)
         with pytest.raises(ScheduleError):
-            occupancy(diamond, times, type_of, starts, 1, 2)
+            occupancy(diamond, times, type_of, 1, 2)
 
 
 class TestLowerBound:

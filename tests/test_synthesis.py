@@ -114,3 +114,29 @@ class TestSynthesize:
         # the reported schedule really uses the phase-1 assignment
         for node in dag.nodes():
             assert result.schedule.ops[node].fu_type == result.assignment[node]
+
+
+class TestRunPhase2:
+    @pytest.mark.parametrize("scheduler", ["min_resource", "heft", "force_directed"])
+    def test_validates_the_assignment_once(self, wide_dag, scheduler, monkeypatch):
+        from repro.assign.assignment import Assignment
+        from repro.assign.dfg_assign import dfg_assign_repeat
+        from repro.synthesis import run_phase2
+
+        table = random_table(wide_dag, seed=0)
+        deadline = min_completion_time(wide_dag, table) + 2
+        assignment = dfg_assign_repeat(wide_dag, table, deadline).assignment
+        calls = []
+        validate = Assignment.validate_for
+
+        def counting(self, dfg, tbl):
+            calls.append(dfg)
+            return validate(self, dfg, tbl)
+
+        monkeypatch.setattr(Assignment, "validate_for", counting)
+        lower, schedule = run_phase2(
+            wide_dag, table, assignment, deadline, scheduler=scheduler
+        )
+        assert len(calls) == 1
+        schedule.validate(wide_dag, table, assignment)
+        assert lower.dominates(schedule.configuration)
