@@ -42,7 +42,7 @@ committed ``lintkit-baseline.toml`` (``--check-baseline`` fails on
 stale entries; ``--prune-baseline`` rewrites them away).  Run as
 ``python -m repro.lintkit [paths]`` or ``repro-hls lint [paths]``;
 exit codes are 0 (clean), 1 (findings), 2 (usage error).  ``--format
-sarif`` emits SARIF 2.1.0 for CI annotation upload.
+json`` emits a machine-readable report.
 """
 
 from .api import LintReport, lint_paths
@@ -65,7 +65,6 @@ from .engine import (
 from .findings import Finding, render_json, render_text
 from .project import FunctionId, FunctionInfo, ModuleSymbols, ProjectContext
 from .registry import Rule, all_rules, register, resolve_rules
-from .sarif import render_sarif
 
 __all__ = [
     "LintReport",
@@ -73,7 +72,6 @@ __all__ = [
     "Finding",
     "render_text",
     "render_json",
-    "render_sarif",
     "ModuleInfo",
     "Project",
     "ProjectContext",

@@ -18,8 +18,7 @@ from ..errors import LintError
 from .api import BASELINE_FILENAME, find_default_baseline, lint_paths
 from .baseline import format_baseline, format_baseline_entries, load_baseline
 from .findings import render_json, render_text
-from .registry import all_rules, resolve_rules
-from .sarif import render_sarif
+from .registry import all_rules
 
 __all__ = ["build_parser", "main"]
 
@@ -56,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=["text", "json", "sarif"],
+        choices=["text", "json"],
         default="text",
         help="report format (default: text)",
     )
@@ -130,11 +129,6 @@ def _render(args, report) -> str:
             suppressed_baseline=report.suppressed_baseline,
             unused_baseline=[e.describe() for e in report.unused_baseline],
         )
-    if args.format == "sarif":
-        rules = resolve_rules(
-            _split_codes(args.select), _split_codes(args.ignore)
-        )
-        return render_sarif(report.findings, rules=rules)
     text = render_text(report.findings)
     if report.suppressed_inline or report.suppressed_baseline:
         text += (

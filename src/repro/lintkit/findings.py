@@ -37,8 +37,8 @@ class Finding:
 
         Derived from the same ``(code, module, snippet)`` triple the
         baseline matches on, so it survives unrelated edits that shift
-        code around; used as SARIF's ``partialFingerprints`` and
-        exposed in the JSON report for external diffing tools.
+        code around; exposed in the JSON report for external diffing
+        tools.
         """
         digest = hashlib.sha256(
             f"{self.code}|{self.module}|{self.snippet}".encode("utf-8")

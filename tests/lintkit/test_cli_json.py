@@ -1,6 +1,6 @@
-"""Machine-readable CLI contracts: JSON schema, SARIF shape, exit codes.
+"""Machine-readable CLI contracts: JSON schema, ``--out``, exit codes.
 
-External tooling (CI annotation upload, dashboards, diff scripts)
+External tooling (dashboards, diff scripts)
 parses these outputs, so their shapes are pinned exactly: loosening a
 key here is an API break for consumers that never import this package.
 """
@@ -8,7 +8,6 @@ key here is an API break for consumers that never import this package.
 import json
 
 from repro.lintkit.cli import main
-from repro.lintkit.sarif import SARIF_SCHEMA, SARIF_VERSION, TOOL_NAME
 
 
 def _make_tree(tmp_path, bad=True):
@@ -62,45 +61,14 @@ class TestJsonSchema:
         assert second["line"] == first["line"] + 1
         assert second["fingerprint"] == first["fingerprint"]
 
-
-class TestSarifShape:
-    def test_sarif_2_1_0_document(self, tmp_path, capsys):
-        tree = _make_tree(tmp_path)
-        assert main([tree, "--format", "sarif"]) == 1
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["version"] == SARIF_VERSION
-        assert doc["$schema"] == SARIF_SCHEMA
-        (run,) = doc["runs"]
-        driver = run["tool"]["driver"]
-        assert driver["name"] == TOOL_NAME
-        codes = [r["id"] for r in driver["rules"]]
-        assert codes == sorted(codes)
-        assert "RL002" in codes
-        (result,) = run["results"]
-        assert result["ruleId"] == "RL002"
-        assert driver["rules"][result["ruleIndex"]]["id"] == "RL002"
-        assert result["level"] == "warning"
-        (loc,) = result["locations"]
-        region = loc["physicalLocation"]["region"]
-        assert region["startLine"] == 2
-        assert region["startColumn"] >= 1
-        assert loc["physicalLocation"]["artifactLocation"]["uri"].endswith(
-            "repro/assign/mod.py"
-        )
-        assert "lintkitFingerprint/v1" in result["partialFingerprints"]
-
     def test_out_writes_file(self, tmp_path, capsys):
         tree = _make_tree(tmp_path)
-        out = tmp_path / "artifacts" / "lint.sarif"
-        assert (
-            main(
-                [tree, "--format", "sarif", "--out", str(out)]
-            )
-            == 1
-        )
+        out = tmp_path / "artifacts" / "lint.json"
+        assert main([tree, "--format", "json", "--out", str(out)]) == 1
         capsys.readouterr()
-        doc = json.loads(out.read_text(encoding="utf-8"))
-        assert doc["version"] == SARIF_VERSION
+        payload = json.loads(out.read_text(encoding="utf-8"))
+        assert payload["count"] == 1
+        assert payload["findings"][0]["code"] == "RL002"
 
 
 class TestExitCodes:
