@@ -2,12 +2,19 @@
 
 import pytest
 
-from repro.assign.assignment import min_completion_time
+from repro.assign.assignment import Assignment, min_completion_time
+from repro.assign.dfg_assign import dfg_assign_repeat
 from repro.errors import CyclicDependencyError, InfeasibleError, ReproError
 from repro.fu.random_tables import random_table
 from repro.graph.dfg import DFG
 from repro.suite import get_benchmark, iir_biquad_cascade
-from repro.synthesis import ALGORITHMS, SynthesisResult, auto_algorithm, synthesize
+from repro.synthesis import (
+    ALGORITHMS,
+    SynthesisResult,
+    auto_algorithm,
+    run_phase2,
+    synthesize,
+)
 
 
 class TestAutoAlgorithm:
@@ -119,10 +126,6 @@ class TestSynthesize:
 class TestRunPhase2:
     @pytest.mark.parametrize("scheduler", ["min_resource", "heft", "force_directed"])
     def test_validates_the_assignment_once(self, wide_dag, scheduler, monkeypatch):
-        from repro.assign.assignment import Assignment
-        from repro.assign.dfg_assign import dfg_assign_repeat
-        from repro.synthesis import run_phase2
-
         table = random_table(wide_dag, seed=0)
         deadline = min_completion_time(wide_dag, table) + 2
         assignment = dfg_assign_repeat(wide_dag, table, deadline).assignment
