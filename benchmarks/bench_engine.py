@@ -15,6 +15,9 @@ Three claims, all checked here:
   lane fan-out ≥ 1.5×, when ≥ 4 cores exist (skipped with a notice
   otherwise; worker *equivalence* is always checked).
 
+It also prints, ungated, the one-lane ``dfg_assign_repeat`` table of
+``docs/performance.md`` (:func:`measure_one_lane`).
+
 Runs under pytest (``pytest benchmarks/bench_engine.py``) or
 standalone (``python benchmarks/bench_engine.py [--quick] [--workers N]``);
 quick mode shrinks sweep spans for CI.  Artifacts:
@@ -24,6 +27,7 @@ the repo root.
 
 from __future__ import annotations
 
+import math
 import os
 import pathlib
 import sys
@@ -165,6 +169,41 @@ def measure_batched(quick: bool) -> Tuple[List[str], float]:
 
 
 # ----------------------------------------------------------------------
+# one-lane table: dfg_assign_repeat per graph (ungated)
+# ----------------------------------------------------------------------
+#: Graphs of the one-lane table, smallest expansion first.
+ONE_LANE_GRAPHS = ("diffeq", "rls_laguerre", "elliptic", "dct8", "fft3", "fft4")
+
+
+def measure_one_lane(repeats: int = 7) -> List[str]:
+    """One-lane `dfg_assign_repeat` time per graph, best of ``repeats``.
+
+    The protocol of the one-lane table in ``docs/performance.md``:
+    ``random_table(num_types=3, seed=2004)``, deadline
+    ``ceil(1.5 × min_completion_time)``, one warm-up call, then the
+    best of ``repeats`` timed calls.  Ungated: it records the number so
+    that a change can be compared with its parent by running this
+    script on both checkouts in alternation.
+    """
+    lines = []
+    for name in ONE_LANE_GRAPHS:
+        dfg = get_benchmark(name).dag()
+        table = random_table(dfg, num_types=3, seed=2004)
+        deadline = math.ceil(1.5 * min_completion_time(dfg, table))
+        dfg_assign_repeat(dfg, table, deadline)
+        best = float("inf")
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            dfg_assign_repeat(dfg, table, deadline)
+            best = min(best, time.perf_counter() - t0)
+        lines.append(
+            f"{name:>14}: tree={len(choose_expansion(dfg)):<4} "
+            f"deadline={deadline:<3} dfg_assign_repeat={best * 1e3:7.2f} ms"
+        )
+    return lines
+
+
+# ----------------------------------------------------------------------
 # parallel speed: the make_all-style multi-seed fan-out
 # ----------------------------------------------------------------------
 def measure_parallel(
@@ -245,12 +284,15 @@ def _run(quick: bool, workers: int) -> List[str]:
     t_all = time.perf_counter()
     eq_lines = check_equivalence(quick, workers=resolved)
     bt_lines, batched_speedup = measure_batched(quick)
+    one_lines = measure_one_lane()
     bp_lines, batched_parallel = measure_batched_parallel(quick, workers=resolved)
     par_lines, par = measure_parallel(quick, workers=resolved)
     lines = (
         [f"mode: {'quick' if quick else 'full'}  workers: {resolved}"]
         + ["", "== batched speedup (multi-instance vs per-instance, serial) =="]
         + bt_lines
+        + ["", "== one lane (random_table seed 2004, ceil(1.5 x floor), best of 7; ungated) =="]
+        + one_lines
         + ["", "== parallel fan-out =="]
         + bp_lines
         + par_lines

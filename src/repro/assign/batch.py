@@ -46,7 +46,7 @@ from ..engine import DPStats, pmap
 from ..engine.batch import BatchedTreeDP, compile_forest
 from ..errors import GraphError, InfeasibleError, ReproError
 from ..fu.table import TimeCostTable
-from ..graph.dag import require_acyclic, reverse_topological_order
+from ..graph.dag import require_acyclic
 from ..graph.dfg import DFG, Node
 from ..obs import add_metric, current_tracer
 from .assignment import Assignment
@@ -95,55 +95,47 @@ def _compile_structure(
     """Array-pure view of one graph structure (shared by its lanes).
 
     Everything the lockstep solver needs about the graph — the compiled
-    expansion forest, the copy lists, the pin ``order``, the resolve
-    and cost/completion index structures — as numpy arrays over *row*
-    indices (row ``r`` = original node ``rows[r]``), plus the row↔node
-    lists used parent-side to materialize results.
+    expansion forest (which also gives the completion times), the copy
+    lists, the pin ``order`` and the resolve and cost index structures —
+    as numpy arrays over *row* indices (row ``r`` = original node
+    ``rows[r]``), plus the row↔node lists used parent-side to
+    materialize results.
     """
     shape, nodes, rows = compile_forest(expansion.tree, expansion.origin_of)
     index = {n: i for i, n in enumerate(nodes)}
     row_index = {key: r for r, key in enumerate(rows)}
     nr = len(rows)
 
-    cop_off = np.zeros(nr + 1, dtype=np.int64)
-    cop_idx_parts: List[int] = []
-    for r, key in enumerate(rows):
-        cop_idx_parts.extend(index[c] for c in expansion.copies[key])
-        cop_off[r + 1] = len(cop_idx_parts)
-    cop_idx = np.asarray(cop_idx_parts, dtype=np.int64)
-    counts = np.diff(cop_off)
-    singles = np.flatnonzero(counts == 1)
-    singles_node = cop_idx[cop_off[singles]] if singles.size else singles
-    multis = np.flatnonzero(counts > 1)
+    copies = [[index[c] for c in expansion.copies[key]] for key in rows]
+    cop_off = [0]
+    for c in copies:
+        cop_off.append(cop_off[-1] + len(c))
+    singles = [r for r, c in enumerate(copies) if len(c) == 1]
+    multis = [r for r, c in enumerate(copies) if len(c) > 1]
+    # Copies of every multi-copy row, padded with the row's first copy:
+    # a repeated (time, cost, type) triple cannot change the minimum.
+    width = max([len(copies[r]) for r in multis], default=0)
+    multi_copies = [
+        copies[r] + [copies[r][0]] * (width - len(copies[r])) for r in multis
+    ]
+    nodes_perm = [row_index[n] for n in dfg.nodes()]
 
-    order_rows = np.asarray([row_index[v] for v in order], dtype=np.int64)
-    nodes_perm = np.asarray(
-        [row_index[n] for n in dfg.nodes()], dtype=np.int64
-    )
-    rev_topo = np.asarray(
-        [row_index[n] for n in reverse_topological_order(dfg)],
-        dtype=np.int64,
-    )
-    child_off = np.zeros(nr + 1, dtype=np.int64)
-    child_parts: List[int] = []
-    for r, key in enumerate(rows):
-        child_parts.extend(row_index[c] for c in dfg.children(key))
-        child_off[r + 1] = len(child_parts)
+    def ints(values: Any) -> np.ndarray:
+        return np.asarray(values, dtype=np.int64)
+
     arrays: Dict[str, Any] = {
         "shape": shape,
-        "cop_off": cop_off,
-        "cop_idx": cop_idx,
-        "singles": singles,
-        "singles_node": np.asarray(singles_node, dtype=np.int64),
-        "multis": multis,
-        "order_rows": order_rows,
-        "nodes_perm": nodes_perm,
-        "rev_topo": rev_topo,
-        "dfg_child_off": child_off,
-        "dfg_child_idx": np.asarray(child_parts, dtype=np.int64),
-        "dfg_roots": np.asarray(
-            [row_index[n] for n in dfg.roots()], dtype=np.int64
-        ),
+        "cop_off": ints(cop_off),
+        "cop_idx": ints([i for c in copies for i in c]),
+        "singles": ints(singles),
+        "singles_node": ints([copies[r][0] for r in singles]),
+        "multis": ints(multis),
+        "multi_copies": ints(multi_copies).reshape(len(multis), width),
+        "order_rows": ints([row_index[v] for v in order]),
+        "nodes_perm": ints(nodes_perm),
+        # ``nodes_perm`` offset by one: column 0 of the solver's cost
+        # matrix holds the 0.0 its cost sums start at.
+        "perm_first": ints([0] + [r + 1 for r in nodes_perm]),
     }
     return {"arrays": arrays, "rows": rows, "tree_name": expansion.tree.name}
 
@@ -153,35 +145,13 @@ def _table_rows(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(times, costs)`` matrices of ``table`` in row order."""
     m = table.num_types
-    t = np.empty((len(rows), m), dtype=np.int64)
-    c = np.empty((len(rows), m), dtype=np.float64)
-    for r, key in enumerate(rows):
-        t[r] = table.times(key)
-        c[r] = table.costs(key)
-    return t, c
+    t = np.asarray([table.times(key) for key in rows], dtype=np.int64)
+    c = np.asarray([table.costs(key) for key in rows], dtype=np.float64)
+    return t.reshape(len(rows), m), c.reshape(len(rows), m)
 
 
 # ---------------------------------------------------------------------------
 # The lockstep solver
-
-
-def _lex_min_k(
-    t_mat: np.ndarray, c_mat: np.ndarray, k_mat: np.ndarray
-) -> np.ndarray:
-    """Lexicographic ``(time, cost, type)`` minimum over the last axis.
-
-    Equals ``min((t[k], c[k], k) for k in row)`` per row of copies —
-    the scalar `_min_time_choice` tie-break.  The masked equality
-    compares a value against the exact minimum just reduced from the
-    same array, so the float comparison is exact by construction.
-    """
-    tmin = t_mat.min(axis=-1, keepdims=True)
-    mask = t_mat == tmin
-    c_masked = np.where(mask, c_mat, np.inf)
-    cmin = c_masked.min(axis=-1, keepdims=True)
-    mask &= c_masked == cmin
-    k_masked = np.where(mask, k_mat, np.iinfo(np.int64).max)
-    return np.asarray(k_masked.min(axis=-1), dtype=np.int64)
 
 
 def _error_tuple(exc: ReproError) -> Tuple[str, str, Optional[int]]:
@@ -219,6 +189,12 @@ def _solve_group(
     Returns plain per-lane payloads — best/once choice rows, costs,
     completions, error tuples, stats dicts — for the caller to
     materialize; nothing graph- or table-shaped crosses the boundary.
+
+    Every step of a round — the pin choice, the pin, the refresh, the
+    traceback and the re-resolution — is one set of whole-array calls
+    over the round's active lanes; the per-lane arrays (``la``,
+    ``trace``, ``best_*``, ``once_*``, ``pinned_k``) stay aligned, and
+    shrink together when a lane turns infeasible.
     """
     shape = arrays["shape"]
     deadlines: List[int] = list(meta["deadlines"])
@@ -238,147 +214,111 @@ def _solve_group(
     singles, singles_node = arrays["singles"], arrays["singles_node"]
     multis = arrays["multis"]
     order_rows = arrays["order_rows"]
-    nodes_perm = arrays["nodes_perm"]
     # Stacked per-lane base matrices for vectorized gathers; per-lane
     # views above stay the bind payload.
     bt = np.stack(base_t) if nl else np.empty((0, nr, 1), dtype=np.int64)
     bc = np.stack(base_c) if nl else np.empty((0, nr, 1), dtype=np.float64)
+    # The scalar tie-break ``min((t[k], c[k], k) for k in copies)`` as
+    # ranks: ``by_rank[lane, row]`` lists the types in (time, cost,
+    # type) order and ``rank`` inverts it, so the lexicographic minimum
+    # over a row's copies is ``by_rank[rank[copy types].min()]``.  Both
+    # read the base table, where an unpinned row still has its values.
+    # Only rows with several copies and pinned rows read them.
+    by_rank = rank = np.empty((nl, nr, 0), dtype=np.int64)
+    if multis.size or order_rows.size:
+        type_axis = np.broadcast_to(np.arange(bt.shape[2]), bt.shape)
+        by_rank = np.lexsort((type_axis, bc, bt), axis=-1)
+        rank = np.argsort(by_rank, axis=-1)
 
+    dl = np.asarray(deadlines, dtype=np.int64)
     errors: List[Optional[Tuple[str, str, Optional[int]]]] = [None] * nl
-    trace = np.zeros((nl, shape.n), dtype=np.int64)
-    active: List[int] = []
-    tb = engine.traceback_all(
-        [deadlines[lane] for lane in range(nl)], on_infeasible="mark"
-    )
-    for lane, res in enumerate(tb):
-        if isinstance(res, InfeasibleError):
-            errors[lane] = _error_tuple(res)
-        else:
-            assert isinstance(res, np.ndarray)
-            trace[lane] = res
-            active.append(lane)
 
-    pinned_k = np.zeros((nl, nr), dtype=np.int64)
+    def walk(la: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Trace ``la`` back at their deadlines: ``(choices, keep)``,
+        recording the error of every infeasible lane."""
+        chosen, errs = engine.traceback_lanes(la, dl[la])
+        keep = np.ones(la.size, dtype=bool)
+        for j, err in enumerate(errs):
+            if err is not None:
+                errors[int(la[j])] = _error_tuple(err)
+                keep[j] = False
+        return chosen, keep
 
-    # Copies of every multi-copy row, padded with the row's first copy:
-    # a repeated (time, cost, type) triple cannot change the minimum.
-    width = int(np.diff(cop_off)[multis].max()) if multis.size else 0
-    multi_copies = np.empty((multis.size, width), dtype=np.int64)
-    for j, o in enumerate(multis.tolist()):
-        copies = cop_idx[cop_off[o] : cop_off[o + 1]]
-        multi_copies[j] = copies[0]
-        multi_copies[j, : copies.size] = copies
-    perm_first = np.zeros(nr + 1, dtype=np.int64)
-    perm_first[1:] = nodes_perm + 1  # column 0 holds the 0.0 start
+    la = np.arange(nl, dtype=np.int64)
+    trace, keep = walk(la)
+    if not keep.all():
+        la, trace = la[keep], trace[keep]
+    pinned_k = np.zeros((la.size, nr), dtype=np.int64)
+
+    multi_copies = arrays["multi_copies"]
+    perm_first = arrays["perm_first"]
+    all_rows = np.arange(nr)[None, :]
 
     def resolve_costs(
-        lanes: List[int], n_pinned: int
+        la: np.ndarray, trace: np.ndarray, n_pinned: int, pinned_k: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """(choice rows, costs) of `_resolve` for ``lanes``."""
-        la = np.asarray(lanes, dtype=np.int64)
-        lane_trace = trace[la]
+        """(choice rows, costs) of `_resolve` for ``la``."""
         out_k = np.zeros((la.size, nr), dtype=np.int64)
         if singles.size:
-            out_k[:, singles] = lane_trace[:, singles_node]
+            out_k[:, singles] = trace[:, singles_node]
         if multis.size:
-            ks = lane_trace[:, multi_copies]  # (lanes, multis, width)
-            at = (la[:, None, None], multis[None, :, None], ks)
-            out_k[:, multis] = _lex_min_k(bt[at], bc[at], ks)
+            ks = trace[:, multi_copies]  # (lanes, multis, width)
+            best = rank[la[:, None, None], multis[None, :, None], ks].min(axis=2)
+            out_k[:, multis] = by_rank[la[:, None], multis[None, :], best]
         if n_pinned:
             pins = order_rows[:n_pinned]
-            out_k[:, pins] = pinned_k[la][:, pins]
+            out_k[:, pins] = pinned_k[:, pins]
         # Cost sums run in ``dfg.nodes()`` order from 0.0, sequentially
         # (``accumulate``, not the pairwise ``sum``): the scalar float sum.
         vals = np.zeros((la.size, nr + 1), dtype=np.float64)
-        vals[:, 1:] = bc[la[:, None], np.arange(nr)[None, :], out_k]
+        vals[:, 1:] = bc[la[:, None], all_rows, out_k]
         costs = np.add.accumulate(vals[:, perm_first], axis=1)[:, -1]
         return out_k, costs
 
-    best_k, best_cost = resolve_costs(active, 0)
+    best_k, best_cost = resolve_costs(la, trace, 0, pinned_k)
     once_k = best_k.copy()
     once_cost = best_cost.copy()
     rounds = 0
     for pin_i, v in enumerate(order_rows.tolist()):
-        if not active:
+        if not la.size:
             break
         rounds += 1
-        la = np.asarray(active, dtype=np.int64)
-        copies = cop_idx[cop_off[v] : cop_off[v + 1]]
-        ks = trace[la][:, copies]
-        # Pin choice reads the *work* table, where row v still equals
-        # its base row: the pin order names each row once
+        # Pin choice reads the *base* table, where row v still equals
+        # its work row: the pin order names each row once
         # (``dfg_assign_repeat`` drops repeats from a ``fix_order``).
         # Pinned by the golden and property tests.
-        pk = _lex_min_k(
-            bt[la, v][np.arange(la.size)[:, None], ks],
-            bc[la, v][np.arange(la.size)[:, None], ks],
-            ks,
-        )
-        pinned_k[la, v] = pk
-        for j, lane in enumerate(active):
-            engine.bind_pinned(lane, int(v), int(pk[j]))
-        engine.refresh(active)
-        active_set = set(active)
-        tb = engine.traceback_all(
-            [
-                deadlines[lane] if lane in active_set else None
-                for lane in range(nl)
-            ],
-            on_infeasible="mark",
-        )
-        still: List[int] = []
-        for lane in active:
-            res = tb[lane]
-            if isinstance(res, InfeasibleError):
-                errors[lane] = _error_tuple(res)
-            else:
-                assert isinstance(res, np.ndarray)
-                trace[lane] = res
-                still.append(lane)
-        if len(still) != len(active):
-            still_set = set(still)
-            keep = [j for j, lane in enumerate(active) if lane in still_set]
+        ks = trace[:, cop_idx[cop_off[v] : cop_off[v + 1]]]
+        pk = by_rank[la, v, rank[la[:, None], v, ks].min(axis=1)]
+        pinned_k[:, v] = pk
+        engine.bind_pins(la, v, pk)
+        engine.refresh(la)
+        trace, keep = walk(la)
+        if not keep.all():
+            la, trace, pinned_k = la[keep], trace[keep], pinned_k[keep]
             best_k, best_cost = best_k[keep], best_cost[keep]
             once_k, once_cost = once_k[keep], once_cost[keep]
-        active = still
-        if not active:
-            break
-        cand_k, cand_cost = resolve_costs(active, pin_i + 1)
+            if not la.size:
+                break
+        cand_k, cand_cost = resolve_costs(la, trace, pin_i + 1, pinned_k)
         upd = cand_cost <= best_cost
         best_k[upd] = cand_k[upd]
         best_cost[upd] = cand_cost[upd]
 
-    def chosen_times(out_k: np.ndarray) -> np.ndarray:
-        """Per-row times of the chosen assignments (rows of ``out_k``
-        in the current ``active`` order)."""
-        la = np.asarray(active, dtype=np.int64)
-        return np.take_along_axis(bt[la], out_k[:, :, None], axis=2)[:, :, 0]
-
-    def completions(t_sel: np.ndarray) -> np.ndarray:
-        """Integer longest paths, one per row of ``t_sel``."""
-        down = np.zeros((t_sel.shape[0], nr), dtype=np.int64)
-        child_off = arrays["dfg_child_off"]
-        child_idx = arrays["dfg_child_idx"]
-        for r in arrays["rev_topo"].tolist():
-            kids = child_idx[child_off[r] : child_off[r + 1]]
-            kid_max = down[:, kids].max(axis=1) if kids.size else 0
-            down[:, r] = t_sel[:, r] + kid_max
-        roots = arrays["dfg_roots"]
-        if roots.size == 0:
-            return np.zeros(t_sel.shape[0], dtype=np.int64)
-        return np.asarray(down[:, roots].max(axis=1), dtype=np.int64)
-
+    active = la.tolist()
     out: Dict[str, Any] = {
         "lanes": list(meta["lanes"]),
         "errors": errors,
         "stats": [s.as_dict() for s in stats],
         "rounds": rounds,
-        "active": list(active),
+        "active": active,
     }
     if active:
-        # Best and round-0 assignments share one longest-path pass.
-        both = completions(
-            np.concatenate([chosen_times(best_k), chosen_times(once_k)])
+        # Best and round-0 completions in one longest-path pass over the
+        # expansion tree, which holds every path of the graph.
+        both_k = np.concatenate([best_k, once_k])
+        both_la = np.concatenate([la, la])
+        both = shape.longest_paths(
+            bt[both_la[:, None], all_rows, both_k]
         ).tolist()
         out["best_k"] = best_k
         out["best_cost"] = best_cost.tolist()

@@ -8,9 +8,10 @@ layers.  It has two halves:
   children-first CSR arrays, BFS levels, heights) and runs
   :class:`BatchedTreeDP`, the one `Tree_Assign` engine: each lane is a
   (table, deadline) instance with dense 3-D time/cost bindings, a
-  refresh recomputes exactly each lane's dirty nodes in one
-  :func:`batched_sweep`, and a level-vectorized traceback answers
-  every lane at once.  `dfg_assign_repeat` is one lane; sweeps and
+  refresh recomputes exactly each lane's dirty nodes — one
+  :func:`batched_sweep` of a :class:`SweepPlan` per set of changed
+  rows, shared by the lanes pinning in lockstep — and a level-to-level
+  traceback answers every lane at once.  `dfg_assign_repeat` is one lane; sweeps and
   serve misses are many.  :mod:`~repro.engine.kernels` holds the curve
   primitives (`zero_curve`, `combine_children`, `node_step`, ...) of
   the `Tree_Assign` recurrence the engine is bit-identical to, and
@@ -29,7 +30,7 @@ Layering: the engine sits beside ``fu`` (layer 2) — it may import
 RL004).  See ``docs/performance.md``.
 """
 
-from .batch import BatchedTreeDP, ForestShape, batched_sweep, compile_forest
+from .batch import BatchedTreeDP, ForestShape, SweepPlan, batched_sweep, compile_forest
 from .budget import Budget
 from .kernels import (
     NO_CHOICE,
@@ -48,6 +49,7 @@ __all__ = [
     "Budget",
     "DPStats",
     "ForestShape",
+    "SweepPlan",
     "batched_sweep",
     "compile_forest",
     "shutdown_pools",

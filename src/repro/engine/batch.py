@@ -3,28 +3,33 @@
 `Tree_Assign` over a fixed expansion tree is solved here, and only
 here.  A *lane* is one (table, deadline) instance of a shared forest
 shape: a `DFG_Assign_Repeat` call is one lane, a deadline sweep or a
-group of same-structure serve requests is many.  The combine and
-node-step passes run over an ``(lane, node, budget)`` tensor in a
-handful of numpy calls:
+group of same-structure serve requests is many.  Every numpy call of a
+refresh or a traceback covers all of its lanes at once:
 
 * :func:`compile_forest` — compiles an out-forest once into a
   :class:`ForestShape` plus its node and table-row lists;
 * :class:`ForestShape` — the name-free CSR view of one out-forest
-  (parent/child arrays, BFS levels, per-node heights, a padded
-  children matrix); it pickles by value, so shapes travel to ``pmap``
-  workers without any graph object;
+  (parent/child arrays, BFS levels, per-node heights and preorder
+  intervals, padded children matrices); it pickles by value, so shapes
+  travel to ``pmap`` workers without any graph object;
+* :class:`SweepPlan` — the height passes of one dirty set (its nodes,
+  rows and children per height), built once per changed-row key by
+  :meth:`ForestShape.sweep_plan` and shared by every lane with that key;
 * :func:`batched_sweep` — the kernel: children-first combine plus the
-  running-min node step for a set of (lane, node) targets, processed
-  by height so every pass is one gather/add/where per type;
+  running-min node step of one plan over a set of lanes, about fifteen
+  numpy calls per height pass whatever the lane count;
 * :class:`BatchedTreeDP` — the engine: per-lane row bindings (3-D
-  time/cost tensors) and :class:`DPStats`, a refresh that recomputes
-  exactly each lane's dirty nodes in one :func:`batched_sweep`, and a
-  level-vectorized traceback over all lanes at once.
+  time/cost tensors) and :class:`DPStats`, a refresh that groups its
+  lanes by dirty key and runs one :func:`batched_sweep` per key (lanes
+  whose first bind passed the same arrays share their first sweep), a
+  multi-lane pin (:meth:`BatchedTreeDP.bind_pins`) and a level-to-level
+  traceback over all lanes at once.
 
 **Bit-identity.** Every float op matches the `Tree_Assign` recurrence
-(:mod:`repro.assign.tree_assign`): child curves sum with the same
-sequential ``+=`` order as ``combine_children``, the node step adds the
-same two operands (``child_curve[j - t_k] + c_k``) as ``node_step`` and
+(:mod:`repro.assign.tree_assign`): child curves sum in the same
+sequential order as ``combine_children`` (the first child is an
+assignment, a missing child adds ``0.0``), the node step adds the same
+two operands (``child_curve[j - t_k] + c_k``) as ``node_step`` and
 breaks ties toward the smallest type with ``argmin``'s first-occurrence
 rule, padded types carry ``time 0 / cost inf`` which can never win, and
 padded budgets rely on curves being prefix-identical across deadlines.
@@ -42,18 +47,50 @@ equivalences.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import EngineError, InfeasibleError, NotATreeError, TableError
-from ..fu.table import TimeCostTable
 from ..graph.dag import reverse_topological_order
 from ..graph.dfg import DFG, Node
-from .kernels import NO_CHOICE, dirty_nodes
+from .kernels import NO_CHOICE
 from .stats import DPStats
 
-__all__ = ["ForestShape", "BatchedTreeDP", "batched_sweep", "compile_forest"]
+__all__ = [
+    "ForestShape",
+    "SweepPlan",
+    "BatchedTreeDP",
+    "batched_sweep",
+    "compile_forest",
+]
+
+
+class SweepPlan:
+    """The height passes of one dirty node set.
+
+    ``nodes`` are the dirty nodes ordered by height, ``rows`` their
+    table rows and ``kids`` their rows of the shape's ``sweep_kids``
+    matrix; ``passes`` holds one ``(lo, hi)`` slice of those arrays per
+    height that has dirty nodes, lowest height first.  A plan depends
+    only on the shape and the changed-row set, so every lane with the
+    same changed rows sweeps the same plan.
+    """
+
+    __slots__ = ("size", "nodes", "rows", "kids", "passes")
+
+    def __init__(
+        self,
+        nodes: np.ndarray,
+        rows: np.ndarray,
+        kids: np.ndarray,
+        passes: List[Tuple[int, int]],
+    ):
+        self.size = int(nodes.size)
+        self.nodes = nodes
+        self.rows = rows
+        self.kids = kids
+        self.passes = passes
 
 
 class ForestShape:
@@ -61,19 +98,27 @@ class ForestShape:
 
     Nodes are numbered children-first (reverse-topological), so every
     child's index is smaller than its parent's.  On top of the CSR
-    arrays this precomputes what the kernel needs:
+    arrays this precomputes what the engine needs:
 
-    * ``kids_mat``/``kid_counts`` — an ``(n, max_kids)`` children
-      matrix padded with ``-1``, so the combine pass is one gather per
-      child position instead of a per-node loop;
-    * ``heights``/``by_height`` — leaf distance per node and the node
-      sets per height, the sweep's dependency levels (every child of a
-      height-``h`` node has height ``< h``);
-    * ``levels``/``level_children``/... — the BFS front from the roots
-      used by the vectorized traceback: ``level_children[k]`` is the
+    * ``sweep_kids``/``kid_counts`` — an ``(n, max(max_kids, 1))``
+      children matrix padded with ``n``, the index of the engine's
+      permanent all-zero curve, so a combine never masks;
+    * ``heights``/``height_order``/``height_off`` — leaf distance per
+      node and the nodes grouped by height (CSR), the sweep's
+      dependency levels (every child of a height-``h`` node has height
+      ``< h``);
+    * ``pre_start``/``pre_end`` — each node's preorder interval: node
+      ``x`` is an ancestor-or-self of ``c`` exactly when
+      ``pre_start[x] <= pre_start[c] < pre_end[x]``, which makes a
+      dirty set a few whole-array calls (:meth:`dirty_mask`);
+    * ``levels``/``level_children``/``bfs_*`` — the BFS front from the
+      roots used by the traceback: ``level_children[k]`` is the
       concatenation of the children of ``levels[k]`` in CSR order,
       which is exactly ``levels[k + 1]`` — the alignment the
-      traceback's ``np.repeat`` scatter relies on.
+      traceback's ``np.repeat`` relies on.  ``bfs_nodes`` concatenates
+      the levels (``level_off`` bounds them), ``bfs_rows``/
+      ``bfs_counts`` are their rows and child counts, and
+      ``bfs_inverse`` maps node order back from BFS order.
     """
 
     __slots__ = (
@@ -85,13 +130,21 @@ class ForestShape:
         "row_of",
         "roots",
         "kid_counts",
-        "kids_mat",
+        "sweep_kids",
         "heights",
-        "by_height",
+        "height_order",
+        "height_off",
+        "pre_start",
+        "pre_end",
+        "row_seed_off",
+        "row_seeds",
         "levels",
         "level_children",
-        "level_rows",
-        "level_counts",
+        "level_off",
+        "bfs_nodes",
+        "bfs_rows",
+        "bfs_counts",
+        "bfs_inverse",
     )
 
     def __init__(
@@ -107,44 +160,124 @@ class ForestShape:
         self.child_idx = np.asarray(child_idx, dtype=np.int64)
         self.row_of = np.asarray(row_of, dtype=np.int64)
         self.roots = np.asarray(roots, dtype=np.int64)
-        self.n = int(self.parent.size)
-        self.n_rows = int(self.row_of.max()) + 1 if self.n else 0
+        n = self.n = int(self.parent.size)
+        self.n_rows = int(self.row_of.max()) + 1 if n else 0
 
         self.kid_counts = np.diff(self.child_off)
-        max_kids = int(self.kid_counts.max()) if self.n else 0
-        kids_mat = np.full((self.n, max_kids), -1, dtype=np.int64)
-        off_list = self.child_off.tolist()
-        for i in range(self.n):
-            lo, hi = off_list[i], off_list[i + 1]
-            kids_mat[i, : hi - lo] = self.child_idx[lo:hi]
-        self.kids_mat = kids_mat
+        max_kids = int(self.kid_counts.max()) if n else 0
+        edge_parent = np.repeat(np.arange(n, dtype=np.int64), self.kid_counts)
+        edge_pos = np.arange(self.child_idx.size) - self.child_off[edge_parent]
+        self.sweep_kids = np.full((n, max(max_kids, 1)), n, dtype=np.int64)
+        self.sweep_kids[edge_parent, edge_pos] = self.child_idx
 
-        heights = np.zeros(self.n, dtype=np.int64)
-        for i in range(self.n):  # ascending index = children first
-            lo, hi = int(self.child_off[i]), int(self.child_off[i + 1])
-            if hi > lo:
-                heights[i] = 1 + int(heights[self.child_idx[lo:hi]].max())
-        self.heights = heights
-        hmax = int(heights.max()) + 1 if self.n else 0
-        self.by_height = [np.flatnonzero(heights == h) for h in range(hmax)]
+        # One pass over plain lists: heights and subtree sizes bottom-up
+        # (ascending index = children first), then preorder starts and
+        # depths top-down (descending index = parents first).
+        par = self.parent.tolist()
+        kids = self.child_idx.tolist()
+        off = self.child_off.tolist()
+        height = [0] * n
+        size = [1] * n
+        for i, p in enumerate(par):
+            if p >= 0:
+                size[p] += size[i]
+                if height[i] >= height[p]:
+                    height[p] = height[i] + 1
+        pre = [0] * n
+        depth = [0] * n
+        nxt = 0
+        for r in self.roots.tolist():
+            pre[r] = nxt
+            nxt += size[r]
+        for p in range(n - 1, -1, -1):
+            nxt = pre[p] + 1
+            d = depth[p] + 1
+            for c in kids[off[p] : off[p + 1]]:
+                pre[c] = nxt
+                depth[c] = d
+                nxt += size[c]
+        self.heights = np.asarray(height, dtype=np.int64)
+        self.height_order = np.argsort(self.heights, kind="stable")
+        self.height_off = np.zeros(
+            (int(self.heights.max()) + 2) if n else 1, dtype=np.int64
+        )
+        np.cumsum(np.bincount(self.heights), out=self.height_off[1:])
+        self.pre_start = np.asarray(pre, dtype=np.int64)
+        self.pre_end = self.pre_start + np.asarray(size, dtype=np.int64)
+        # Per row, the preorder starts (+ 1) of its nodes, CSR by row.
+        by_row = np.argsort(self.row_of, kind="stable")
+        self.row_seeds = self.pre_start[by_row] + 1
+        self.row_seed_off = np.zeros(self.n_rows + 1, dtype=np.int64)
+        np.cumsum(
+            np.bincount(self.row_of, minlength=self.n_rows),
+            out=self.row_seed_off[1:],
+        )
 
-        levels: List[np.ndarray] = []
-        level_children: List[np.ndarray] = []
-        front = self.roots
-        while front.size:
-            levels.append(front)
-            parts = [
-                self.child_idx[self.child_off[i] : self.child_off[i + 1]]
-                for i in front.tolist()
-            ]
-            front = (
-                np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-            )
-            level_children.append(front)
-        self.levels = levels
-        self.level_children = level_children
-        self.level_rows = [self.row_of[lvl] for lvl in levels]
-        self.level_counts = [self.kid_counts[lvl] for lvl in levels]
+        # BFS levels: by depth, then preorder.  Siblings appear in CSR
+        # order in the preorder, and same-depth nodes follow their
+        # parents' order, so level k + 1 is level k's children in order.
+        depths = np.asarray(depth, dtype=np.int64)
+        self.bfs_nodes = np.lexsort((self.pre_start, depths))
+        self.level_off = np.zeros(
+            (int(depths.max()) + 2) if n else 1, dtype=np.int64
+        )
+        np.cumsum(np.bincount(depths), out=self.level_off[1:])
+        self.bfs_rows = self.row_of[self.bfs_nodes]
+        self.bfs_counts = self.kid_counts[self.bfs_nodes]
+        self.bfs_inverse = np.argsort(self.bfs_nodes)
+        bounds = self.level_off.tolist()
+        self.levels = [
+            self.bfs_nodes[lo:hi] for lo, hi in zip(bounds, bounds[1:])
+        ]
+        self.level_children = (
+            self.levels[1:] + [np.empty(0, dtype=np.int64)] if n else []
+        )
+
+    def dirty_mask(self, rows: Sequence[int]) -> np.ndarray:
+        """Dirty flags of the nodes, in ``height_order``, for changed ``rows``.
+
+        A node is dirty when its subtree holds a node of a changed row:
+        exactly the nodes of those rows plus their ancestor chains, the
+        nodes whose subtree curve a row change can move.  Counting the
+        changed nodes' preorder starts below each position makes that
+        one interval test per node.
+        """
+        off = self.row_seed_off
+        hit = np.zeros(self.n + 1, dtype=np.int64)
+        if rows:
+            hit[
+                np.concatenate([self.row_seeds[off[r] : off[r + 1]] for r in rows])
+            ] = 1
+        below = np.cumsum(hit)
+        order = self.height_order
+        return below[self.pre_end[order]] > below[self.pre_start[order]]
+
+    def longest_paths(self, row_times: np.ndarray) -> np.ndarray:
+        """Longest root→leaf time sum of the forest, one per row of
+        ``row_times`` (``(k, n_rows)`` integer times per table row)."""
+        if not self.roots.size:
+            return np.zeros(row_times.shape[0], dtype=np.int64)
+        node_times = row_times[:, self.row_of]
+        down = np.zeros((row_times.shape[0], self.n + 1), dtype=np.int64)
+        bounds = self.height_off.tolist()
+        for lo, hi in zip(bounds, bounds[1:]):  # children first
+            nodes = self.height_order[lo:hi]
+            down[:, nodes] = node_times[:, nodes] + down[
+                :, self.sweep_kids[nodes]
+            ].max(axis=2)
+        return down[:, self.roots].max(axis=1)
+
+    def sweep_plan(self, rows: Optional[Sequence[int]]) -> SweepPlan:
+        """The :class:`SweepPlan` of changed ``rows`` (``None``: every node)."""
+        if rows is None:
+            nodes = self.height_order
+            bounds = self.height_off.tolist()
+        else:
+            pos = np.flatnonzero(self.dirty_mask(rows))
+            nodes = self.height_order[pos]
+            bounds = np.searchsorted(pos, self.height_off).tolist()
+        passes = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+        return SweepPlan(nodes, self.row_of[nodes], self.sweep_kids[nodes], passes)
 
 
 def compile_forest(
@@ -162,7 +295,7 @@ def compile_forest(
     key = node_key or (lambda n: n)
     nodes: List[Node] = reverse_topological_order(tree)
     index = {n: i for i, n in enumerate(nodes)}
-    parent = np.full(len(nodes), -1, dtype=np.int64)
+    parent = [-1] * len(nodes)
     child_off = [0]
     child_idx: List[int] = []
     row_index: Dict[Node, int] = {}
@@ -180,7 +313,7 @@ def compile_forest(
         child_off.append(len(child_idx))
         row_of.append(row_index.setdefault(key(node), len(row_index)))
     shape = ForestShape(
-        parent,
+        np.asarray(parent, dtype=np.int64),
         np.asarray(child_off, dtype=np.int64),
         np.asarray(child_idx, dtype=np.int64),
         np.asarray(row_of, dtype=np.int64),
@@ -195,79 +328,91 @@ SWEEP_BLOCK = 1 << 20
 
 
 def batched_sweep(
-    shape: ForestShape,
+    plan: SweepPlan,
+    lanes: np.ndarray,
     curves: np.ndarray,
     choices: np.ndarray,
     times: np.ndarray,
     costs: np.ndarray,
-    slot_idx: np.ndarray,
-    node_idx: np.ndarray,
 ) -> int:
-    """Combine + node-step for the (slot, node) targets, children-first.
+    """Combine + node-step of ``plan``'s nodes in every lane of ``lanes``.
 
-    ``curves``/``choices`` are the group's dense ``(lanes, n, budgets)``
-    tensors, ``times``/``costs`` the bound ``(lanes, rows, types)``
-    tensors.  Targets are processed grouped by node height, so every
-    child a target combines is already final (clean, or computed at a
-    lower height in an earlier pass); within one height all targets
-    are independent.  Returns the number of targets computed.
+    ``curves`` is the engine's ``(lanes, n + 1, budgets + 1)`` tensor:
+    column 0 is a permanent ``inf`` (the value of a budget below zero)
+    and node ``n`` the permanent zero curve a missing child reads.
+    ``choices`` is ``(lanes, n + 1, budgets)``, ``times``/``costs`` the
+    bound ``(lanes, rows, types)`` tensors.  Targets are the plan's
+    nodes times the lanes, flattened node-major with
+    ``lane * (n + 1) + node`` indices, and run one height at a time, so
+    every child a target combines is already final (clean, or computed
+    in an earlier pass); within one height all targets are independent.
+    The index arrays and the targets' times and costs are built once
+    per call, so a height pass is about fifteen numpy calls however many
+    lanes and targets it holds.  Returns the number of targets computed.
 
     Float semantics mirror :func:`~repro.engine.kernels.node_step` and
-    ``combine_children`` exactly: child curves accumulate with the same
-    sequential ``+=`` (the first child is an assignment, not an add),
-    and each type's candidate is the same ``child_curve[j - t_k] + c_k``
-    add.  A height pass gathers every child curve at once, then every
-    type's shifted curve at once from the combined curves with one
-    ``inf`` column prepended (``inf + c_k`` is the ``inf`` of an
-    infeasible budget), then takes ``min``/``argmin`` over the type
-    axis; ``argmin``'s first-occurrence rule is the smallest-type
-    tie-break (tables reject NaN, so no NaN can win it).  Types padded
-    with ``time 0 / cost inf`` never win; infeasible budgets come out
-    ``inf`` with choice :data:`NO_CHOICE`.
+    ``combine_children`` exactly.  A pass gathers child ``j`` of every
+    target into block ``j`` of one ``(child, target, budget)`` array and
+    adds the blocks into the first in child order — the first child
+    copied, a missing child adding ``0.0`` — so the first block is the
+    combined curve, ``inf`` column included.  Each type's candidate is
+    one gather of that sum at ``max(j + 1 - t_k, 0)`` (column 0 reads
+    ``inf``, an infeasible budget) plus ``c_k``: the same
+    ``child_curve[j - t_k] + c_k`` add.  The minimum over the type axis
+    follows, and the choice is the lowest type equal to it —
+    ``argmin``'s first-occurrence tie-break, taken one type at a time
+    from the last (bindings reject NaN, so every comparison is exact).
+    Types padded with ``time 0 / cost inf`` never win.  A budget no
+    type can meet comes out ``inf``; its choice is left unspecified,
+    since no traceback from a finite total reaches it.  A pass whose
+    block exceeds :data:`SWEEP_BLOCK` elements runs in chunks of
+    targets.
     """
-    if node_idx.size == 0:
+    n_lanes = int(lanes.size)
+    if plan.size == 0 or n_lanes == 0:
         return 0
-    lanes, n, size = curves.shape
-    m = times.shape[2]
-    flat_curves = curves.reshape(lanes * n, size)
-    # shift[k, j] indexes the inf-padded curve: j - t_k + 1, or 0 (inf).
-    budget_axis = np.arange(1, size + 1, dtype=np.int64)
-    order = np.argsort(shape.heights[node_idx], kind="stable")
-    heights = shape.heights[node_idx][order]
-    bounds = np.flatnonzero(np.diff(heights)) + 1
-    chunk = max(1, SWEEP_BLOCK // (max(m, shape.kids_mat.shape[1]) * size))
-    for part in np.split(order, bounds):
-        for lo in range(0, part.size, chunk):
-            nodes = node_idx[part[lo : lo + chunk]]
-            slots = slot_idx[part[lo : lo + chunk]]
-            t_count = nodes.size
-            padded = np.zeros((t_count, size + 1), dtype=np.float64)
-            padded[:, 0] = np.inf
-            kids = shape.kids_mat[nodes]
-            if kids.size:
-                # Every child curve in one gather; a missing child reads
-                # as the zero curve, and ``x + 0.0`` is ``x``, so the sum
-                # runs child by child exactly like ``combine_children``.
-                gathered = flat_curves[slots[:, None] * n + np.maximum(kids, 0)]
-                gathered[kids < 0] = 0.0
-                base = padded[:, 1:]
-                base[:] = gathered[:, 0]
-                for j in range(1, kids.shape[1]):
-                    base += gathered[:, j]
-            rows = shape.row_of[nodes]
-            t = times[slots, rows]
-            shift = np.maximum(budget_axis - t[:, :, None], 0)
-            shift += (np.arange(t_count, dtype=np.int64) * (size + 1))[
-                :, None, None
-            ]
-            cand = padded.ravel()[shift]
-            cand += costs[slots, rows][:, :, None]
-            choice = cand.argmin(axis=1).astype(np.int16)
-            best = cand.min(axis=1)
-            choice[best == np.inf] = NO_CHOICE
-            curves[slots, nodes] = best
-            choices[slots, nodes] = choice
-    return int(node_idx.size)
+    n1, width = curves.shape[1], curves.shape[2]
+    n_rows, m = times.shape[1], times.shape[2]
+    n_kids = plan.kids.shape[1]
+    flat_curves = curves.reshape(-1, width)
+    flat_choices = choices.reshape(-1, width - 1)
+    node_off = lanes * n1
+    targets = (plan.nodes[:, None] + node_off).ravel()
+    kid_idx = (plan.kids.T[:, :, None] + node_off).reshape(n_kids, -1)
+    row_idx = (plan.rows[:, None] + lanes * n_rows).ravel()
+    # (type, target, 1): every target's times and costs, gathered once.
+    t_all = times.reshape(-1, m)[row_idx].T[:, :, None]
+    c_all = costs.reshape(-1, m)[row_idx].T[:, :, None]
+    chunk = max(1, SWEEP_BLOCK // (max(m, n_kids) * width))
+    widest = min(chunk, max(hi - lo for lo, hi in plan.passes) * n_lanes)
+    # Flat offset of each target's row in the combined child curves,
+    # and that offset plus ``j + 1`` for every budget ``j``.
+    curve_at = np.arange(0, widest * width, width, dtype=np.int64)[:, None]
+    budget_at = curve_at + np.arange(1, width, dtype=np.int64)
+    for lo, hi in plan.passes:
+        for a in range(lo * n_lanes, hi * n_lanes, chunk):
+            b = min(a + chunk, hi * n_lanes)
+            # (child, target, budget): child j of every target at once;
+            # the child sum runs in place into the first block.
+            kids = flat_curves[kid_idx[:, a:b]]
+            acc = kids[0]
+            for j in range(1, n_kids):
+                acc += kids[j]
+            # (type, target, budget) candidates.
+            shift = budget_at[: b - a] - t_all[:, a:b]
+            np.maximum(shift, curve_at[: b - a], out=shift)
+            cand = acc.ravel()[shift]
+            cand += c_all[:, a:b]
+            best = np.minimum.reduce(cand, axis=0)
+            # argmin's first occurrence, one type at a time from the
+            # last: each lower type that ties the minimum takes over.
+            choice = np.where(cand[m - 2] == best, m - 2, m - 1) if m > 1 else 0
+            for k in range(m - 3, -1, -1):
+                choice = np.where(cand[k] == best, k, choice)
+            at = targets[a:b]
+            flat_curves[at, 1:] = best
+            flat_choices[at] = choice
+    return plan.size * n_lanes
 
 
 class BatchedTreeDP:
@@ -280,13 +425,11 @@ class BatchedTreeDP:
     lanes, while the compute runs batched across lanes via
     :func:`batched_sweep`.
 
-    Binding comes in three forms: :meth:`bind_table` (a
-    :class:`~repro.fu.table.TimeCostTable` plus its row keys),
-    :meth:`bind_arrays` (pre-extracted matrices + version tokens — the
-    worker path, where tables never cross the process boundary), and
-    :meth:`bind_pinned` (the ``with_fixed`` pin fast path: O(1) row
-    update minting the same ``("fixed", base, k)`` token).  Every lane
-    must bind before the first :meth:`refresh`.
+    Binding comes in two forms: :meth:`bind_arrays` (row matrices plus
+    version tokens; a rebind updates the rows whose token changed) and
+    :meth:`bind_pins` (the ``with_fixed`` pin of one row in many lanes
+    at once, minting the same ``("fixed", base, k)`` tokens).  Every
+    lane must bind before the first :meth:`refresh`.
     """
 
     def __init__(
@@ -323,9 +466,9 @@ class BatchedTreeDP:
         self._choices: Optional[np.ndarray] = None
         self._totals: Optional[np.ndarray] = None
         self._refreshed = [False] * nl
-        #: Dirty node sets keyed by changed rows (None = every node),
-        #: shared across lanes that pin the same rows in lockstep.
-        self._dirty_memo: Dict[Optional[Tuple[int, ...]], np.ndarray] = {}
+        #: Sweep plans keyed by changed rows (None = every node), shared
+        #: across lanes that pin the same rows in lockstep.
+        self._plans: Dict[Optional[Tuple[int, ...]], SweepPlan] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -339,10 +482,17 @@ class BatchedTreeDP:
         if not 0 <= lane < self.n_lanes:
             raise EngineError(f"lane {lane} out of range [0, {self.n_lanes})")
 
-    def _materialize(self) -> None:
-        """Allocate the 3-D tensors once every lane has bound."""
+    def _materialize(self) -> Dict[int, int]:
+        """Allocate the 3-D tensors once every lane has bound.
+
+        Returns, on the call that allocates, the lanes whose first bind
+        passed the very same time and cost arrays as a lower lane, each
+        mapped to the lowest such lane (empty on later calls): until
+        their first refresh such lanes hold identical rows, so that
+        refresh can sweep one of them and copy the result.
+        """
         if self._times is not None:
-            return
+            return {}
         nl, nr = self.n_lanes, self.shape.n_rows
         if len(self._staged) != nl:
             missing = [lane for lane in range(nl) if lane not in self._staged]
@@ -357,39 +507,27 @@ class BatchedTreeDP:
         # inf, so it can never strictly beat a real one.
         self._times = np.zeros((nl, nr, self._m), dtype=np.int64)
         self._costs = np.full((nl, nr, self._m), np.inf, dtype=np.float64)
-        for lane, (t, c) in self._staged.items():
+        first: Dict[Tuple[int, int], int] = {}
+        twins: Dict[int, int] = {}
+        for lane in range(nl):
+            t, c = self._staged[lane]
             mm = int(t.shape[1])
             self._lane_m[lane] = mm
+            rep = first.setdefault((id(t), id(c)), lane)
+            if rep != lane:
+                twins[lane] = rep
             self._times[lane, :, :mm] = t
             self._costs[lane, :, :mm] = c
         self._staged.clear()
         n = self.shape.n
-        self._curves = np.zeros((nl, n, self._size), dtype=np.float64)
-        self._choices = np.full((nl, n, self._size), NO_CHOICE, dtype=np.int16)
+        # Column 0 is the inf of a negative budget; node n the zero curve.
+        self._curves = np.zeros((nl, n + 1, self._size + 1), dtype=np.float64)
+        self._curves[:, :, 0] = np.inf
+        self._choices = np.zeros((nl, n + 1, self._size), dtype=np.int16)
         self._totals = np.zeros((nl, self._size), dtype=np.float64)
+        return twins
 
     # ------------------------------------------------------------------
-    def bind_table(
-        self, lane: int, table: TimeCostTable, rows: Sequence[Hashable]
-    ) -> None:
-        """Bind ``table`` to ``lane``; ``rows`` are its row keys in the
-        shape's row order (the ``rows`` of :func:`compile_forest`)."""
-        self._check_lane(lane)
-        nr = self.shape.n_rows
-        if len(rows) != nr:
-            raise TableError(
-                f"lane {lane} forest has {nr} rows but {len(rows)} keys given"
-            )
-        m = table.num_types
-        t = np.empty((nr, m), dtype=np.int64)
-        c = np.empty((nr, m), dtype=np.float64)
-        tokens: List[Hashable] = []
-        for r in range(nr):
-            t[r] = table.times(rows[r])
-            c[r] = table.costs(rows[r])
-            tokens.append(table.row_version(rows[r]))
-        self.bind_arrays(lane, t, c, tokens)
-
     def bind_arrays(
         self,
         lane: int,
@@ -397,12 +535,15 @@ class BatchedTreeDP:
         costs: np.ndarray,
         tokens: Sequence[Hashable],
     ) -> None:
-        """Bind pre-extracted row matrices + version tokens to ``lane``.
+        """Bind row matrices + version tokens to ``lane``.
 
+        Row ``r`` of ``times``/``costs`` is the shape's table row ``r``.
         After the first refresh only rows whose token changed since the
         previous bind are updated and marked pending for the next
-        refresh.  Any injective token scheme is equivalent — the worker
-        path uses plain row indices.
+        refresh.  Any injective token scheme is equivalent: tables pass
+        their row versions, the lockstep solver plain row indices.
+        Times must be non-negative and costs finite and non-negative,
+        as in a :class:`~repro.fu.table.TimeCostTable`.
         """
         self._check_lane(lane)
         nr = self.shape.n_rows
@@ -419,6 +560,8 @@ class BatchedTreeDP:
             )
         if times.size and int(times.min()) < 0:
             raise TableError(f"negative execution time in lane {lane} bind")
+        if costs.size and not (np.isfinite(costs).all() and costs.min() >= 0):
+            raise TableError(f"invalid execution cost in lane {lane} bind")
         m = int(times.shape[1])
         if self._times is None or self._costs is None:
             self._tokens[lane] = list(tokens)
@@ -439,57 +582,68 @@ class BatchedTreeDP:
         if pend is not None:
             pend.extend(changed)
 
-    def bind_pinned(self, lane: int, row: int, fu_type: int) -> None:
-        """Pin ``row`` of ``lane`` to ``fu_type`` — the ``with_fixed``
-        fast path: one row update, same version token, no table object."""
-        self._check_lane(lane)
+    def bind_pins(
+        self, lanes: Sequence[int], row: int, fu_types: Sequence[int]
+    ) -> None:
+        """Pin ``row`` of each of ``lanes`` to its entry of ``fu_types``.
+
+        The ``with_fixed`` pin, for many lanes in one call: every real
+        type of the row takes the pinned type's time and cost (padded
+        types keep ``time 0 / cost inf``), and each lane's row token
+        becomes ``("fixed", base, k)``.  Lanes must be distinct.
+        """
         if self._times is None or self._costs is None:
-            raise EngineError(
-                "bind_pinned needs a materialized binding; refresh first"
-            )
+            raise EngineError("bind_pins needs a materialized binding; refresh first")
         nr = self.shape.n_rows
         if not 0 <= row < nr:
             raise EngineError(f"row {row} out of range [0, {nr})")
-        m = self._lane_m[lane]
-        if not 0 <= fu_type < m:
+        lane_list = [int(lane) for lane in lanes]
+        type_list = [int(k) for k in fu_types]
+        if len(lane_list) != len(type_list):
             raise EngineError(
-                f"fu_type {fu_type} out of range [0, {m}) for lane {lane}"
+                f"{len(lane_list)} lanes but {len(type_list)} pinned types"
             )
-        self._tokens[lane][row] = ("fixed", self._tokens[lane][row], int(fu_type))
-        self._times[lane, row, :m] = self._times[lane, row, fu_type]
-        self._costs[lane, row, :m] = self._costs[lane, row, fu_type]
-        pend = self._pending[lane]
-        if pend is not None:
-            pend.append(int(row))
+        if len(set(lane_list)) != len(lane_list):
+            raise EngineError(f"lanes {lane_list!r} repeat a lane")
+        for lane, k in zip(lane_list, type_list):
+            self._check_lane(lane)
+            if not 0 <= k < self._lane_m[lane]:
+                raise EngineError(
+                    f"fu_type {k} out of range [0, {self._lane_m[lane]}) "
+                    f"for lane {lane}"
+                )
+        if not lane_list:
+            return
+        la = np.asarray(lane_list, dtype=np.int64)
+        ks = np.asarray(type_list, dtype=np.int64)
+        # Real costs are finite (binds reject the rest): padding is inf.
+        real = np.isfinite(self._costs[la, row])
+        self._times[la, row] = np.where(real, self._times[la, row, ks][:, None], 0)
+        self._costs[la, row] = np.where(
+            real, self._costs[la, row, ks][:, None], np.inf
+        )
+        for lane, k in zip(lane_list, type_list):
+            tokens = self._tokens[lane]
+            tokens[row] = ("fixed", tokens[row], k)
+            pend = self._pending[lane]
+            if pend is not None:
+                pend.append(row)
 
     # ------------------------------------------------------------------
-    def _dirty(self, lane: int) -> np.ndarray:
-        """Dirty nodes of ``lane`` (memoized by changed-row set).
-
-        Every node on the first refresh, else
-        :func:`~repro.engine.kernels.dirty_nodes` of the rows changed
-        since.  The result depends only on the changed-row set, so
-        lanes pinning the same row in lockstep share one array.
-        """
-        pend = self._pending[lane]
-        key = None if pend is None else tuple(sorted(set(pend)))
-        memo = self._dirty_memo.get(key)
-        if memo is None:
-            shape = self.shape
-            memo = (
-                np.arange(shape.n)
-                if key is None
-                else dirty_nodes(shape.row_of, shape.parent, key)
-            )
-            self._dirty_memo[key] = memo
-        return memo
+    def _plan(self, key: Optional[Tuple[int, ...]]) -> SweepPlan:
+        """The sweep plan of changed-row ``key`` (memoized)."""
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = self.shape.sweep_plan(key)
+        return plan
 
     def refresh(self, lanes: Optional[Sequence[int]] = None) -> "BatchedTreeDP":
         """(Re)compute the DP for ``lanes`` (default: every lane).
 
-        Recomputes each lane's dirty nodes — every lane in one
-        :func:`batched_sweep` — and rebuilds the root totals of the
-        lanes whose curves moved.  Returns ``self`` for chaining.
+        Groups the lanes by their changed rows, recomputes each group's
+        dirty nodes in one :func:`batched_sweep`, and rebuilds the root
+        totals of the lanes whose curves moved.  Returns ``self`` for
+        chaining.
         """
         t0 = time.perf_counter()
         active = sorted(set(range(self.n_lanes) if lanes is None else lanes))
@@ -497,43 +651,57 @@ class BatchedTreeDP:
             return self
         for lane in active:
             self._check_lane(lane)
-        self._materialize()
+        twins = self._materialize()
         curves, totals = self._curves, self._totals
         assert curves is not None and totals is not None
         assert self._choices is not None
         assert self._times is not None and self._costs is not None
         n = self.shape.n
-        targets: List[np.ndarray] = []
+        groups: Dict[Optional[Tuple[int, ...]], List[int]] = {}
         for lane in active:
-            dirty = self._dirty(lane)
+            pend = self._pending[lane]
+            key = None if pend is None else tuple(sorted(set(pend)))
+            groups.setdefault(key, []).append(lane)
             self._pending[lane] = []
-            st = self.stats[lane]
-            st.refreshes += 1
-            st.nodes_visited += n
-            st.nodes_recomputed += int(dirty.size)
-            st.cache_hits += n - int(dirty.size)
-            targets.append(dirty)
-        batched_sweep(
-            self.shape,
-            curves,
-            self._choices,
-            self._times,
-            self._costs,
-            np.repeat(active, [d.size for d in targets]),
-            np.concatenate(targets),
-        )
-        roots = self.shape.roots.tolist()
-        for lane, dirty in zip(active, targets):
-            if self._refreshed[lane] and not dirty.size:
-                continue  # nothing moved: the total carries over
-            if roots:
-                total = curves[lane, roots[0]].copy()
-                for r in roots[1:]:
-                    total += curves[lane, r]
+        moved: List[int] = []
+        for key, group in groups.items():
+            plan = self._plan(key)
+            for lane in group:
+                st = self.stats[lane]
+                st.refreshes += 1
+                st.nodes_visited += n
+                st.nodes_recomputed += plan.size
+                st.cache_hits += n - plan.size
+                if plan.size or not self._refreshed[lane]:
+                    moved.append(lane)
+                self._refreshed[lane] = True
+            # A lane bound to the same arrays as a lane of this sweep
+            # copies its curves: both are still their first bind.
+            members = set(group)
+            copies = [lane for lane in group if twins.get(lane) in members]
+            swept = [lane for lane in group if twins.get(lane) not in members]
+            batched_sweep(
+                plan,
+                np.asarray(swept, dtype=np.int64),
+                curves,
+                self._choices,
+                self._times,
+                self._costs,
+            )
+            if copies:
+                reps = [twins[lane] for lane in copies]
+                curves[copies] = curves[reps]
+                self._choices[copies] = self._choices[reps]
+        if moved:
+            mv = np.asarray(moved, dtype=np.int64)
+            roots = self.shape.roots
+            if roots.size:
+                # Root curves summed in root order, sequentially.
+                totals[mv] = np.add.accumulate(
+                    curves[mv[:, None], roots, 1:], axis=1
+                )[:, -1]
             else:
-                total = np.zeros(self._size, dtype=np.float64)
-            totals[lane] = total
-            self._refreshed[lane] = True
+                totals[mv] = 0.0
         share = (time.perf_counter() - t0) / len(active)
         for lane in active:
             self.stats[lane].seconds_refresh += share
@@ -570,17 +738,9 @@ class BatchedTreeDP:
         """
         self._require_refreshed(lane)
         assert self._times is not None
-        shape = self.shape
-        if shape.n == 0:
-            return 0
         m = self._lane_m[lane]
-        tmin = self._times[lane, :, :m].min(axis=1)[shape.row_of]
-        down = np.zeros(shape.n, dtype=np.int64)
-        for i in range(shape.n):  # ascending = children first
-            lo, hi = int(shape.child_off[i]), int(shape.child_off[i + 1])
-            best_kid = int(down[shape.child_idx[lo:hi]].max()) if hi > lo else 0
-            down[i] = int(tmin[i]) + best_kid
-        return int(down[shape.roots].max()) if shape.roots.size else 0
+        tmin = self._times[lane, :, :m].min(axis=1)
+        return int(self.shape.longest_paths(tmin[None, :])[0])
 
     def infeasible_error(self, lane: int, budget: int) -> InfeasibleError:
         """The `Tree_Assign` recurrence's infeasibility error for ``lane``."""
@@ -591,102 +751,94 @@ class BatchedTreeDP:
             min_feasible=min_time,
         )
 
-    def traceback_all(
+    def traceback_lanes(
         self,
-        budgets: Sequence[Optional[int]],
+        lanes: Sequence[int],
+        budgets: Sequence[int],
         *,
-        on_infeasible: str = "raise",
-    ) -> List[Union[np.ndarray, InfeasibleError, None]]:
-        """Optimal tree choices for every lane at its budget, batched.
+        on_infeasible: str = "mark",
+    ) -> Tuple[np.ndarray, List[Optional[InfeasibleError]]]:
+        """Optimal tree choices of ``lanes`` at their ``budgets``, batched.
 
-        ``budgets[lane] = None`` skips the lane (entry stays ``None``).
-        A budget outside ``[0, deadline]`` raises immediately.  An
-        infeasible lane either raises the recurrence-identical
-        :class:`InfeasibleError` (``on_infeasible="raise"``, lowest
-        lane first) or stores the exception in its slot (``"mark"``) so
-        independent jobs in one batch can fail independently; either
-        way the lane's traceback counter increments first.
+        Returns ``(choices, errors)``: row ``j`` of the
+        ``(len(lanes), n)`` matrix holds lane ``lanes[j]``'s type
+        choices in the shape's node order — the assignment
+        `tree_assign` gives at that budget, because a curve computed at
+        deadline ``L`` is prefix-identical to the curve of a fresh DP at
+        any ``j ≤ L``.  An infeasible lane gets the recurrence-identical
+        :class:`InfeasibleError` in ``errors[j]`` (its row holds
+        :data:`NO_CHOICE`), or raises it at once with
+        ``on_infeasible="raise"`` (lowest position first); either way
+        its traceback counter increments first.  A budget outside
+        ``[0, deadline]`` raises immediately.
 
-        Feasible lanes get an ``(n,)`` array of type choices in the
-        shape's node order: the assignment `tree_assign` gives at that
-        budget, because a curve computed at deadline ``L`` is
-        prefix-identical to the curve of a fresh DP at any ``j ≤ L``.
+        The walk goes level to level from the roots: one gather reads a
+        level's choices for every lane, and the remaining budgets pass
+        to the next level with one ``np.repeat`` (``level_children[k]``
+        is ``levels[k + 1]``).
         """
-        if len(budgets) != self.n_lanes:
-            raise EngineError(
-                f"{len(budgets)} budgets for {self.n_lanes} lanes"
-            )
         if on_infeasible not in ("raise", "mark"):
             raise EngineError(
                 f"on_infeasible must be 'raise' or 'mark', got {on_infeasible!r}"
             )
+        if len(budgets) != len(lanes):
+            raise EngineError(f"{len(budgets)} budgets for {len(lanes)} lanes")
         t0 = time.perf_counter()
-        out: List[Union[np.ndarray, InfeasibleError, None]] = [None] * len(
-            budgets
-        )
-        req: List[Tuple[int, int]] = []  # (lane, budget)
-        for lane, b in enumerate(budgets):
-            if b is None:
-                continue
+        shape = self.shape
+        lane_list = [int(lane) for lane in lanes]
+        budget_list = [int(b) for b in budgets]
+        for lane, b in zip(lane_list, budget_list):
             self._require_refreshed(lane)
             if not 0 <= b <= self._deadlines[lane]:
                 raise InfeasibleError(
                     f"budget {b} outside the engine's range "
                     f"[0, {self._deadlines[lane]}]"
                 )
-            req.append((lane, int(b)))
-        if not req:
-            return out
+        out = np.full((len(lane_list), shape.n), NO_CHOICE, dtype=np.int64)
+        errors: List[Optional[InfeasibleError]] = [None] * len(lane_list)
+        if not lane_list:
+            return out, errors
         assert self._totals is not None and self._choices is not None
         assert self._times is not None
-        feasible: List[Tuple[int, int]] = []
-        for lane, b in req:
+        la = np.asarray(lane_list, dtype=np.int64)
+        bud = np.asarray(budget_list, dtype=np.int64)
+        ok = np.isfinite(self._totals[la, bud])
+        flags = ok.tolist()
+        for j, lane in enumerate(lane_list):
             self.stats[lane].tracebacks += 1
-            if not np.isfinite(self._totals[lane, b]):
-                err = self.infeasible_error(lane, b)
+            if not flags[j]:
+                err = self.infeasible_error(lane, budget_list[j])
                 if on_infeasible == "raise":
                     raise err
-                out[lane] = err
-            else:
-                feasible.append((lane, b))
-        if feasible:
-            shape = self.shape
-            col = np.asarray([lane for lane, _ in feasible], dtype=np.int64)[
-                :, None
-            ]
-            budgets_mat = np.zeros((col.size, shape.n), dtype=np.int64)
-            ks_mat = np.zeros((col.size, shape.n), dtype=np.int64)
-            if shape.roots.size:
-                budgets_mat[:, shape.roots] = np.asarray(
-                    [b for _, b in feasible], dtype=np.int64
-                )[:, None]
-            for lvl, kids, lvl_rows, lvl_counts in zip(
-                shape.levels,
-                shape.level_children,
-                shape.level_rows,
-                shape.level_counts,
-            ):
-                b = budgets_mat[:, lvl]
-                k = self._choices[col, lvl[None, :], b]
-                assert int(k.min()) != NO_CHOICE, (
-                    "traceback hit infeasible cell (node "
-                    f"{int(lvl[int(np.argmax((k == NO_CHOICE).any(axis=0)))])})"
-                )
-                ks_mat[:, lvl] = k
-                if kids.size:
-                    rem = b - self._times[col, lvl_rows[None, :], k]
-                    budgets_mat[:, kids] = np.repeat(rem, lvl_counts, axis=1)
-            for j, (lane, _) in enumerate(feasible):
-                out[lane] = ks_mat[j]
-        share = (time.perf_counter() - t0) / len(req)
-        for lane, _ in req:
+                errors[j] = err
+        if not all(flags):
+            la, bud = la[ok], bud[ok]
+        if la.size and shape.n:
+            flat_choices = self._choices.reshape(-1)
+            flat_times = self._times.reshape(-1)
+            # Flat (node, lane) cell starts in BFS order, node-major: a
+            # node's choice row and its table row.
+            at = (shape.bfs_nodes[:, None] + la * (shape.n + 1)) * self._size
+            rows = (shape.bfs_rows[:, None] + la * shape.n_rows) * self._m
+            counts = shape.bfs_counts
+            bounds = shape.level_off.tolist()
+            b = bud[None, :].repeat(bounds[1], axis=0)
+            parts, left = [], []
+            for lo, hi in zip(bounds, bounds[1:]):
+                k = flat_choices[at[lo:hi] + b]
+                b = b - flat_times[rows[lo:hi] + k]
+                parts.append(k)
+                left.append(b)
+                if hi < shape.n:
+                    b = b.repeat(counts[lo:hi], axis=0)
+            # A feasible cell never picks a type slower than its budget;
+            # a walk into an infeasible one leaves a negative remainder
+            # at some node below it (at the latest at a leaf).
+            assert int(np.concatenate(left).min()) >= 0, (
+                "traceback hit an infeasible cell"
+            )
+            out[ok] = np.concatenate(parts)[shape.bfs_inverse].T
+        share = (time.perf_counter() - t0) / len(lane_list)
+        for lane in lane_list:
             self.stats[lane].seconds_traceback += share
-        return out
-
-    def traceback_at(self, lane: int, budget: int) -> np.ndarray:
-        """Single-lane traceback (raises on an infeasible budget)."""
-        budgets: List[Optional[int]] = [None] * self.n_lanes
-        budgets[lane] = budget
-        result = self.traceback_all(budgets, on_infeasible="raise")[lane]
-        assert isinstance(result, np.ndarray)
-        return result
+        return out, errors

@@ -7,8 +7,7 @@ the same float ops across nodes and lanes — the same sequential ``+=``
 child sums (numpy pairwise summation would differ in the last bit), the
 same ``child_curve[j - t_k] + c_k`` candidates and the same
 smallest-type tie-break — so every curve, choice, cost, and tie-break
-agrees with the recurrence exactly.  :func:`dirty_nodes` is the
-engine's incremental rule: the nodes a changed table row can move.
+agrees with the recurrence exactly.
 
 A *cost curve* ``D`` has length ``L+1``; ``D[j]`` is the minimum
 system cost of some sub-structure under the condition that every path
@@ -35,7 +34,6 @@ __all__ = [
     "node_step",
     "first_feasible_budget",
     "window_bounds",
-    "dirty_nodes",
 ]
 
 #: Type index stored where no FU type is feasible.
@@ -156,20 +154,3 @@ def window_bounds(occ_asap: np.ndarray, occ_alap: np.ndarray) -> np.ndarray:
     lb_asap = np.ceil(np.cumsum(occ_asap[:, ::-1], axis=1) / windows).max(axis=1)
     return np.maximum(lb_alap, lb_asap).astype(np.int64)
 
-
-def dirty_nodes(
-    row_of: np.ndarray, parent: np.ndarray, changed_rows: Sequence[int]
-) -> np.ndarray:
-    """Nodes of ``changed_rows`` plus their ancestor chains, ascending.
-
-    These are exactly the nodes whose subtree curve a row change can
-    move; every other curve carries over.  Unique parents make each
-    walk O(path), and it stops at the first node already marked.
-    """
-    mark = np.isin(row_of, np.asarray(changed_rows, dtype=np.int64))
-    for i in np.flatnonzero(mark).tolist():
-        p = int(parent[i])
-        while p >= 0 and not mark[p]:
-            mark[p] = True
-            p = int(parent[p])
-    return np.flatnonzero(mark)

@@ -56,6 +56,52 @@ def make_table(dfg: DFG, seed: int = 0, num_types: int = 3) -> TimeCostTable:
     return random_table(dfg, num_types=num_types, seed=seed)
 
 
+def bind_table(engine, lane, table, rows):
+    """Bind ``table`` to ``lane`` of ``engine``; ``rows`` are its row
+    keys in the shape's row order (the ``rows`` of ``compile_forest``).
+    The tokens are the table's row versions, so a rebind of another
+    table marks exactly the rows that differ."""
+    import numpy as np
+
+    engine.bind_arrays(
+        lane,
+        np.asarray([table.times(r) for r in rows], dtype=np.int64).reshape(
+            len(rows), table.num_types
+        ),
+        np.asarray([table.costs(r) for r in rows], dtype=np.float64).reshape(
+            len(rows), table.num_types
+        ),
+        [table.row_version(r) for r in rows],
+    )
+
+
+def bind_pinned(engine, lane, row, fu_type):
+    """Pin ``row`` of one ``lane`` to ``fu_type`` (``with_fixed``)."""
+    engine.bind_pins([lane], row, [fu_type])
+
+
+def traceback_at(engine, lane, budget):
+    """One lane's choices at ``budget`` in node order (raises when
+    infeasible)."""
+    chosen, _ = engine.traceback_lanes([lane], [budget], on_infeasible="raise")
+    return chosen[0]
+
+
+def traceback_all(engine, budgets, *, on_infeasible="raise"):
+    """Per-lane list form of ``traceback_lanes``: ``budgets[lane] =
+    None`` skips the lane (its entry stays ``None``); a feasible lane's
+    entry is its choice row, an infeasible one's its ``InfeasibleError``
+    (``"mark"``) unless ``on_infeasible="raise"`` raised it."""
+    lanes = [lane for lane, b in enumerate(budgets) if b is not None]
+    chosen, errors = engine.traceback_lanes(
+        lanes, [budgets[lane] for lane in lanes], on_infeasible=on_infeasible
+    )
+    out = [None] * len(budgets)
+    for j, lane in enumerate(lanes):
+        out[lane] = chosen[j] if errors[j] is None else errors[j]
+    return out
+
+
 class OneLaneDP:
     """One :class:`~repro.engine.batch.BatchedTreeDP` lane, driven like
     a single-instance engine: ``refresh(table)`` binds and refreshes,
@@ -73,7 +119,7 @@ class OneLaneDP:
         self.stats = self.engine.stats[0]
 
     def refresh(self, table):
-        self.engine.bind_table(0, table, self.rows)
+        bind_table(self.engine, 0, table, self.rows)
         self.engine.refresh()
         return self
 
@@ -84,7 +130,7 @@ class OneLaneDP:
         return self.engine.min_feasible(0)
 
     def traceback_at(self, budget):
-        choice = self.engine.traceback_at(0, budget).tolist()
+        choice = traceback_at(self.engine, 0, budget).tolist()
         return dict(zip(self.nodes, choice))
 
 

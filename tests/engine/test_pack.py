@@ -11,6 +11,8 @@ from repro.fu.random_tables import random_table
 from repro.fu.table import TimeCostTable
 from repro.graph.dfg import DFG
 
+from ..conftest import bind_table
+
 
 def make_table(dfg, seed=0, num_types=3):
     return random_table(dfg, num_types=num_types, seed=seed)
@@ -92,7 +94,7 @@ def test_binding_reports_changed_rows():
 
     def rebind(t) -> int:
         before = stats.nodes_recomputed
-        engine.bind_table(0, t, rows)
+        bind_table(engine, 0, t, rows)
         engine.refresh()
         return stats.nodes_recomputed - before
 
@@ -108,10 +110,10 @@ def test_binding_rejects_num_types_mismatch():
     tree = _forest()
     shape, _, rows = compile_forest(tree)
     engine = BatchedTreeDP(shape, [20])
-    engine.bind_table(0, make_table(tree, seed=3, num_types=3), rows)
+    bind_table(engine, 0, make_table(tree, seed=3, num_types=3), rows)
     engine.refresh()
     other = TimeCostTable(2)
     for n in tree.nodes():
         other.set_row(n, [1, 2], [2.0, 1.0])
     with pytest.raises(TableError, match="FU types"):
-        engine.bind_table(0, other, rows)
+        bind_table(engine, 0, other, rows)
