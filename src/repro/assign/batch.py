@@ -236,7 +236,7 @@ def _solve_group(
     def walk(la: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Trace ``la`` back at their deadlines: ``(choices, keep)``,
         recording the error of every infeasible lane."""
-        chosen, errs = engine.traceback_lanes(la, dl[la])
+        chosen, errs = engine.traceback_lanes(la.tolist(), dl[la].tolist())
         keep = np.ones(la.size, dtype=bool)
         for j, err in enumerate(errs):
             if err is not None:
@@ -290,8 +290,9 @@ def _solve_group(
         ks = trace[:, cop_idx[cop_off[v] : cop_off[v + 1]]]
         pk = by_rank[la, v, rank[la[:, None], v, ks].min(axis=1)]
         pinned_k[:, v] = pk
-        engine.bind_pins(la, v, pk)
-        engine.refresh(la)
+        lanes = la.tolist()
+        engine.bind_pins(lanes, v, pk.tolist())
+        engine.refresh(lanes)
         trace, keep = walk(la)
         if not keep.all():
             la, trace, pinned_k = la[keep], trace[keep], pinned_k[keep]
