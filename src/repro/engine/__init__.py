@@ -9,7 +9,7 @@ layers.  It has two halves:
   :class:`BatchedTreeDP`, the one `Tree_Assign` engine: each lane is a
   (table, deadline) instance with dense 3-D time/cost bindings, a
   refresh recomputes exactly each lane's dirty nodes — one
-  :func:`batched_sweep` of a :class:`SweepPlan` per set of changed
+  :func:`batched_sweep` of one sweep plan per set of changed
   rows, shared by the lanes pinning in lockstep — and a level-to-level
   traceback answers every lane at once.  `dfg_assign_repeat` is one lane; sweeps and
   serve misses are many.  :mod:`~repro.engine.kernels` holds the curve
@@ -30,7 +30,7 @@ Layering: the engine sits beside ``fu`` (layer 2) — it may import
 RL004).  See ``docs/performance.md``.
 """
 
-from .batch import BatchedTreeDP, ForestShape, SweepPlan, batched_sweep, compile_forest
+from .batch import BatchedTreeDP, ForestShape, batched_sweep, compile_forest
 from .budget import Budget
 from .kernels import (
     NO_CHOICE,
@@ -49,7 +49,6 @@ __all__ = [
     "Budget",
     "DPStats",
     "ForestShape",
-    "SweepPlan",
     "batched_sweep",
     "compile_forest",
     "shutdown_pools",

@@ -59,7 +59,6 @@ from .stats import DPStats
 
 __all__ = [
     "ForestShape",
-    "SweepPlan",
     "BatchedTreeDP",
     "batched_sweep",
     "compile_forest",
@@ -111,14 +110,12 @@ class ForestShape:
       ``x`` is an ancestor-or-self of ``c`` exactly when
       ``pre_start[x] <= pre_start[c] < pre_end[x]``, which makes a
       dirty set a few whole-array calls (:meth:`dirty_mask`);
-    * ``levels``/``level_children``/``bfs_*`` — the BFS front from the
-      roots used by the traceback: ``level_children[k]`` is the
-      concatenation of the children of ``levels[k]`` in CSR order,
-      which is exactly ``levels[k + 1]`` — the alignment the
-      traceback's ``np.repeat`` relies on.  ``bfs_nodes`` concatenates
-      the levels (``level_off`` bounds them), ``bfs_rows``/
-      ``bfs_counts`` are their rows and child counts, and
-      ``bfs_inverse`` maps node order back from BFS order.
+    * ``bfs_nodes``/``level_off`` — the BFS levels from the roots used
+      by the traceback, concatenated (``level_off`` bounds them): level
+      ``k + 1`` is exactly the concatenation of the children of level
+      ``k`` in CSR order — the alignment the traceback's ``np.repeat``
+      relies on.  ``bfs_rows``/``bfs_counts`` are their rows and child
+      counts, and ``bfs_inverse`` maps node order back from BFS order.
     """
 
     __slots__ = (
@@ -138,8 +135,6 @@ class ForestShape:
         "pre_end",
         "row_seed_off",
         "row_seeds",
-        "levels",
-        "level_children",
         "level_off",
         "bfs_nodes",
         "bfs_rows",
@@ -225,13 +220,6 @@ class ForestShape:
         self.bfs_rows = self.row_of[self.bfs_nodes]
         self.bfs_counts = self.kid_counts[self.bfs_nodes]
         self.bfs_inverse = np.argsort(self.bfs_nodes)
-        bounds = self.level_off.tolist()
-        self.levels = [
-            self.bfs_nodes[lo:hi] for lo, hi in zip(bounds, bounds[1:])
-        ]
-        self.level_children = (
-            self.levels[1:] + [np.empty(0, dtype=np.int64)] if n else []
-        )
 
     def dirty_mask(self, rows: Sequence[int]) -> np.ndarray:
         """Dirty flags of the nodes, in ``height_order``, for changed ``rows``.
@@ -755,8 +743,6 @@ class BatchedTreeDP:
         self,
         lanes: Sequence[int],
         budgets: Sequence[int],
-        *,
-        on_infeasible: str = "mark",
     ) -> Tuple[np.ndarray, List[Optional[InfeasibleError]]]:
         """Optimal tree choices of ``lanes`` at their ``budgets``, batched.
 
@@ -767,20 +753,14 @@ class BatchedTreeDP:
         deadline ``L`` is prefix-identical to the curve of a fresh DP at
         any ``j ≤ L``.  An infeasible lane gets the recurrence-identical
         :class:`InfeasibleError` in ``errors[j]`` (its row holds
-        :data:`NO_CHOICE`), or raises it at once with
-        ``on_infeasible="raise"`` (lowest position first); either way
-        its traceback counter increments first.  A budget outside
-        ``[0, deadline]`` raises immediately.
+        :data:`NO_CHOICE`); its traceback counter still increments.  A
+        budget outside ``[0, deadline]`` raises immediately.
 
         The walk goes level to level from the roots: one gather reads a
         level's choices for every lane, and the remaining budgets pass
-        to the next level with one ``np.repeat`` (``level_children[k]``
-        is ``levels[k + 1]``).
+        to the next level with one ``np.repeat`` (the BFS order lists
+        level ``k + 1`` as level ``k``'s children in CSR order).
         """
-        if on_infeasible not in ("raise", "mark"):
-            raise EngineError(
-                f"on_infeasible must be 'raise' or 'mark', got {on_infeasible!r}"
-            )
         if len(budgets) != len(lanes):
             raise EngineError(f"{len(budgets)} budgets for {len(lanes)} lanes")
         t0 = time.perf_counter()
@@ -807,10 +787,7 @@ class BatchedTreeDP:
         for j, lane in enumerate(lane_list):
             self.stats[lane].tracebacks += 1
             if not flags[j]:
-                err = self.infeasible_error(lane, budget_list[j])
-                if on_infeasible == "raise":
-                    raise err
-                errors[j] = err
+                errors[j] = self.infeasible_error(lane, budget_list[j])
         if not all(flags):
             la, bud = la[ok], bud[ok]
         if la.size and shape.n:

@@ -83,19 +83,19 @@ def bind_pinned(engine, lane, row, fu_type):
 def traceback_at(engine, lane, budget):
     """One lane's choices at ``budget`` in node order (raises when
     infeasible)."""
-    chosen, _ = engine.traceback_lanes([lane], [budget], on_infeasible="raise")
+    chosen, errors = engine.traceback_lanes([lane], [budget])
+    if errors[0] is not None:
+        raise errors[0]
     return chosen[0]
 
 
-def traceback_all(engine, budgets, *, on_infeasible="raise"):
+def traceback_all(engine, budgets):
     """Per-lane list form of ``traceback_lanes``: ``budgets[lane] =
     None`` skips the lane (its entry stays ``None``); a feasible lane's
-    entry is its choice row, an infeasible one's its ``InfeasibleError``
-    (``"mark"``) unless ``on_infeasible="raise"`` raised it."""
+    entry is its choice row, an infeasible one's its
+    ``InfeasibleError``."""
     lanes = [lane for lane, b in enumerate(budgets) if b is not None]
-    chosen, errors = engine.traceback_lanes(
-        lanes, [budgets[lane] for lane in lanes], on_infeasible=on_infeasible
-    )
+    chosen, errors = engine.traceback_lanes(lanes, [budgets[lane] for lane in lanes])
     out = [None] * len(budgets)
     for j, lane in enumerate(lanes):
         out[lane] = chosen[j] if errors[j] is None else errors[j]

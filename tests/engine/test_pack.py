@@ -51,15 +51,33 @@ def test_parent_and_csr_agree():
     assert roots == {i for i in range(shape.n) if shape.parent[i] == -1}
 
 
+def _deep_forest() -> DFG:
+    """Uneven depths and fan-outs, so a level mixes subtrees."""
+    edges = [("r1", "a"), ("r1", "b"), ("r1", "c"), ("a", "d"), ("c", "e"),
+             ("c", "f"), ("d", "g"), ("f", "h"), ("f", "i"), ("r2", "j"),
+             ("j", "k"), ("j", "l"), ("l", "m")]
+    return DFG.from_edges(edges, name="deep")
+
+
 def test_levels_partition_and_align():
-    shape, _, _ = compile_forest(_forest())
-    seen = np.concatenate(shape.levels)
-    assert sorted(seen.tolist()) == list(range(shape.n))
-    for k, kids in enumerate(shape.level_children):
-        if kids.size:
-            np.testing.assert_array_equal(kids, shape.levels[k + 1])
-        else:
-            assert k == len(shape.levels) - 1
+    for build in (_forest, _deep_forest):
+        _check_bfs_levels(build())
+
+
+def _check_bfs_levels(forest: DFG):
+    """Level k + 1 of the BFS order is the CSR concatenation of level
+    k's children, the alignment the traceback's ``np.repeat`` needs."""
+    shape, _, _ = compile_forest(forest)
+    assert sorted(shape.bfs_nodes.tolist()) == list(range(shape.n))
+    bounds = shape.level_off.tolist()
+    levels = [shape.bfs_nodes[lo:hi].tolist() for lo, hi in zip(bounds, bounds[1:])]
+    assert levels[0] == shape.roots.tolist()
+    for k, level in enumerate(levels):
+        kids = [c for p in level for c in _kids(shape, p)]
+        assert kids == (levels[k + 1] if k + 1 < len(levels) else [])
+    np.testing.assert_array_equal(shape.bfs_rows, shape.row_of[shape.bfs_nodes])
+    np.testing.assert_array_equal(shape.bfs_counts, shape.kid_counts[shape.bfs_nodes])
+    np.testing.assert_array_equal(shape.bfs_nodes[shape.bfs_inverse], np.arange(shape.n))
 
 
 def test_node_key_dedups_rows():
@@ -80,7 +98,7 @@ def test_multi_parent_rejected():
 
 def test_empty_forest():
     shape, nodes, rows = compile_forest(DFG(name="empty"))
-    assert shape.n == 0 and shape.roots.size == 0 and shape.levels == []
+    assert shape.n == 0 and shape.roots.size == 0 and shape.bfs_nodes.size == 0
     assert nodes == [] and rows == []
 
 
